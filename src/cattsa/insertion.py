@@ -218,7 +218,9 @@ def insert_sub(
         actual = sigma.lookup(x)
     except Exception as exc:
         raise HeadMismatch(f"'{x}' missing from the outer substitution") from exc
-    if not alpha_eq(actual, expected):
+    # structural equality implies alpha equality and is O(1) when actual is
+    # the very coherence the insertion was built from
+    if actual != expected and not alpha_eq(actual, expected):
         raise HeadMismatch(
             f"argument at '{x}' is not the inner coherence applied to tau"
         )

@@ -20,6 +20,12 @@ from .errors import SurfaceSyntaxError
 KEYWORDS = {"coh", "def"}
 SYMBOLS = ["->", ":=", "(", ")", "[", "]", ":", ",", "*"]
 
+# Deepest nesting of applications a term may have.  The kernel's printers
+# and checkers recurse about twice per level, and 300 levels still fit in
+# the interpreter's default recursion limit; deeper input is a parse error
+# instead of a RecursionError.
+MAX_NESTING = 300
+
 
 @dataclass(frozen=True)
 class Span:
@@ -150,6 +156,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # applications open around the current term
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -223,6 +230,9 @@ class _Parser:
     def term(self) -> SrcTerm:
         tok = self.expect_ident("a term")
         if self.at_symbol("["):
+            if self.depth == MAX_NESTING:
+                raise self.fail(f"terms may nest at most {MAX_NESTING} applications deep")
+            self.depth += 1
             self.next()
             args: list[SrcTerm] = []
             if not self.at_symbol("]"):
@@ -231,6 +241,7 @@ class _Parser:
                     self.next()
                     args.append(self.term())
             self.expect_symbol("]")
+            self.depth -= 1
             return SrcApp(tok.text, tuple(args), tok.span)
         return SrcVar(tok.text, tok.span)
 

@@ -3,21 +3,25 @@ equality, the graded equality relation, and regularity diagnostics.
 
 The only base redex is insertion at the head of a coherence whose
 argument at some locally maximal cell is an unbiased composite of
-sufficient linear height; everything else is congruence closure.  These
-functions assume well-typed input (they never call the typechecker, which
-keeps the equality/typing stratification well founded) and surface
-scope-level defects as IllTyped where they are detected incidentally.
+sufficient linear height; everything else is congruence closure.
+normalize locates the innermost-leftmost redex of a term and fires only
+that one; step_candidates enumerates every one-step reduct, for the
+reduction-graph tests.  Both decide redexes with one head-eligibility
+predicate.  These functions assume well-typed input (they never call the
+typechecker, which keeps the equality/typing stratification well founded)
+and surface scope-level defects as IllTyped where they are detected
+incidentally.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
-from .errors import CattError, IllTyped
+from .errors import CattError, IllTyped, NotPasting
 from .insertion import InsertionProblem, insert_ctx, insert_sub
-from .pasting import is_pasting, is_unbiased, maximal_vars, unbiased_type
+from .pasting import is_pasting, maximal_vars, unbiased_type
 from .syntax import (
     Arr,
     Coh,
@@ -36,7 +40,13 @@ from .syntax import (
     term_str,
     type_str,
 )
-from .trees import branching_height, ctx_to_tree, is_linear, linear_height
+from .trees import (
+    BataninTree,
+    branching_height,
+    ctx_to_tree,
+    is_linear,
+    linear_height,
+)
 
 RULE_INSERTION = "insertion"
 RULE_CELL = "cell-reduction"
@@ -78,27 +88,51 @@ def _resolve_flag(allow_disc_insertion: Optional[bool]) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Redex enumeration
+# Positions
 # ---------------------------------------------------------------------------
 
 
-def step_candidates(
-    ctx: Context, item: Item, *, allow_disc_insertion: Optional[bool] = None
-) -> list[tuple[Redex, Item]]:
-    """All one-step reducts of a well-typed item, in traversal order.
-
-    Traversal visits substitution entries left to right, then the type of a
-    coherence, then the head itself, recursively; normalisation picks the
-    deepest candidate and breaks ties by this order.
-    """
-    allow = _resolve_flag(allow_disc_insertion)
+def _kind_of(item: Item) -> str:
     if isinstance(item, Term):
-        return [(r, t) for r, t in _term_steps(item, allow)]
+        return "term"
     if isinstance(item, Type):
-        return [(r, t) for r, t in _type_steps(item, allow)]
+        return "type"
     if isinstance(item, Substitution):
-        return [(r, t) for r, t in _sub_steps(item, allow)]
+        return "sub"
     raise IllTyped(f"cannot reduce {item!r}")
+
+
+def _children(item: Item) -> list[tuple[str, int, Item]]:
+    """The immediate subitems as (kind, index, child), in traversal order:
+    substitution entries left to right, then the type of a coherence, then
+    the source, base and target of an arrow."""
+    if isinstance(item, Coh):
+        out: list[tuple[str, int, Item]] = [
+            ("arg", i, arg) for i, (_, arg) in enumerate(item.sub.entries)
+        ]
+        out.append(("type", 0, item.ty))
+        return out
+    if isinstance(item, Arr):
+        return [("src", 0, item.src), ("base", 0, item.base), ("tgt", 0, item.tgt)]
+    if isinstance(item, Substitution):
+        return [("entry", i, arg) for i, (_, arg) in enumerate(item.entries)]
+    return []
+
+
+def _with_child(item: Item, kind: str, index: int, new: Item) -> Item:
+    """item with the child at (kind, index) replaced by new."""
+    if isinstance(item, Coh):
+        if kind == "arg":
+            return Coh(item.ctx, item.ty, item.sub.replace(index, new))
+        return Coh(item.ctx, new, item.sub)
+    if isinstance(item, Arr):
+        if kind == "src":
+            return Arr(new, item.base, item.tgt)
+        if kind == "base":
+            return Arr(item.src, new, item.tgt)
+        return Arr(item.src, item.base, new)
+    assert isinstance(item, Substitution)
+    return item.replace(index, new)
 
 
 def _with_rule(kind: str, pos: Position, detail) -> Redex:
@@ -113,94 +147,168 @@ def _with_rule(kind: str, pos: Position, detail) -> Redex:
     return Redex(rule, pos, detail)
 
 
-def _term_steps(t: Term, allow: bool) -> list[tuple[Redex, Term]]:
-    out: list[tuple[Redex, Term]] = []
-    if isinstance(t, Var):
-        return out
-    assert isinstance(t, Coh)
-    delta, ty, sigma = t.ctx, t.ty, t.sub
-    for i, (_, arg) in enumerate(sigma.entries):
-        for redex, res in _term_steps(arg, allow):
-            pos = (("arg", i),) + redex.position
-            out.append(
-                (_with_rule("term", pos, redex.detail), Coh(delta, ty, sigma.replace(i, res)))
-            )
-    for redex, res in _type_steps(ty, allow):
-        pos = (("type", 0),) + redex.position
-        out.append((_with_rule("term", pos, redex.detail), Coh(delta, res, sigma)))
-    out.extend(_head_insertions(t, allow))
+# ---------------------------------------------------------------------------
+# Redex enumeration
+# ---------------------------------------------------------------------------
+
+
+def step_candidates(
+    ctx: Context, item: Item, *, allow_disc_insertion: Optional[bool] = None
+) -> list[tuple[Redex, Item]]:
+    """All one-step reducts of a well-typed item, in traversal order.
+
+    Traversal visits substitution entries left to right, then the type of a
+    coherence, then the head itself, recursively; normalisation picks the
+    deepest candidate and breaks ties by this order.
+    """
+    allow = _resolve_flag(allow_disc_insertion)
+    kind = _kind_of(item)
+    return [
+        (_with_rule(kind, pos, detail), result)
+        for pos, detail, result in _steps(item, allow)
+    ]
+
+
+def _steps(item: Item, allow: bool) -> list[tuple[Position, tuple, Item]]:
+    out = []
+    for kind, index, child in _children(item):
+        for pos, detail, res in _steps(child, allow):
+            out.append((((kind, index),) + pos, detail, _with_child(item, kind, index, res)))
+    if isinstance(item, Coh):
+        out.extend(_head_insertions(item, allow))
     return out
 
 
-def _type_steps(ty: Type, allow: bool) -> list[tuple[Redex, Type]]:
-    out: list[tuple[Redex, Type]] = []
-    if isinstance(ty, Star):
-        return out
-    assert isinstance(ty, Arr)
-    for redex, res in _term_steps(ty.src, allow):
-        pos = (("src", 0),) + redex.position
-        out.append((_with_rule("type", pos, redex.detail), Arr(res, ty.base, ty.tgt)))
-    for redex, res in _type_steps(ty.base, allow):
-        pos = (("base", 0),) + redex.position
-        out.append((_with_rule("type", pos, redex.detail), Arr(ty.src, res, ty.tgt)))
-    for redex, res in _term_steps(ty.tgt, allow):
-        pos = (("tgt", 0),) + redex.position
-        out.append((_with_rule("type", pos, redex.detail), Arr(ty.src, ty.base, res)))
-    return out
-
-
-def _sub_steps(sigma: Substitution, allow: bool) -> list[tuple[Redex, Substitution]]:
-    out: list[tuple[Redex, Substitution]] = []
-    for i, (_, arg) in enumerate(sigma.entries):
-        for redex, res in _term_steps(arg, allow):
-            pos = (("entry", i),) + redex.position
-            out.append((_with_rule("sub", pos, redex.detail), sigma.replace(i, res)))
-    return out
-
-
-def _head_insertions(t: Coh, allow: bool) -> list[tuple[Redex, Term]]:
+def _head_insertions(t: Coh, allow: bool) -> list[tuple[Position, tuple, Term]]:
     """Insertion redexes at the head of a coherence, in context order."""
-    delta, ty, sigma = t.ctx, t.ty, t.sub
-    if not is_pasting(delta):
-        return []
-    tree = ctx_to_tree(delta)
-    maximal = set(maximal_vars(delta))
-    out: list[tuple[Redex, Term]] = []
-    for x in delta.vars:
-        if x not in maximal:
-            continue
-        arg = sigma.lookup(x)
-        if not isinstance(arg, Coh) or not is_unbiased(arg):
-            continue
-        inner_tree = ctx_to_tree(arg.ctx)
-        if not allow and is_linear(inner_tree):
-            continue
-        if branching_height(tree, x) > linear_height(inner_tree):
-            continue
-        problem = InsertionProblem(delta, x, arg.ctx, arg.ty)
-        result = insert_ctx(problem)
-        new_term = Coh(
-            result.inserted,
-            apply_sub_type(ty, result.external),
-            insert_sub(sigma, x, arg.sub, result),
-        )
-        out.append((Redex(RULE_INSERTION, (), (x, arg.ctx, arg.sub)), new_term))
+    out = []
+    for x in _eligible_heads(t, allow, _shape):
+        arg = t.sub.lookup(x)
+        out.append(((), (x, arg.ctx, arg.sub), _insert_at(t, x)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Head eligibility, shared by enumeration and normalisation
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """What the redex test needs to know about a pasting context."""
+
+    tree: BataninTree
+    maximal: tuple[VarName, ...]  # locally maximal cells, in context order
+    unbiased: Type
+
+
+def _shape(delta: Context) -> Optional[_Shape]:
+    """The pasting shape of a context, or None if it is not pasting."""
+    try:
+        tree = ctx_to_tree(delta)
+    except NotPasting:
+        return None
+    return _Shape(tree, maximal_vars(delta), unbiased_type(delta))
+
+
+def _eligible_heads(
+    t: Coh, allow: bool, shape: Callable[[Context], Optional[_Shape]]
+) -> Iterator[VarName]:
+    """Locally maximal cells of t's context that carry an insertion redex,
+    in context order.
+
+    The argument at the cell must be an unbiased composite (its type is the
+    unbiased type of its pasting context, up to alpha) whose tree is at
+    least as linearly high as the cell's branching height; disc-shaped
+    arguments qualify only when allow is set.
+    """
+    outer = shape(t.ctx)
+    if outer is None:
+        return
+    for x in outer.maximal:
+        arg = t.sub.lookup(x)
+        if not isinstance(arg, Coh):
+            continue
+        inner = shape(arg.ctx)
+        if inner is None:
+            continue
+        if arg.ty != inner.unbiased and not alpha_eq(arg.ty, inner.unbiased):
+            continue
+        if not allow and is_linear(inner.tree):
+            continue
+        if branching_height(outer.tree, x) > linear_height(inner.tree):
+            continue
+        yield x
+
+
+def _insert_at(t: Coh, x: VarName) -> Term:
+    """Fire the insertion redex of t at the locally maximal cell x."""
+    arg = t.sub.lookup(x)
+    assert isinstance(arg, Coh)
+    result = insert_ctx(InsertionProblem(t.ctx, x, arg.ctx, arg.ty))
+    return Coh(
+        result.inserted,
+        apply_sub_type(t.ty, result.external),
+        insert_sub(t.sub, x, arg.sub, result),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Normalisation
 # ---------------------------------------------------------------------------
 
+# Where the innermost-leftmost redex of an item sits: its position and the
+# cell of the head insertion fired there.
+_Located = Optional[tuple[Position, VarName]]
 
-def _pick_innermost_leftmost(
-    candidates: list[tuple[Redex, Item]]
-) -> tuple[Redex, Item]:
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if len(cand[0].position) > len(best[0].position):
-            best = cand
-    return best
+
+class _Normaliser:
+    """The memo tables of one normalize call; never shared between calls.
+
+    locate finds the redex that step_candidates lists first among those at
+    the greatest depth, without building any reduct.  It is memoised by
+    object identity: a step rebuilds only the spine above the redex, so the
+    untouched siblings are the same objects and hit the memo.  Each memo
+    entry keeps its object alive, so no id is reused while it is a key.
+    """
+
+    def __init__(self, allow: bool) -> None:
+        self.allow = allow
+        self.located: dict[int, tuple[Item, _Located]] = {}
+        self.shapes: dict[Context, Optional[_Shape]] = {}
+
+    def shape(self, delta: Context) -> Optional[_Shape]:
+        if delta not in self.shapes:
+            self.shapes[delta] = _shape(delta)
+        return self.shapes[delta]
+
+    def locate(self, item: Item) -> _Located:
+        hit = self.located.get(id(item))
+        if hit is not None:
+            return hit[1]
+        best: _Located = None
+        for kind, index, child in _children(item):
+            found = self.locate(child)
+            # found sits one level below item: take it only if strictly
+            # deeper than best, so ties go to the earlier child
+            if found is not None and (best is None or len(found[0]) >= len(best[0])):
+                best = (((kind, index),) + found[0], found[1])
+        if best is None and isinstance(item, Coh):
+            x = next(_eligible_heads(item, self.allow, self.shape), None)
+            if x is not None:
+                best = ((), x)
+        self.located[id(item)] = (item, best)
+        return best
+
+
+def _fire(item: Item, position: Position, x: VarName) -> Item:
+    """Rebuild item along position with the head insertion at x fired."""
+    if not position:
+        assert isinstance(item, Coh)
+        return _insert_at(item, x)
+    step = position[0]
+    child = next(c for kind, index, c in _children(item) if (kind, index) == step)
+    return _with_child(item, *step, _fire(child, position[1:], x))
 
 
 def _render(item: Item) -> str:
@@ -219,16 +327,22 @@ def normalize(
     trace: Optional[list[str]] = None,
 ) -> Item:
     """Innermost-leftmost normal form of a well-typed term, type or
-    substitution.  Appends one line per step to trace when given."""
+    substitution.  Appends one line per step to trace when given.
+
+    Each step locates the redex that step_candidates would list first at
+    the greatest depth and builds only that one reduct.
+    """
+    kind = _kind_of(item)
+    norm = _Normaliser(_resolve_flag(allow_disc_insertion))
     cur = item
     while True:
-        candidates = step_candidates(
-            ctx, cur, allow_disc_insertion=allow_disc_insertion
-        )
-        if not candidates:
+        found = norm.locate(cur)
+        if found is None:
             return cur
-        redex, result = _pick_innermost_leftmost(candidates)
+        position, x = found
+        result = _fire(cur, position, x)
         if trace is not None:
+            redex = _with_rule(kind, position, None)
             trace.append(
                 f"{redex.rule} at {redex.position_str()}: "
                 f"{_render(cur)} ⇝ {_render(result)}"
@@ -248,13 +362,6 @@ def normalize_type(ctx: Context, ty: Type, **kw) -> Type:
     return out
 
 
-def _sort_of(item: Item) -> type:
-    for sort in (Term, Type, Substitution):
-        if isinstance(item, sort):
-            return sort
-    raise IllTyped(f"not a reducible item: {item!r}")
-
-
 def def_eq(
     ctx: Context,
     a: Item,
@@ -263,7 +370,7 @@ def def_eq(
     allow_disc_insertion: Optional[bool] = None,
 ) -> bool:
     """Definitional equality: compare innermost-leftmost normal forms."""
-    if _sort_of(a) is not _sort_of(b):
+    if _kind_of(a) != _kind_of(b):
         return False
     na = normalize(ctx, a, allow_disc_insertion=allow_disc_insertion)
     nb = normalize(ctx, b, allow_disc_insertion=allow_disc_insertion)

@@ -28,7 +28,9 @@ from cattsa.syntax import (
     dim_term,
     dim_type,
     term_boundary,
+    term_str,
     type_boundary,
+    type_str,
 )
 from cattsa.trees import BataninTree, bracket_to_tree, tree_to_ctx
 
@@ -260,6 +262,41 @@ def reduction_graph(context: Context, t: Term, max_nodes: int = 5000):
         edges[key] = succs
     normal_keys = [k for k, ss in edges.items() if not ss]
     return nodes, edges, normal_keys
+
+
+# ---------------------------------------------------------------------------
+# Enumerate-then-pick normalisation (oracle for the direct normaliser)
+# ---------------------------------------------------------------------------
+
+
+def _render(item) -> str:
+    if isinstance(item, Term):
+        return term_str(item)
+    if isinstance(item, Type):
+        return type_str(item)
+    return str(item)
+
+
+def reference_normalize(context: Context, item, *, allow_disc_insertion=None, trace=None):
+    """Innermost-leftmost normalisation by brute force: build every
+    one-step reduct and keep the first one at the greatest depth."""
+    cur = item
+    while True:
+        candidates = step_candidates(
+            context, cur, allow_disc_insertion=allow_disc_insertion
+        )
+        if not candidates:
+            return cur
+        redex, result = candidates[0]
+        for cand in candidates[1:]:
+            if len(cand[0].position) > len(redex.position):
+                redex, result = cand
+        if trace is not None:
+            trace.append(
+                f"{redex.rule} at {redex.position_str()}: "
+                f"{_render(cur)} ⇝ {_render(result)}"
+            )
+        cur = result
 
 
 # ---------------------------------------------------------------------------

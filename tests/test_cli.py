@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import cattsa
 from cattsa import cli, reduction
-from cattsa.parser import parse
+from cattsa.parser import MAX_NESTING, parse
 from cattsa.syntax import Var, alpha_eq
 from helpers import comp2
 
@@ -184,3 +188,40 @@ def test_cli_verdicts_agree_with_kernel(assoc_file):
     assert left.body is not None and right.body is not None
     kernel = reduction.def_eq(left.ctx, left.body, right.body)
     assert (cli.main(["eq", assoc_file, "left", "right"]) == 0) == kernel
+
+
+def _nested_file(tmp_path, depth: int) -> str:
+    body = "f"
+    for _ in range(depth):
+        body = f"comp [f, {body}]"
+    p = tmp_path / f"deep{depth}.catt"
+    p.write_text(HEADER + f"def deep (x : *) (f : x -> x) : x -> x := {body}\n")
+    return str(p)
+
+
+def _run_cli(*argv: str) -> subprocess.CompletedProcess:
+    # a fresh interpreter, so the stack depth is that of the installed command
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cattsa.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run(
+        [sys.executable, "-m", "cattsa.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+
+
+def test_nesting_at_the_limit_checks(tmp_path):
+    proc = _run_cli("check", _nested_file(tmp_path, 300))
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0
+    assert "def deep: ok" in proc.stdout
+
+
+def test_deep_nesting_is_a_parse_error(tmp_path):
+    for depth in (MAX_NESTING + 1, 3000):
+        proc = _run_cli("check", _nested_file(tmp_path, depth))
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 2
+        assert "parse error" in proc.stderr

@@ -327,6 +327,24 @@ def test_insert_sub_head_mismatch():
         insert_sub(bad, "a2", tau, res)
 
 
+def test_insert_sub_accepts_alpha_renamed_argument():
+    # the argument's bound context is renamed, so it differs structurally
+    # from the inner coherence and only the alpha comparison accepts it
+    prob, res, amb, sigma, tau = chain_insertion_setup()
+    inner, _ = _renamed_copy(prob.inner, "_r")
+    ren = dict(zip(prob.inner.vars, inner.vars))
+    renamed = Coh(
+        inner,
+        rename_type(prob.inner_type, ren),
+        Substitution(tuple((ren[v], t) for v, t in tau.entries)),
+    )
+    assert renamed != Coh(prob.inner, prob.inner_type, tau)
+    alt = Substitution(
+        tuple((v, renamed if v == "a2" else t) for v, t in sigma.entries)
+    )
+    assert insert_sub(alt, "a2", tau, res) == insert_sub(sigma, "a2", tau, res)
+
+
 def test_insert_sub_naturality():
     # composing with a further substitution commutes with insertion
     prob, res, amb, sigma, tau = chain_insertion_setup()
