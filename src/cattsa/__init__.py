@@ -15,9 +15,7 @@ from .insertion import (
 from .ordinals import Ordinal, nat_sum, omega_pow, ord_lt, syntactic_depth
 from .pasting import (
     DiscContext,
-    PdDerivation,
     boundary_ctx,
-    check_pd,
     disc_context,
     is_disc_ctx,
     is_pasting,

@@ -49,7 +49,7 @@ from .syntax import (
     type_str,
 )
 from .trees import ctx_to_tree, tree_to_bracket
-from .typecheck import Mode, check_ctx, check_term, check_type, infer_report
+from .typecheck import Mode, check_ctx, check_term, check_type, equal, infer_report
 
 
 @dataclass(frozen=True)
@@ -185,7 +185,16 @@ def elaborate_file(src: SourceFile) -> Env:
             raise ElaborationError(
                 f"duplicate declaration '{d.name}'", d.span.line, d.span.col
             )
-        env[d.name] = elaborate_decl(d, env)
+        try:
+            env[d.name] = elaborate_decl(d, env)
+        except RecursionError:
+            # def expansion can nest a term deeper than its source, past
+            # what the recursive kernel functions can traverse
+            raise ElaborationError(
+                f"'{d.name}' expands to a term nested too deeply",
+                d.span.line,
+                d.span.col,
+            ) from None
     return env
 
 
@@ -318,10 +327,7 @@ def cmd_eq(args: argparse.Namespace) -> int:
         if not report.ok:
             print(f"{name}: {report.message}", file=sys.stderr)
             return 1
-    if mode is Mode.CATT:
-        same = alpha_eq(t1, t2)
-    else:
-        same = reduction.def_eq(ctx, t1, t2)
+    same = equal(mode, ctx, t1, t2)
     verdict = "equal" if same else "not equal"
     if args.json:
         print(
@@ -498,6 +504,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except CattError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except RecursionError:
+        # the kernel recurses on term structure, and an elaborated term
+        # can still be too deep for it
+        print("error: a term is nested too deeply for the kernel", file=sys.stderr)
         return 1
     finally:
         reduction.set_disc_insertion(allow_disc)

@@ -16,7 +16,7 @@ from .errors import (
     MalformedSyntax,
     PathInvalid,
 )
-from .pasting import check_pd, to_disc_sub
+from .pasting import to_disc_sub
 from .syntax import (
     NEG,
     POS,
@@ -154,8 +154,6 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
         problem.inner,
         problem.inner_type,
     )
-    check_pd(outer)
-    check_pd(inner)
     s = ctx_to_tree(outer)
     t = ctx_to_tree(inner)
     path = branching_path(s, x)  # raises NotLocallyMaximal

@@ -1,16 +1,16 @@
-"""Pasting contexts: the judgement, boundaries, unbiased composites, discs.
+"""Pasting contexts: boundaries, unbiased composites, discs.
 
-A pasting context is recognised by a deterministic derivation that
-alternates between extending with a fresh cell pair (rule "up") and
-walking back down to the target (rule "down").  The derivation trace is
-kept so tests can replay it.
+The pasting judgement is the tree parse trees.ctx_to_tree: a context is
+pasting exactly when it is the emission of a Batanin tree.  Everything
+here that needs a pasting context parses it once and reads the answer off
+the tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionError, MalformedSyntax, NotPasting
+from .errors import DimensionError, NotPasting
 from .syntax import (
     NEG,
     POS,
@@ -26,91 +26,27 @@ from .syntax import (
     Var,
     VarName,
     alpha_eq,
-    dim_ctx,
     dim_term,
-    dim_type,
     identity_sub,
     term_boundary,
 )
-
-
-@dataclass(frozen=True)
-class PdStep:
-    rule: str  # "star" | "up" | "down" | "done"
-    var: VarName
-    ty: Type
-
-
-@dataclass(frozen=True)
-class PdDerivation:
-    ctx: Context
-    steps: tuple[PdStep, ...]
-
-
-def check_pd(ctx: Context) -> PdDerivation:
-    """Derive the pasting judgement for ctx, or raise NotPasting.
-
-    The rules are syntax directed: the "up" extension is forced whenever
-    the next two entries match the dangling cell, otherwise only "down"
-    can make progress.
-    """
-    entries = ctx.entries
-    if not entries:
-        raise NotPasting(0, "empty context")
-    x0, ty0 = entries[0]
-    if ty0 != STAR:
-        raise NotPasting(0, f"first entry must have the base type, got {ty0}")
-    steps = [PdStep("star", x0, STAR)]
-    cur_var: VarName = x0
-    cur_ty: Type = STAR
-    i = 1
-    while i < len(entries):
-        if i + 1 < len(entries):
-            y, ty_y = entries[i]
-            f, ty_f = entries[i + 1]
-            if ty_y == cur_ty and ty_f == Arr(Var(cur_var), cur_ty, Var(y)):
-                steps.append(PdStep("up", f, ty_f))
-                cur_var, cur_ty = f, ty_f
-                i += 2
-                continue
-        if isinstance(cur_ty, Arr):
-            tgt = cur_ty.tgt
-            if not isinstance(tgt, Var):
-                raise NotPasting(i, "dangling cell has a non-variable target")
-            steps.append(PdStep("down", tgt.name, cur_ty.base))
-            cur_var, cur_ty = tgt.name, cur_ty.base
-            continue
-        raise NotPasting(i, f"no rule applies at entry '{entries[i][0]}'")
-    while isinstance(cur_ty, Arr):
-        tgt = cur_ty.tgt
-        if not isinstance(tgt, Var):
-            raise NotPasting(len(entries), "dangling cell has a non-variable target")
-        steps.append(PdStep("down", tgt.name, cur_ty.base))
-        cur_var, cur_ty = tgt.name, cur_ty.base
-    steps.append(PdStep("done", cur_var, STAR))
-    return PdDerivation(ctx, tuple(steps))
+from .trees import (
+    BataninTree,
+    ctx_to_tree,
+    is_linear,
+    leaf_labels,
+    tree_boundary,
+    tree_depth,
+    tree_to_ctx,
+)
 
 
 def is_pasting(ctx: Context) -> bool:
     try:
-        check_pd(ctx)
+        ctx_to_tree(ctx)
         return True
     except NotPasting:
         return False
-
-
-def replay_pd(deriv: PdDerivation) -> Context:
-    """Rebuild the context recorded by a derivation trace."""
-    entries: list[tuple[VarName, Type]] = []
-    for step in deriv.steps:
-        if step.rule == "star":
-            entries.append((step.var, step.ty))
-        elif step.rule == "up":
-            ty = step.ty
-            assert isinstance(ty, Arr) and isinstance(ty.tgt, Var)
-            entries.append((ty.tgt.name, ty.base))
-            entries.append((step.var, ty))
-    return Context(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -120,34 +56,11 @@ def replay_pd(deriv: PdDerivation) -> Context:
 
 def boundary_ctx(ctx: Context, sign: Sign) -> Context:
     """The source (-) or target (+) pasting context, one dimension down."""
-    check_pd(ctx)
-    if dim_ctx(ctx) < 1:
+    t = ctx_to_tree(ctx)
+    d = tree_depth(t)
+    if d < 1:
         raise DimensionError("boundary of a 0-dimensional pasting context")
-    return Context(_bdry(ctx.entries, sign))
-
-
-def _bdry(
-    entries: tuple[tuple[VarName, Type], ...], sign: Sign
-) -> tuple[tuple[VarName, Type], ...]:
-    if len(entries) == 1:
-        return ()
-    rest = entries[:-2]
-    y_entry = entries[-2]
-    f_entry = entries[-1]
-    d_new = dim_type(f_entry[1])
-    d_rest = max(dim_type(ty) for _, ty in rest)
-    if d_new < d_rest:
-        return _bdry(rest, sign) + (y_entry, f_entry)
-    if d_new == d_rest:
-        inner = _bdry(rest, sign)
-        if sign == NEG:
-            return inner
-        assert inner, "positive-dimensional contexts have non-empty targets"
-        return inner[:-1] + (y_entry,)
-    # d_new > d_rest: the new pair raised the dimension
-    if sign == NEG:
-        return rest
-    return rest[:-1] + (y_entry,)
+    return tree_to_ctx(tree_boundary(t, d - 1, sign))
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +71,8 @@ def _bdry(
 def maximal_vars(ctx: Context) -> tuple[VarName, ...]:
     """Variables that appear in no declared type, in context order.
 
-    This is the derivation-free formula; on pasting contexts it is the set
-    of locally maximal cells (the leaves of the corresponding tree).
+    It needs no pasting context (declarations are applied over any
+    telescope); on a pasting context it lists the leaves of its tree.
     """
     used: set[VarName] = set()
     for _, ty in ctx.entries:
@@ -185,13 +98,15 @@ def _term_vars(t: Term) -> set[VarName]:
 
 
 def locally_maximal(ctx: Context) -> frozenset[VarName]:
-    check_pd(ctx)
-    return frozenset(maximal_vars(ctx))
+    return frozenset(leaf_labels(ctx_to_tree(ctx)))
 
 
 def is_disc_ctx(ctx: Context) -> bool:
     """A pasting context with exactly one locally maximal cell."""
-    return is_pasting(ctx) and len(maximal_vars(ctx)) == 1
+    try:
+        return is_linear(ctx_to_tree(ctx))
+    except NotPasting:
+        return False
 
 
 # ---------------------------------------------------------------------------
@@ -201,45 +116,40 @@ def is_disc_ctx(ctx: Context) -> bool:
 
 def unbiased_type(ctx: Context) -> Type:
     """The canonical composite type over a pasting context."""
-    check_pd(ctx)
-    return _unbiased_type(ctx)
+    return _unbiased_type(ctx_to_tree(ctx))
 
 
 def unbiased_term(ctx: Context) -> Term:
     """The canonical composite term over a pasting context."""
-    check_pd(ctx)
-    return _unbiased_term(ctx)
+    return _unbiased_term(ctx_to_tree(ctx))
 
 
-def _top_var(ctx: Context) -> tuple[VarName, Type]:
-    d = dim_ctx(ctx)
-    for v, ty in ctx.entries:
-        if dim_type(ty) == d:
-            return v, ty
-    raise MalformedSyntax("empty context has no top variable")
-
-
-def _unbiased_type(ctx: Context) -> Type:
-    if len(maximal_vars(ctx)) == 1:
-        return _top_var(ctx)[1]
-    src = Context(_bdry(ctx.entries, NEG))
-    tgt = Context(_bdry(ctx.entries, POS))
+def _unbiased_type(t: BataninTree) -> Type:
+    """The unbiased type over the emission of t."""
+    if is_linear(t):  # a disc: the type of its top cell, emitted last
+        return tree_to_ctx(t).entries[-1][1]
+    k = tree_depth(t) - 1
+    src = tree_boundary(t, k, NEG)
+    tgt = tree_boundary(t, k, POS)
     return Arr(_unbiased_term(src), _unbiased_type(src), _unbiased_term(tgt))
 
 
-def _unbiased_term(ctx: Context) -> Term:
-    if len(maximal_vars(ctx)) == 1:
-        return Var(_top_var(ctx)[0])
-    return Coh(ctx, _unbiased_type(ctx), identity_sub(ctx))
+def _unbiased_term(t: BataninTree) -> Term:
+    if is_linear(t):
+        return Var(leaf_labels(t)[0])
+    ctx = tree_to_ctx(t)
+    return Coh(ctx, _unbiased_type(t), identity_sub(ctx))
 
 
 def is_unbiased(t: Term) -> bool:
     """True iff t is a coherence whose type is the unbiased type of its context."""
     if not isinstance(t, Coh):
         return False
-    if not is_pasting(t.ctx):
+    try:
+        tree = ctx_to_tree(t.ctx)
+    except NotPasting:
         return False
-    return alpha_eq(t.ty, _unbiased_type(t.ctx))
+    return alpha_eq(t.ty, _unbiased_type(tree))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from typing import Callable, Iterator, Optional, Union
 
 from .errors import CattError, IllTyped, NotPasting
 from .insertion import InsertionProblem, insert_ctx, insert_sub
-from .pasting import is_pasting, maximal_vars, unbiased_type
+from .pasting import _unbiased_type
 from .syntax import (
     Arr,
     Coh,
@@ -45,6 +45,7 @@ from .trees import (
     branching_height,
     ctx_to_tree,
     is_linear,
+    leaf_labels,
     linear_height,
 )
 
@@ -208,7 +209,7 @@ def _shape(delta: Context) -> Optional[_Shape]:
         tree = ctx_to_tree(delta)
     except NotPasting:
         return None
-    return _Shape(tree, maximal_vars(delta), unbiased_type(delta))
+    return _Shape(tree, leaf_labels(tree), _unbiased_type(tree))
 
 
 def _eligible_heads(
@@ -447,12 +448,13 @@ def _regular(ctx: Context, t: Term) -> Optional[Height]:
         return math.inf
     assert isinstance(t, Coh)
     delta = t.ctx
-    if not is_pasting(delta):
+    try:
+        tree = ctx_to_tree(delta)
+    except NotPasting:
         return None
-    tree = ctx_to_tree(delta)
     if is_linear(tree):  # a disc
         return None
-    if not alpha_eq(t.ty, unbiased_type(delta)):
+    if not alpha_eq(t.ty, _unbiased_type(tree)):
         return None
     heights: dict[VarName, Height] = {}
     for v, arg in t.sub.entries:
@@ -460,7 +462,7 @@ def _regular(ctx: Context, t: Term) -> Optional[Height]:
         if h is None:
             return None
         heights[v] = h
-    for x in maximal_vars(delta):
+    for x in leaf_labels(tree):
         if branching_height(tree, x) >= heights[x]:
             return None
     return linear_height(tree)

@@ -1,8 +1,11 @@
-"""Labelled Batanin trees and their correspondence with pasting contexts.
+"""Labelled Batanin trees: the pasting judgement and tree combinatorics.
 
 A tree carries one more label than it has branches; the labels at depth k
 name the k-cells of the pasting context, and the branch between two
 consecutive labels holds the part of the diagram suspended between them.
+A context is pasting exactly when it is the emission of a tree
+(tree_to_ctx), so the strict parse ctx_to_tree is the pasting judgement;
+boundaries are read off the tree by tree_boundary.
 """
 
 from __future__ import annotations
@@ -13,10 +16,10 @@ from .errors import (
     DuplicateVariable,
     MalformedSyntax,
     NotLocallyMaximal,
+    NotPasting,
     SurfaceSyntaxError,
 )
-from .pasting import check_pd
-from .syntax import STAR, Arr, Context, Type, Var, VarName
+from .syntax import NEG, STAR, Arr, Context, Sign, Type, Var, VarName
 
 TreePath = tuple[int, ...]
 
@@ -104,18 +107,26 @@ def _emit(t: BataninTree, base: Type, out: list[tuple[VarName, Type]]) -> None:
 
 
 def ctx_to_tree(ctx: Context) -> BataninTree:
-    """Inverse of tree_to_ctx; raises NotPasting on non-pasting input."""
-    check_pd(ctx)
+    """The tree whose emission is ctx: the pasting judgement.
+
+    Raises NotPasting on an empty context, on an entry whose type is not
+    the suspended base the parse expects, and on entries left over.
+    """
     t, i = _parse(ctx.entries, 0, STAR)
-    assert i == len(ctx.entries)
+    if i != len(ctx.entries):
+        v, ty = ctx.entries[i]
+        raise NotPasting(i, f"entry '{v}' of type {ty} does not extend the diagram")
     return t
 
 
 def _parse(
     entries: tuple[tuple[VarName, Type], ...], i: int, base: Type
 ) -> tuple[BataninTree, int]:
+    if i == len(entries):
+        raise NotPasting(i, f"missing an entry of type {base}")
     v, ty = entries[i]
-    assert ty == base, "pasting derivation guarantees the suspended type"
+    if ty != base:
+        raise NotPasting(i, f"entry '{v}' has type {ty}, expected {base}")
     labels = [v]
     branches: list[BataninTree] = []
     i += 1
@@ -127,6 +138,14 @@ def _parse(
         labels.append(w)
         branches.append(br)
     return BataninTree(tuple(labels), tuple(branches)), i
+
+
+def tree_boundary(t: BataninTree, k: int, sign: Sign) -> BataninTree:
+    """The source (-) or target (+) k-boundary: each node at depth k keeps
+    only its first (-) or last (+) label."""
+    if k == 0:
+        return BataninTree((t.labels[0] if sign == NEG else t.labels[-1],), ())
+    return BataninTree(t.labels, tuple(tree_boundary(br, k - 1, sign) for br in t.branches))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ from .errors import (
     SupportViolation,
     TypeMismatch,
 )
-from .pasting import boundary_ctx, check_pd
 from .reduction import def_eq, normalize
 from .syntax import (
     NEG,
@@ -40,7 +39,6 @@ from .syntax import (
     apply_sub_term,
     apply_sub_type,
     ctx_str,
-    dim_ctx,
     dim_term,
     dim_type,
     sub_str,
@@ -49,6 +47,7 @@ from .syntax import (
     term_str,
     type_str,
 )
+from .trees import all_labels, ctx_to_tree, tree_boundary, tree_depth
 
 
 class Mode(enum.Enum):
@@ -137,7 +136,7 @@ def _infer(delta: Context, t: Term, mode: Mode, trace: list[str]) -> Type:
         return ty
     assert isinstance(t, Coh)
     gamma, head_ty, sigma = t.ctx, t.ty, t.sub
-    check_pd(gamma)  # raises NotPasting
+    tree = ctx_to_tree(gamma)  # raises NotPasting
     _check_type(gamma, head_ty, mode, trace)
     _check_sub(delta, sigma, gamma, mode, trace)
 
@@ -150,9 +149,10 @@ def _infer(delta: Context, t: Term, mode: Mode, trace: list[str]) -> Type:
         f"(coh') support {sorted(supp_ty)} is not the whole context "
         f"{sorted(full)}"
     )
-    if isinstance(head_ty, Arr) and dim_ctx(gamma) >= 1:
-        src_vars = frozenset(boundary_ctx(gamma, NEG).vars)
-        tgt_vars = frozenset(boundary_ctx(gamma, POS).vars)
+    k = tree_depth(tree) - 1
+    if isinstance(head_ty, Arr) and k >= 0:
+        src_vars = frozenset(all_labels(tree_boundary(tree, k, NEG)))
+        tgt_vars = frozenset(all_labels(tree_boundary(tree, k, POS)))
         supp_src = _support_vars(gamma, head_ty.src, mode)
         supp_tgt = _support_vars(gamma, head_ty.tgt, mode)
         problems = []

@@ -161,12 +161,14 @@ def enumerate_trees(max_labels: int) -> list[BataninTree]:
 
 
 # ---------------------------------------------------------------------------
-# Exhaustive pasting-derivation search (oracle for check_pd)
+# Exhaustive pasting-derivation search (oracle for the pasting judgement)
 # ---------------------------------------------------------------------------
 
 
 def pd_derivable(context: Context) -> bool:
-    """Search every interleaving of the derivation rules."""
+    """Search every interleaving of the derivation rules of Finster and
+    Mimram (LICS 2017); the kernel's judgement is the tree parse
+    trees.ctx_to_tree, which this checks independently."""
     entries = context.entries
     if not entries or entries[0][1] != star:
         return False

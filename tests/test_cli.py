@@ -79,6 +79,29 @@ def test_normalize_command_agrees_with_kernel(assoc_file, capsys):
     assert printed == term_str(normalize_term(decl.ctx, decl.body))
 
 
+def test_normalize_catt_mode_checks_in_catt_and_prints_the_sa_normal_form(tmp_path, capsys):
+    # mixed is well typed only up to associativity: its second identity
+    # cell starts at the right bracketing where vert expects the left one
+    p = tmp_path / "modes.catt"
+    p.write_text(ASSOC + """
+coh id (x : *) (y : *) (f : x -> y) : f -> f
+coh vert (x : *) (y : *) (f : x -> y) (g : x -> y) (m : f -> g) (h : x -> y) (n : g -> h) : f -> h
+def mixed (x : *) (y : *) (a : x -> y) (z : *) (b : y -> z) (w : *) (c : z -> w)
+  : comp [comp [a, b], c] -> comp [a, comp [b, c]]
+  := vert [id [comp [comp [a, b], c]], id [comp [a, comp [b, c]]]]
+""")
+    for name in ("left", "mixed"):
+        assert cli.main(["normalize", str(p), name, "--trace"]) == 0
+        sa_out = capsys.readouterr().out
+        if name == "left":
+            assert cli.main(["normalize", str(p), name, "--trace", "--mode", "catt"]) == 0
+            assert capsys.readouterr().out == sa_out
+        else:
+            assert cli.main(["normalize", str(p), name, "--mode", "catt"]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and "has type" in captured.err
+
+
 def test_normalize_trace(assoc_file, capsys):
     assert cli.main(["normalize", assoc_file, "right", "--trace"]) == 0
     out = capsys.readouterr().out
@@ -216,6 +239,37 @@ def test_nesting_at_the_limit_checks(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 0
     assert "def deep: ok" in proc.stdout
+
+
+def _deep_def_file(tmp_path, depth: int, uses: str) -> str:
+    body = "f"
+    for _ in range(depth):
+        body = f"comp [{body}, f]"
+    p = tmp_path / f"deepdef{depth}.catt"
+    p.write_text(HEADER.strip() + f"\ndef b (x : *) (f : x -> x) : x -> x := {body}\n" + uses)
+    return str(p)
+
+
+def test_deep_def_expansion_is_an_error(tmp_path):
+    # within the source nesting bound, but each expansion of b nests its
+    # argument 250 levels deeper
+    too_deep_to_elaborate = _deep_def_file(tmp_path, 250, """\
+def c (x : *) (f : x -> x) : x -> x := b [b [b [b [f]]]]
+def d (x : *) (f : x -> x) : x -> x := c [c [c [f]]]
+""")
+    # elaborates, but the typechecker cannot traverse 400 levels
+    too_deep_to_check = _deep_def_file(tmp_path, 200, """\
+def c (x : *) (f : x -> x) : x -> x := b [b [f]]
+""")
+    for mode in ("sa", "catt"):
+        for path, message in (
+            (too_deep_to_elaborate, "error: 4:1: 'c' expands to a term nested too deeply"),
+            (too_deep_to_check, "error: a term is nested too deeply for the kernel"),
+        ):
+            proc = _run_cli("check", path, "--mode", mode)
+            assert "Traceback" not in proc.stderr
+            assert proc.returncode == 1
+            assert proc.stderr.strip() == message
 
 
 def test_deep_nesting_is_a_parse_error(tmp_path):

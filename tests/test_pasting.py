@@ -7,13 +7,11 @@ import pytest
 from cattsa.errors import DimensionError, NotPasting
 from cattsa.pasting import (
     boundary_ctx,
-    check_pd,
     disc_context,
     is_disc_ctx,
     is_pasting,
     is_unbiased,
     locally_maximal,
-    replay_pd,
     to_disc_sub,
     unbiased_term,
     unbiased_type,
@@ -26,10 +24,11 @@ from cattsa.syntax import (
     Context,
     Var,
     dim_ctx,
+    dim_type,
     identity_sub,
     support,
 )
-from cattsa.trees import tree_to_ctx
+from cattsa.trees import ctx_to_tree, tree, tree_to_ctx
 from cattsa.typecheck import Mode, infer_report
 from helpers import (
     CHAIN2,
@@ -50,23 +49,26 @@ ARROW = ctx(("x", star), ("y", star), ("f", arr("x", star, "y")))
 
 
 def test_point_is_pasting():
-    d = check_pd(POINT)
-    assert [s.rule for s in d.steps] == ["star", "done"]
+    assert ctx_to_tree(POINT) == tree(["x"])
+    assert tree_to_ctx(ctx_to_tree(POINT)) == POINT
 
 
 def test_single_arrow_is_pasting():
-    d = check_pd(ARROW)
-    assert [s.rule for s in d.steps] == ["star", "up", "down", "done"]
+    assert ctx_to_tree(ARROW) == tree(["x", "y"], [tree(["f"])])
+    assert tree_to_ctx(ctx_to_tree(ARROW)) == ARROW
 
 
 def test_two_points_rejected():
     with pytest.raises(NotPasting):
-        check_pd(ctx(("x", star), ("y", star)))
+        ctx_to_tree(ctx(("x", star), ("y", star)))
 
 
 def test_derivation_replay_reconstructs_context():
+    assert ctx_to_tree(CHAIN3) == tree(
+        ["x0", "x1", "x2", "x3"], [tree(["a1"]), tree(["a2"]), tree(["a3"])]
+    )
     for context in (POINT, ARROW, CHAIN3, DELTA):
-        assert replay_pd(check_pd(context)) == context
+        assert tree_to_ctx(ctx_to_tree(context)) == context
 
 
 def test_check_pd_agrees_with_exhaustive_search():
@@ -98,6 +100,28 @@ def test_boundary_of_single_arrow():
 def test_boundary_of_delta():
     assert [v for v, _ in boundary_ctx(DELTA, NEG).entries] == ["x", "y", "f", "z", "k"]
     assert [v for v, _ in boundary_ctx(DELTA, POS).entries] == ["x", "y", "h", "z", "k"]
+
+
+def test_boundary_drops_the_cells_covered_by_top_cells():
+    # independent of the tree: a d-dimensional context's source (target)
+    # boundary keeps every cell below dimension d - 1 and the (d - 1)-cells
+    # that are not the target (source) of any d-cell
+    cases = 0
+    for t in enumerate_trees(11):
+        context = tree_to_ctx(t)
+        d = dim_ctx(context)
+        if d < 1:
+            continue
+        top = [ty for _, ty in context.entries if dim_type(ty) == d]
+        for sign, covered in ((NEG, {ty.tgt for ty in top}), (POS, {ty.src for ty in top})):
+            expected = tuple(
+                (v, ty)
+                for v, ty in context.entries
+                if dim_type(ty) < d - 1 or (dim_type(ty) == d - 1 and Var(v) not in covered)
+            )
+            assert boundary_ctx(context, sign).entries == expected
+            cases += 1
+    assert cases == 128
 
 
 def test_boundary_dimension_error_on_points():
