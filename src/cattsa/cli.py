@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import reduction
-from .errors import CattError, ElaborationError, SurfaceSyntaxError
+from .errors import CattError, ElaborationError, SurfaceSyntaxError, TooDeep
 from .insertion import InsertionProblem, insert_ctx
 from .parser import (
     SourceFile,
@@ -506,9 +506,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # the kernel recurses on term structure, and an elaborated term
-        # can still be too deep for it
-        print("error: a term is nested too deeply for the kernel", file=sys.stderr)
+        # typecheck raises TooDeep itself; reduction and printing, called
+        # directly by some commands, still recurse on term structure
+        print(f"error: {TooDeep()}", file=sys.stderr)
         return 1
     finally:
         reduction.set_disc_insertion(allow_disc)

@@ -83,6 +83,13 @@ class GlobularityViolation(IllTyped):
     pass
 
 
+class TooDeep(CattError):
+    """A term is nested deeper than the kernel's recursion can traverse."""
+
+    def __init__(self) -> None:
+        super().__init__("a term is nested too deeply for the kernel")
+
+
 class SurfaceSyntaxError(CattError):
     def __init__(self, message: str, line: int, col: int):
         self.line = line

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Union
+from typing import Iterator, Optional, Union
 
 from .errors import CattError, IllTyped, NotPasting
 from .insertion import InsertionProblem, insert_ctx, insert_sub
@@ -183,7 +183,7 @@ def _steps(item: Item, allow: bool) -> list[tuple[Position, tuple, Item]]:
 def _head_insertions(t: Coh, allow: bool) -> list[tuple[Position, tuple, Term]]:
     """Insertion redexes at the head of a coherence, in context order."""
     out = []
-    for x in _eligible_heads(t, allow, _shape):
+    for x in _eligible_heads(t, allow):
         arg = t.sub.lookup(x)
         out.append(((), (x, arg.ctx, arg.sub), _insert_at(t, x)))
     return out
@@ -204,7 +204,12 @@ class _Shape:
 
 
 def _shape(delta: Context) -> Optional[_Shape]:
-    """The pasting shape of a context, or None if it is not pasting."""
+    """The pasting shape of a context, or None if it is not pasting;
+    memoised on the context."""
+    return delta.derived("_redex_shape", _new_shape)
+
+
+def _new_shape(delta: Context) -> Optional[_Shape]:
     try:
         tree = ctx_to_tree(delta)
     except NotPasting:
@@ -212,9 +217,7 @@ def _shape(delta: Context) -> Optional[_Shape]:
     return _Shape(tree, leaf_labels(tree), _unbiased_type(tree))
 
 
-def _eligible_heads(
-    t: Coh, allow: bool, shape: Callable[[Context], Optional[_Shape]]
-) -> Iterator[VarName]:
+def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
     """Locally maximal cells of t's context that carry an insertion redex,
     in context order.
 
@@ -223,14 +226,14 @@ def _eligible_heads(
     least as linearly high as the cell's branching height; disc-shaped
     arguments qualify only when allow is set.
     """
-    outer = shape(t.ctx)
+    outer = _shape(t.ctx)
     if outer is None:
         return
     for x in outer.maximal:
         arg = t.sub.lookup(x)
         if not isinstance(arg, Coh):
             continue
-        inner = shape(arg.ctx)
+        inner = _shape(arg.ctx)
         if inner is None:
             continue
         if arg.ty != inner.unbiased and not alpha_eq(arg.ty, inner.unbiased):
@@ -264,7 +267,7 @@ _Located = Optional[tuple[Position, VarName]]
 
 
 class _Normaliser:
-    """The memo tables of one normalize call; never shared between calls.
+    """The locate memo of one normalize call; never shared between calls.
 
     locate finds the redex that step_candidates lists first among those at
     the greatest depth, without building any reduct.  It is memoised by
@@ -276,12 +279,6 @@ class _Normaliser:
     def __init__(self, allow: bool) -> None:
         self.allow = allow
         self.located: dict[int, tuple[Item, _Located]] = {}
-        self.shapes: dict[Context, Optional[_Shape]] = {}
-
-    def shape(self, delta: Context) -> Optional[_Shape]:
-        if delta not in self.shapes:
-            self.shapes[delta] = _shape(delta)
-        return self.shapes[delta]
 
     def locate(self, item: Item) -> _Located:
         hit = self.located.get(id(item))
@@ -295,7 +292,7 @@ class _Normaliser:
             if found is not None and (best is None or len(found[0]) >= len(best[0])):
                 best = (((kind, index),) + found[0], found[1])
         if best is None and isinstance(item, Coh):
-            x = next(_eligible_heads(item, self.allow, self.shape), None)
+            x = next(_eligible_heads(item, self.allow), None)
             if x is not None:
                 best = ((), x)
         self.located[id(item)] = (item, best)

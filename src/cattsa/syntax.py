@@ -3,14 +3,21 @@
 A term is a variable or a coherence ``Coh(ctx, ty, sub)``; a type is the
 base type ``*`` or an arrow between two terms over a lower-dimensional
 type.  Contexts and substitutions are ordered association sequences with
-pairwise-distinct names.  Everything is immutable, so all operations in
-this module are pure functions and safe to call from any thread.
+pairwise-distinct names, indexed by name when built.  Every value is
+immutable, so all operations in this module are pure functions and safe
+to call from any thread.
+
+A context also carries a write-once memo of data derived from it (its
+Batanin tree, its redex shape), kept in the instance __dict__ outside the
+dataclass fields: ==, hash, repr and pickling see only the fields.  An
+entry is a function of the fields alone, so two threads that race to fill
+it compute equal values and either result is correct; no lock is needed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Literal, Union
+from typing import Callable, Iterable, Iterator, Literal, TypeVar, Union
 
 from .errors import (
     DimensionError,
@@ -21,6 +28,7 @@ from .errors import (
 )
 
 VarName = str
+_T = TypeVar("_T")
 
 Sign = Literal["-", "+"]
 NEG: Sign = "-"
@@ -64,84 +72,91 @@ class Arr(Type):
 
 
 @dataclass(frozen=True)
-class Context:
-    """Ordered sequence of (variable, type) declarations."""
+class _Table:
+    """Ordered (name, value) pairs with pairwise-distinct names, indexed by
+    name in __dict__ when built; pickling carries only the entries."""
 
-    entries: tuple[tuple[VarName, Type], ...] = ()
+    entries: tuple = ()
+    _where = ""
 
     def __post_init__(self) -> None:
-        seen = set()
-        for name, _ in self.entries:
-            if name in seen:
-                raise DuplicateVariable(name, "context")
-            seen.add(name)
-
-    @property
-    def vars(self) -> tuple[VarName, ...]:
-        return tuple(name for name, _ in self.entries)
-
-    def lookup(self, name: VarName) -> Type:
-        for v, ty in self.entries:
-            if v == name:
-                return ty
-        raise UnknownVariable(name, "context")
+        table = dict(self.entries)
+        if len(table) != len(self.entries):
+            names = [name for name, _ in self.entries]
+            dup = next(v for i, v in enumerate(names) if v in names[:i])
+            raise DuplicateVariable(dup, self._where)
+        self.__dict__.update(_table=table, _names=tuple(table))
 
     def has(self, name: VarName) -> bool:
-        return any(v == name for v, _ in self.entries)
-
-    def extend(self, name: VarName, ty: Type) -> "Context":
-        return Context(self.entries + ((name, ty),))
+        return name in self._table
 
     def __len__(self) -> int:
         return len(self.entries)
 
-    def __iter__(self) -> Iterator[tuple[VarName, Type]]:
+    def __iter__(self) -> Iterator[tuple]:
         return iter(self.entries)
+
+    def __reduce__(self):
+        return (type(self), (self.entries,))
+
+
+@dataclass(frozen=True)
+class Context(_Table):
+    """Ordered sequence of (variable, type) declarations."""
+
+    entries: tuple[tuple[VarName, Type], ...] = ()
+    _where = "context"
+
+    @property
+    def vars(self) -> tuple[VarName, ...]:
+        return self._names
+
+    def lookup(self, name: VarName) -> Type:
+        try:
+            return self._table[name]
+        except KeyError:
+            raise UnknownVariable(name, "context") from None
+
+    def extend(self, name: VarName, ty: Type) -> "Context":
+        return Context(self.entries + ((name, ty),))
+
+    def derived(self, key: str, compute: Callable[["Context"], _T]) -> _T:
+        """The memo entry key, set to compute(self) on first use and never
+        changed; racing threads compute equal values and the first is kept."""
+        memo = self.__dict__
+        if key in memo:
+            return memo[key]
+        return memo.setdefault(key, compute(self))
 
     def __str__(self) -> str:
         return " ".join(f"({v} : {type_str(ty)})" for v, ty in self.entries)
 
 
 @dataclass(frozen=True)
-class Substitution:
+class Substitution(_Table):
     """Ordered sequence of (variable, term) assignments."""
 
     entries: tuple[tuple[VarName, Term], ...] = ()
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for name, _ in self.entries:
-            if name in seen:
-                raise DuplicateVariable(name, "substitution")
-            seen.add(name)
+    _where = "substitution"
 
     @property
     def domain(self) -> tuple[VarName, ...]:
-        return tuple(name for name, _ in self.entries)
+        return self._names
 
     @property
     def values(self) -> tuple[Term, ...]:
-        return tuple(t for _, t in self.entries)
+        return tuple(self._table.values())
 
     def lookup(self, name: VarName) -> Term:
-        for v, t in self.entries:
-            if v == name:
-                return t
-        raise SubstitutionUndefined(name)
-
-    def has(self, name: VarName) -> bool:
-        return any(v == name for v, _ in self.entries)
+        try:
+            return self._table[name]
+        except KeyError:
+            raise SubstitutionUndefined(name) from None
 
     def replace(self, index: int, term: Term) -> "Substitution":
         entries = list(self.entries)
         entries[index] = (entries[index][0], term)
         return Substitution(tuple(entries))
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[tuple[VarName, Term]]:
-        return iter(self.entries)
 
     def __str__(self) -> str:
         return "<" + ", ".join(f"{v} := {term_str(t)}" for v, t in self.entries) + ">"
@@ -376,6 +391,8 @@ def canonical_sub(sigma: Substitution) -> Substitution:
 
 def alpha_eq(a: Item | Context, b: Item | Context) -> bool:
     """Equality up to consistent renaming of bound context variables."""
+    if a == b:  # structural equality implies alpha equality
+        return True
     if isinstance(a, Term) and isinstance(b, Term):
         return canonical_term(a) == canonical_term(b)
     if isinstance(a, Type) and isinstance(b, Type):

@@ -6,6 +6,10 @@ consecutive labels holds the part of the diagram suspended between them.
 A context is pasting exactly when it is the emission of a tree
 (tree_to_ctx), so the strict parse ctx_to_tree is the pasting judgement;
 boundaries are read off the tree by tree_boundary.
+
+Trees are immutable values.  tree_to_ctx records the tree in the memo of
+the context it emits (syntax.Context.derived), and ctx_to_tree parses a
+context at most once, so a context built by insertion is never re-parsed.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from .errors import (
 from .syntax import NEG, STAR, Arr, Context, Sign, Type, Var, VarName
 
 TreePath = tuple[int, ...]
+
+_TREE = "_tree"  # memo key of a context's Batanin tree
 
 
 @dataclass(frozen=True)
@@ -95,7 +101,9 @@ def is_linear(t: BataninTree) -> bool:
 def tree_to_ctx(t: BataninTree) -> Context:
     entries: list[tuple[VarName, Type]] = []
     _emit(t, STAR, entries)
-    return Context(tuple(entries))
+    ctx = Context(tuple(entries))
+    ctx.derived(_TREE, lambda _: t)
+    return ctx
 
 
 def _emit(t: BataninTree, base: Type, out: list[tuple[VarName, Type]]) -> None:
@@ -110,8 +118,14 @@ def ctx_to_tree(ctx: Context) -> BataninTree:
     """The tree whose emission is ctx: the pasting judgement.
 
     Raises NotPasting on an empty context, on an entry whose type is not
-    the suspended base the parse expects, and on entries left over.
+    the suspended base the parse expects, and on entries left over.  Only
+    a successful parse is memoised, so a non-pasting context raises on
+    every call.
     """
+    return ctx.derived(_TREE, _parse_ctx)
+
+
+def _parse_ctx(ctx: Context) -> BataninTree:
     t, i = _parse(ctx.entries, 0, STAR)
     if i != len(ctx.entries):
         v, ty = ctx.entries[i]

@@ -10,6 +10,7 @@ mutual definition well founded.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +20,7 @@ from .errors import (
     EndpointTypeMismatch,
     GlobularityViolation,
     SupportViolation,
+    TooDeep,
     TypeMismatch,
 )
 from .reduction import def_eq, normalize
@@ -55,7 +57,28 @@ class Mode(enum.Enum):
     CATT_SA = "sa"
 
 
+def _bounded(entry):
+    """A public entry point that raises TooDeep, not RecursionError, on a
+    term too deep for the kernel; rendering the subject is guarded too."""
+
+    @functools.wraps(entry)
+    def guarded(*args, **kw):
+        try:
+            return entry(*args, **kw)
+        except RecursionError:
+            raise TooDeep() from None
+
+    return guarded
+
+
+@_bounded
 def equal(mode: Mode, ctx: Context, a: Item, b: Item) -> bool:
+    return _equal(mode, ctx, a, b)
+
+
+def _equal(mode: Mode, ctx: Context, a: Item, b: Item) -> bool:
+    # the checkers call this unguarded form, so that a RecursionError
+    # reaches their entry point's guard and is not reported as a failure
     if mode is Mode.CATT:
         return alpha_eq(a, b)
     return def_eq(ctx, a, b)
@@ -177,7 +200,7 @@ def _check_term(
     delta: Context, t: Term, expected: Type, mode: Mode, trace: list[str]
 ) -> None:
     inferred = _infer(delta, t, mode, trace)
-    if not equal(mode, delta, inferred, expected):
+    if not _equal(mode, delta, inferred, expected):
         raise TypeMismatch(
             f"term {term_str(t)} has type {type_str(inferred)}, "
             f"expected {type_str(expected)}"
@@ -198,18 +221,21 @@ def _report(kind: str, subject: str, mode: Mode, run) -> TypingReport:
     return TypingReport(True, kind, subject, mode, inferred=inferred, rule_trace=tuple(trace))
 
 
+@_bounded
 def check_ctx(ctx: Context, mode: Mode = Mode.CATT_SA) -> TypingReport:
     return _report(
         "context", ctx_str(ctx), mode, lambda tr: _check_ctx(ctx, mode, tr)
     )
 
 
+@_bounded
 def check_type(ctx: Context, ty: Type, mode: Mode = Mode.CATT_SA) -> TypingReport:
     return _report(
         "type", type_str(ty), mode, lambda tr: _check_type(ctx, ty, mode, tr)
     )
 
 
+@_bounded
 def check_sub(
     delta: Context,
     sigma: Substitution,
@@ -224,6 +250,7 @@ def check_sub(
     )
 
 
+@_bounded
 def check_term(
     ctx: Context, t: Term, ty: Type, mode: Mode = Mode.CATT_SA
 ) -> TypingReport:
@@ -234,6 +261,7 @@ def check_term(
     return _report("term", term_str(t), mode, run)
 
 
+@_bounded
 def infer_term(ctx: Context, t: Term, mode: Mode = Mode.CATT_SA) -> Type:
     """Inferred type of a term; the substituted head type is returned as
     constructed, not normalised."""
@@ -241,6 +269,7 @@ def infer_term(ctx: Context, t: Term, mode: Mode = Mode.CATT_SA) -> Type:
     return _infer(ctx, t, mode, trace)
 
 
+@_bounded
 def infer_report(ctx: Context, t: Term, mode: Mode = Mode.CATT_SA) -> TypingReport:
     return _report("term", term_str(t), mode, lambda tr: _infer(ctx, t, mode, tr))
 
@@ -265,6 +294,7 @@ def is_globular_ctx(ctx: Context) -> bool:
     return all(type_ok(ty) for _, ty in ctx.entries)
 
 
+@_bounded
 def check_well_formed_sub(
     gamma: Context, sigma: Substitution, delta: Context
 ) -> TypingReport:

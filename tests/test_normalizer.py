@@ -3,6 +3,7 @@ under concurrent use."""
 
 from __future__ import annotations
 
+import pickle
 import sys
 import threading
 
@@ -131,3 +132,69 @@ def test_concurrent_normalize_matches_sequential():
     assert sorted(results) == list(range(8))
     for got in results.values():
         assert got == expected
+
+
+def _contexts(item, out: dict) -> dict:
+    """Every context object reachable from item, keyed by id."""
+    if isinstance(item, Coh):
+        out[id(item.ctx)] = item.ctx
+        _contexts(item.ty, out)
+        _contexts(item.sub, out)
+    elif isinstance(item, Arr):
+        for part in (item.src, item.base, item.tgt):
+            _contexts(part, out)
+    elif isinstance(item, Substitution):
+        for _, t in item.entries:
+            _contexts(t, out)
+    return out
+
+
+def test_concurrent_normalize_on_cold_memos():
+    cases = curated_corpus() + _bracketings()[:20] + _whiskered()
+
+    def run(corpus) -> list:
+        out = []
+        for context, t in corpus:
+            trace: list[str] = []
+            out.append((normalize(context, t, trace=trace), trace))
+        return out
+
+    # a pickle round trip rebuilds every context with an empty memo and
+    # keeps the sharing between terms; the reference copy is built apart
+    expected = run(pickle.loads(pickle.dumps(cases)))
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            shared = pickle.loads(pickle.dumps(cases))
+            contexts: dict = {}
+            for context, t in shared:
+                contexts[id(context)] = context
+                _contexts(t, contexts)
+            assert all(
+                "_tree" not in c.__dict__ and "_redex_shape" not in c.__dict__
+                for c in contexts.values()
+            )
+            start = threading.Barrier(8)
+            results: dict[int, list] = {}
+            errors: list[Exception] = []
+
+            def worker(k: int) -> None:
+                try:
+                    start.wait(timeout=60)
+                    results[k] = run(shared)
+                except Exception as exc:  # reported by the main thread
+                    errors.append(exc)
+
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+                assert not th.is_alive()
+            assert not errors
+            assert sorted(results) == list(range(8))
+            for got in results.values():
+                assert got == expected
+    finally:
+        sys.setswitchinterval(old)

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import pytest
+
 from cattsa.errors import (
     ArityMismatch,
     EndpointTypeMismatch,
     GlobularityViolation,
     NotPasting,
     SupportViolation,
+    TooDeep,
     TypeMismatch,
 )
 from cattsa.pasting import unbiased_term, unbiased_type
@@ -29,6 +32,7 @@ from cattsa.typecheck import (
     check_term,
     check_type,
     check_well_formed_sub,
+    equal,
     infer_term,
     is_globular_ctx,
 )
@@ -297,3 +301,28 @@ def _variable_subs(gamma: Context, delta: Context):
         out = [prefix + [(v, Var(w))] for prefix in out for w in names]
     for entries in out:
         yield Substitution(tuple(entries))
+
+
+def test_too_deep_term_is_a_typed_error():
+    # a left-nested composite of 401 endo-arrows nests coherences 400 deep,
+    # past what term_str and the checkers can traverse
+    loop = ctx(("x", star), ("f", arr("x", star, "x")))
+    ty = arr("x", star, "x")
+
+    def tower(depth: int):
+        t = Var("f")
+        for _ in range(depth):
+            t = comp2(loop, t, Var("f"))
+        return t
+
+    t = tower(400)
+    for mode in Mode:
+        with pytest.raises(TooDeep) as exc:
+            check_term(loop, t, ty, mode)
+        assert str(exc.value) == "a term is nested too deeply for the kernel"
+        with pytest.raises(TooDeep):
+            infer_term(loop, t, mode)
+        # equality recurses less deeply per level than checking
+        with pytest.raises(TooDeep):
+            equal(mode, loop, tower(1500), tower(1500))
+    assert check_term(loop, tower(2), ty).ok
