@@ -506,8 +506,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RecursionError:
-        # typecheck raises TooDeep itself; reduction and printing, called
-        # directly by some commands, still recurse on term structure
+        # typecheck and reduction raise TooDeep themselves; printing,
+        # called directly by some commands, still recurses on term structure
         print(f"error: {TooDeep()}", file=sys.stderr)
         return 1
     finally:

@@ -1,6 +1,9 @@
-"""Exception hierarchy for the kernel and the surface language."""
+"""Exception hierarchy for the kernel and the surface language, and the
+guard that turns a RecursionError into TooDeep."""
 
 from __future__ import annotations
+
+import functools
 
 
 class CattError(Exception):
@@ -88,6 +91,20 @@ class TooDeep(CattError):
 
     def __init__(self) -> None:
         super().__init__("a term is nested too deeply for the kernel")
+
+
+def bounded(entry):
+    """A public entry point that raises TooDeep, not RecursionError, on a
+    term too deep for the kernel."""
+
+    @functools.wraps(entry)
+    def guarded(*args, **kw):
+        try:
+            return entry(*args, **kw)
+        except RecursionError:
+            raise TooDeep() from None
+
+    return guarded
 
 
 class SurfaceSyntaxError(CattError):

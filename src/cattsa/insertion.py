@@ -27,8 +27,6 @@ from .syntax import (
     Type,
     Var,
     VarName,
-    alpha_eq,
-    canonical_term,
     compose_sub,
     dim_term,
     dim_type,
@@ -216,9 +214,7 @@ def insert_sub(
         actual = sigma.lookup(x)
     except Exception as exc:
         raise HeadMismatch(f"'{x}' missing from the outer substitution") from exc
-    # structural equality implies alpha equality and is O(1) when actual is
-    # the very coherence the insertion was built from
-    if actual != expected and not alpha_eq(actual, expected):
+    if actual != expected:
         raise HeadMismatch(
             f"argument at '{x}' is not the inner coherence applied to tau"
         )
@@ -361,10 +357,9 @@ def _unique_factorisation(
     pool_by_dim: dict[int, list[Term]] = {}
     seen: set = set()
     for t in list(sigma.values) + list(tau.values) + [Var(v) for v in gamma.vars]:
-        key = canonical_term(t)
-        if key in seen:
+        if t in seen:
             continue
-        seen.add(key)
+        seen.add(t)
         pool_by_dim.setdefault(dim_term(gamma, t), []).append(t)
 
     from_inner = {new: old for old, new in result.renaming}

@@ -103,10 +103,6 @@ def ord_lt(a: Ordinal, b: Ordinal) -> bool:
     return a < b
 
 
-def ord_le(a: Ordinal, b: Ordinal) -> bool:
-    return a <= b
-
-
 # ---------------------------------------------------------------------------
 # Syntactic depth
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from .syntax import (
     Type,
     Var,
     VarName,
-    alpha_eq,
     dim_term,
     identity_sub,
     term_boundary,
@@ -149,7 +148,7 @@ def is_unbiased(t: Term) -> bool:
         tree = ctx_to_tree(t.ctx)
     except NotPasting:
         return False
-    return alpha_eq(t.ty, _unbiased_type(tree))
+    return t.ty == _unbiased_type(tree)
 
 
 # ---------------------------------------------------------------------------

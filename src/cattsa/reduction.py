@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Optional, Union
 
-from .errors import CattError, IllTyped, NotPasting
+from .errors import CattError, IllTyped, NotPasting, bounded
 from .insertion import InsertionProblem, insert_ctx, insert_sub
 from .pasting import _unbiased_type
 from .syntax import (
@@ -236,7 +236,7 @@ def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
         inner = _shape(arg.ctx)
         if inner is None:
             continue
-        if arg.ty != inner.unbiased and not alpha_eq(arg.ty, inner.unbiased):
+        if arg.ty != inner.unbiased:
             continue
         if not allow and is_linear(inner.tree):
             continue
@@ -317,6 +317,7 @@ def _render(item: Item) -> str:
     return str(item)
 
 
+@bounded
 def normalize(
     ctx: Context,
     item: Item,
@@ -360,6 +361,7 @@ def normalize_type(ctx: Context, ty: Type, **kw) -> Type:
     return out
 
 
+@bounded
 def def_eq(
     ctx: Context,
     a: Item,
@@ -372,7 +374,7 @@ def def_eq(
         return False
     na = normalize(ctx, a, allow_disc_insertion=allow_disc_insertion)
     nb = normalize(ctx, b, allow_disc_insertion=allow_disc_insertion)
-    return alpha_eq(na, nb)
+    return na == nb
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +453,7 @@ def _regular(ctx: Context, t: Term) -> Optional[Height]:
         return None
     if is_linear(tree):  # a disc
         return None
-    if not alpha_eq(t.ty, _unbiased_type(tree)):
+    if t.ty != _unbiased_type(tree):
         return None
     heights: dict[VarName, Height] = {}
     for v, arg in t.sub.entries:

@@ -7,16 +7,21 @@ pairwise-distinct names, indexed by name when built.  Every value is
 immutable, so all operations in this module are pure functions and safe
 to call from any thread.
 
-A context also carries a write-once memo of data derived from it (its
-Batanin tree, its redex shape), kept in the instance __dict__ outside the
-dataclass fields: ==, hash, repr and pickling see only the fields.  An
-entry is a function of the fields alone, so two threads that race to fill
-it compute equal values and either result is correct; no lock is needed.
+The variables a coherence binds are positions in a pasting diagram, so
+== and hash on Coh ignore their names, and alpha equality is plain ==.
+Names are still stored and printed.
+
+Contexts and coherences carry a write-once memo of data derived from them
+(a context's Batanin tree and redex shape, a coherence's positional
+shape), kept in the instance __dict__ outside the dataclass fields: repr
+and pickling see only the fields.  An entry is a function of the fields
+alone, so two threads that race to fill it compute equal values and
+either result is correct; no lock is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Literal, TypeVar, Union
 
 from .errors import (
@@ -71,10 +76,28 @@ class Arr(Type):
         return f"{self.src} -> {self.tgt}"
 
 
+class _Memo:
+    """A frozen dataclass with a write-once memo in its __dict__; pickling
+    carries only the fields."""
+
+    __slots__ = ()
+
+    def derived(self, key: str, compute: Callable[..., _T]) -> _T:
+        """The memo entry key, set to compute(self) on first use and never
+        changed; racing threads compute equal values and the first is kept."""
+        memo = self.__dict__
+        if key in memo:
+            return memo[key]
+        return memo.setdefault(key, compute(self))
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+
 @dataclass(frozen=True)
-class _Table:
+class _Table(_Memo):
     """Ordered (name, value) pairs with pairwise-distinct names, indexed by
-    name in __dict__ when built; pickling carries only the entries."""
+    name in __dict__ when built."""
 
     entries: tuple = ()
     _where = ""
@@ -96,9 +119,6 @@ class _Table:
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.entries)
 
-    def __reduce__(self):
-        return (type(self), (self.entries,))
-
 
 @dataclass(frozen=True)
 class Context(_Table):
@@ -119,14 +139,6 @@ class Context(_Table):
 
     def extend(self, name: VarName, ty: Type) -> "Context":
         return Context(self.entries + ((name, ty),))
-
-    def derived(self, key: str, compute: Callable[["Context"], _T]) -> _T:
-        """The memo entry key, set to compute(self) on first use and never
-        changed; racing threads compute equal values and the first is kept."""
-        memo = self.__dict__
-        if key in memo:
-            return memo[key]
-        return memo.setdefault(key, compute(self))
 
     def __str__(self) -> str:
         return " ".join(f"({v} : {type_str(ty)})" for v, ty in self.entries)
@@ -162,8 +174,8 @@ class Substitution(_Table):
         return "<" + ", ".join(f"{v} := {term_str(t)}" for v, t in self.entries) + ">"
 
 
-@dataclass(frozen=True)
-class Coh(Term):
+@dataclass(frozen=True, eq=False)
+class Coh(Term, _Memo):
     ctx: Context
     ty: Type
     sub: Substitution
@@ -173,6 +185,18 @@ class Coh(Term):
             raise MalformedSyntax(
                 "coherence argument domain must match its context variables in order"
             )
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, Coh):
+            return NotImplemented
+        if self.ctx.vars == other.ctx.vars:  # same bound names: the fields
+            return (self.ctx, self.ty, self.sub) == (other.ctx, other.ty, other.sub)
+        return self.sub.values == other.sub.values and _shape(self) == _shape(other)
+
+    def __hash__(self) -> int:
+        return hash((self.sub.values, _shape(self)))
 
     def __str__(self) -> str:
         return term_str(self)
@@ -348,60 +372,35 @@ def term_boundary(ctx: Context, t: Term, n: int, sign: Sign) -> Term:
 # Alpha equality
 # ---------------------------------------------------------------------------
 
-# Canonical names use '%' which the surface language cannot produce, so
-# canonicalisation never captures a user variable.
+# Positional names use '%', which the surface language cannot produce, so
+# renaming to positions never captures a user variable.
 
 
-def _canon_term(t: Term, env: dict[VarName, VarName]) -> Term:
-    if isinstance(t, Var):
-        return Var(env.get(t.name, t.name))
-    assert isinstance(t, Coh)
-    ren = {v: f"%{i}" for i, v in enumerate(t.ctx.vars)}
-    ctx = Context(tuple((ren[v], _canon_type(ty, ren)) for v, ty in t.ctx.entries))
-    ty = _canon_type(t.ty, ren)
-    sub = Substitution(tuple((ren[v], _canon_term(u, env)) for v, u in t.sub.entries))
-    return Coh(ctx, ty, sub)
-
-
-def _canon_type(ty: Type, env: dict[VarName, VarName]) -> Type:
-    if isinstance(ty, Star):
-        return ty
-    assert isinstance(ty, Arr)
-    return Arr(_canon_term(ty.src, env), _canon_type(ty.base, env), _canon_term(ty.tgt, env))
-
-
-def canonical_term(t: Term) -> Term:
-    """Rename all bound contexts positionally; free variables are untouched."""
-    return _canon_term(t, {})
-
-
-def canonical_type(ty: Type) -> Type:
-    return _canon_type(ty, {})
-
-
-def canonical_ctx(ctx: Context) -> Context:
+def _positional(ctx: Context, *types: Type) -> tuple[Type, ...]:
+    """The entry types of ctx, then types, with the variables of ctx
+    renamed to their positions."""
     ren = {v: f"%{i}" for i, v in enumerate(ctx.vars)}
-    return Context(tuple((ren[v], _canon_type(ty, ren)) for v, ty in ctx.entries))
+    return tuple(rename_type(ty, ren) for ty in (*ctx._table.values(), *types))
 
 
-def canonical_sub(sigma: Substitution) -> Substitution:
-    """Canonicalise values only; the domain names are kept as given."""
-    return Substitution(tuple((v, _canon_term(t, {})) for v, t in sigma.entries))
+def _shape(t: Coh) -> tuple[Type, ...]:
+    """The positional context entry types and head type of t; memoised."""
+    return t.derived("_shape", _new_shape)
+
+
+def _new_shape(t: Coh) -> tuple[Type, ...]:
+    return _positional(t.ctx, t.ty)
 
 
 def alpha_eq(a: Item | Context, b: Item | Context) -> bool:
-    """Equality up to consistent renaming of bound context variables."""
-    if a == b:  # structural equality implies alpha equality
-        return True
-    if isinstance(a, Term) and isinstance(b, Term):
-        return canonical_term(a) == canonical_term(b)
-    if isinstance(a, Type) and isinstance(b, Type):
-        return canonical_type(a) == canonical_type(b)
+    """Equality up to consistent renaming of bound context variables.
+
+    This is == on terms, types and substitutions; two contexts are also
+    alpha equal when their entry types agree with variables read as
+    positions."""
     if isinstance(a, Context) and isinstance(b, Context):
-        return canonical_ctx(a) == canonical_ctx(b)
-    if isinstance(a, Substitution) and isinstance(b, Substitution):
-        return canonical_sub(a) == canonical_sub(b)
-    return False
+        return a == b or _positional(a) == _positional(b)
+    return a == b
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +430,3 @@ def type_str(ty: Type) -> str:
     assert isinstance(ty, Arr)
     return f"{term_str(ty.src)} -> {term_str(ty.tgt)}"
 
-
-def sub_str(sigma: Substitution) -> str:
-    return str(sigma)
-
-
-def ctx_str(ctx: Context) -> str:
-    return str(ctx)

@@ -1,16 +1,18 @@
 """Typing judgements for contexts, types, substitutions and terms.
 
-Two modes share one algorithm: the base mode compares types up to alpha
-renaming only, the strictly associative mode compares normal forms.  The
-checkers call definitional equality on already-constructed syntax and
-definitional equality never calls back into typing, which keeps the
-mutual definition well founded.
+Two modes share one algorithm: the base mode compares types with ==,
+which ignores the names coherences bind, the strictly associative mode
+compares normal forms.  The checkers call definitional equality on
+already-constructed syntax and definitional equality never calls back
+into typing, which keeps the mutual definition well founded.  Every
+public entry point raises errors.TooDeep, not RecursionError, on a term
+too deep for the kernel, with the rendering of its subject inside the
+guard.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -22,6 +24,7 @@ from .errors import (
     SupportViolation,
     TooDeep,
     TypeMismatch,
+    bounded,
 )
 from .reduction import def_eq, normalize
 from .syntax import (
@@ -37,13 +40,11 @@ from .syntax import (
     Type,
     Var,
     VarName,
-    alpha_eq,
+    alpha_eq,  # noqa: F401  (bench/test_bench.py traces it as typecheck.alpha_eq)
     apply_sub_term,
     apply_sub_type,
-    ctx_str,
     dim_term,
     dim_type,
-    sub_str,
     support,
     term_boundary,
     term_str,
@@ -57,21 +58,7 @@ class Mode(enum.Enum):
     CATT_SA = "sa"
 
 
-def _bounded(entry):
-    """A public entry point that raises TooDeep, not RecursionError, on a
-    term too deep for the kernel; rendering the subject is guarded too."""
-
-    @functools.wraps(entry)
-    def guarded(*args, **kw):
-        try:
-            return entry(*args, **kw)
-        except RecursionError:
-            raise TooDeep() from None
-
-    return guarded
-
-
-@_bounded
+@bounded
 def equal(mode: Mode, ctx: Context, a: Item, b: Item) -> bool:
     return _equal(mode, ctx, a, b)
 
@@ -80,7 +67,7 @@ def _equal(mode: Mode, ctx: Context, a: Item, b: Item) -> bool:
     # the checkers call this unguarded form, so that a RecursionError
     # reaches their entry point's guard and is not reported as a failure
     if mode is Mode.CATT:
-        return alpha_eq(a, b)
+        return a == b
     return def_eq(ctx, a, b)
 
 
@@ -216,26 +203,28 @@ def _report(kind: str, subject: str, mode: Mode, run) -> TypingReport:
     trace: list[str] = []
     try:
         inferred = run(trace)
+    except TooDeep:
+        raise  # from a guarded reduction call: not a typing failure
     except CattError as exc:
         return TypingReport(False, kind, subject, mode, error=exc, rule_trace=tuple(trace))
     return TypingReport(True, kind, subject, mode, inferred=inferred, rule_trace=tuple(trace))
 
 
-@_bounded
+@bounded
 def check_ctx(ctx: Context, mode: Mode = Mode.CATT_SA) -> TypingReport:
     return _report(
-        "context", ctx_str(ctx), mode, lambda tr: _check_ctx(ctx, mode, tr)
+        "context", str(ctx), mode, lambda tr: _check_ctx(ctx, mode, tr)
     )
 
 
-@_bounded
+@bounded
 def check_type(ctx: Context, ty: Type, mode: Mode = Mode.CATT_SA) -> TypingReport:
     return _report(
         "type", type_str(ty), mode, lambda tr: _check_type(ctx, ty, mode, tr)
     )
 
 
-@_bounded
+@bounded
 def check_sub(
     delta: Context,
     sigma: Substitution,
@@ -244,13 +233,13 @@ def check_sub(
 ) -> TypingReport:
     return _report(
         "substitution",
-        sub_str(sigma),
+        str(sigma),
         mode,
         lambda tr: _check_sub(delta, sigma, gamma, mode, tr),
     )
 
 
-@_bounded
+@bounded
 def check_term(
     ctx: Context, t: Term, ty: Type, mode: Mode = Mode.CATT_SA
 ) -> TypingReport:
@@ -261,7 +250,7 @@ def check_term(
     return _report("term", term_str(t), mode, run)
 
 
-@_bounded
+@bounded
 def infer_term(ctx: Context, t: Term, mode: Mode = Mode.CATT_SA) -> Type:
     """Inferred type of a term; the substituted head type is returned as
     constructed, not normalised."""
@@ -269,7 +258,7 @@ def infer_term(ctx: Context, t: Term, mode: Mode = Mode.CATT_SA) -> Type:
     return _infer(ctx, t, mode, trace)
 
 
-@_bounded
+@bounded
 def infer_report(ctx: Context, t: Term, mode: Mode = Mode.CATT_SA) -> TypingReport:
     return _report("term", term_str(t), mode, lambda tr: _infer(ctx, t, mode, tr))
 
@@ -294,7 +283,7 @@ def is_globular_ctx(ctx: Context) -> bool:
     return all(type_ok(ty) for _, ty in ctx.entries)
 
 
-@_bounded
+@bounded
 def check_well_formed_sub(
     gamma: Context, sigma: Substitution, delta: Context
 ) -> TypingReport:
@@ -334,4 +323,4 @@ def check_well_formed_sub(
                         )
             trace.append(f"wf {v}")
 
-    return _report("well-formed-substitution", sub_str(sigma), Mode.CATT_SA, run)
+    return _report("well-formed-substitution", str(sigma), Mode.CATT_SA, run)

@@ -23,8 +23,8 @@ from cattsa.syntax import (
     Substitution,
     Term,
     Type,
+    Star,
     Var,
-    canonical_term,
     dim_term,
     dim_type,
     term_boundary,
@@ -228,6 +228,42 @@ def enumerate_globular_contexts(max_cells: int) -> list[Context]:
         out.extend(nxt)
         frontier = nxt
     return out
+
+
+# ---------------------------------------------------------------------------
+# Positional keys (oracle for equality up to bound names)
+# ---------------------------------------------------------------------------
+
+
+def canonical_term(t: Term, env: dict | None = None):
+    """A nested-tuple key of t that ignores the names coherences bind: a
+    bound variable becomes ("bound", i), i its position in the binding
+    context, and a free variable ("free", name).  It builds no kernel
+    objects, so it does not rest on the kernel's ==."""
+    env = env or {}
+    if isinstance(t, Var):
+        return ("bound", env[t.name]) if t.name in env else ("free", t.name)
+    assert isinstance(t, Coh)
+    bound = {v: i for i, v in enumerate(t.ctx.vars)}
+    return (
+        "coh",
+        tuple(canonical_type(ty, bound) for _, ty in t.ctx.entries),
+        canonical_type(t.ty, bound),
+        tuple(canonical_term(u, env) for _, u in t.sub.entries),
+    )
+
+
+def canonical_type(ty: Type, env: dict | None = None):
+    """The positional key of a type; see canonical_term."""
+    if isinstance(ty, Star):
+        return ("*",)
+    assert isinstance(ty, Arr)
+    return (
+        "arr",
+        canonical_term(ty.src, env),
+        canonical_type(ty.base, env),
+        canonical_term(ty.tgt, env),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from cattsa.syntax import (
     Substitution,
     Var,
     alpha_eq,
-    canonical_term,
     compose_sub,
     dim_term,
     dim_type,
@@ -33,6 +32,7 @@ from helpers import (
     DELTA,
     THETA,
     all_bracketings,
+    canonical_term,
     chain,
     comp2,
     ctx_of_bracket,

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from cattsa.errors import TooDeep
 from cattsa.ordinals import Ordinal, ord_lt, syntactic_depth
 from cattsa.pasting import disc_context, to_disc_sub, unbiased_term, unbiased_type
 from cattsa.reduction import (
@@ -19,13 +20,14 @@ from cattsa.reduction import (
     step_candidates,
 )
 from cattsa.syntax import (
+    STAR,
+    Arr,
     Coh,
     Context,
     Substitution,
     Var,
     alpha_eq,
     apply_sub_term,
-    canonical_term,
     identity_sub,
     support,
 )
@@ -35,6 +37,7 @@ from helpers import (
     DELTA,
     VERT2,
     WHISKER_R,
+    canonical_term,
     chain,
     comp2,
     ctx_of_bracket,
@@ -484,3 +487,16 @@ def test_regular_terms_normalize_to_unbiased_composite_of_support():
     assert samples
     for context, t in samples:
         assert alpha_eq(normalize(context, t), _unbiased_of_support(context, t))
+
+
+def test_too_deep_term_is_a_typed_error_in_reduction():
+    # a left-nested composite of 1201 endo-arrows nests coherences 1200
+    # deep, past what the normaliser's recursion can traverse
+    loop = Context((("x", STAR), ("f", Arr(Var("x"), STAR, Var("x")))))
+    t = Var("f")
+    for _ in range(1200):
+        t = comp2(loop, t, Var("f"))
+    with pytest.raises(TooDeep):
+        normalize(loop, t)
+    with pytest.raises(TooDeep):
+        def_eq(loop, t, Var("f"))
