@@ -191,7 +191,10 @@ class Coh(Term, _Memo):
             return True
         if not isinstance(other, Coh):
             return NotImplemented
-        if self.ctx.vars == other.ctx.vars:  # same bound names: the fields
+        # Same bound names: compare the fields and build no shape.  Most
+        # comparisons take this path, and a shape is a renamed copy of the
+        # context and head type, whose nested coherences have shapes too.
+        if self.ctx.vars == other.ctx.vars:
             return (self.ctx, self.ty, self.sub) == (other.ctx, other.ty, other.sub)
         return self.sub.values == other.sub.values and _shape(self) == _shape(other)
 
