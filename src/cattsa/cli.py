@@ -30,6 +30,8 @@ from .parser import (
 )
 from .pasting import maximal_vars, unbiased_type
 from .syntax import (
+    STAR,
+    Arr,
     Coh,
     Context,
     Substitution,
@@ -102,8 +104,6 @@ def elaborate_term(src: SrcTerm, ctx: Context, env: Env) -> Term:
 
 
 def elaborate_type(src: SrcType, ctx: Context, env: Env) -> Type:
-    from .syntax import STAR, Arr
-
     if isinstance(src, SrcStar):
         return STAR
     assert isinstance(src, SrcArrow)
@@ -226,32 +226,32 @@ def _load(path: str) -> tuple[SourceFile, Env]:
     return src, elaborate_file(src)
 
 
-def _check_decl(decl: Decl, mode: Mode) -> tuple[bool, str]:
-    report = check_ctx(decl.ctx, mode)
+def _check_decl(decl: Decl, mode: Mode, allow: bool = True) -> tuple[bool, str]:
+    report = check_ctx(decl.ctx, mode, allow_disc_insertion=allow)
     if not report.ok:
         return False, report.message
     if decl.kind == "coh":
-        report = infer_report(decl.ctx, decl.value(), mode)
+        report = infer_report(decl.ctx, decl.value(), mode, allow_disc_insertion=allow)
         if not report.ok:
             return False, report.message
         return True, f"coh {decl.name}: ok"
-    report = check_type(decl.ctx, decl.ty, mode)
+    report = check_type(decl.ctx, decl.ty, mode, allow_disc_insertion=allow)
     if not report.ok:
         return False, report.message
     assert decl.body is not None
-    report = check_term(decl.ctx, decl.body, decl.ty, mode)
+    report = check_term(decl.ctx, decl.body, decl.ty, mode, allow_disc_insertion=allow)
     if not report.ok:
         return False, report.message
     return True, f"def {decl.name}: ok"
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    mode = Mode(args.mode)
+    mode, allow = Mode(args.mode), not args.no_disc_insertion
     src, env = _load(args.file)
     results = []
     ok = True
     for d in src.decls:
-        decl_ok, message = _check_decl(env[d.name], mode)
+        decl_ok, message = _check_decl(env[d.name], mode, allow)
         if not decl_ok:
             message = f"{d.span.line}:{d.span.col}: {message}"
         ok = ok and decl_ok
@@ -279,16 +279,16 @@ def _resolve(env: Env, name: str) -> Decl:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    mode = Mode(args.mode)
+    mode, allow = Mode(args.mode), not args.no_disc_insertion
     _, env = _load(args.file)
     decl = _resolve(env, args.name)
     term = decl.value()
-    report = infer_report(decl.ctx, term, mode)
+    report = infer_report(decl.ctx, term, mode, allow_disc_insertion=allow)
     if not report.ok:
         print(report.message, file=sys.stderr)
         return 1
     trace: list[str] = []
-    normal = reduction.normalize_term(decl.ctx, term, trace=trace)
+    normal = reduction.normalize_term(decl.ctx, term, allow_disc_insertion=allow, trace=trace)
     if args.json:
         out = {
             "command": "normalize",
@@ -319,15 +319,15 @@ def _comparable_values(env: Env, name1: str, name2: str) -> tuple[Context, Term,
 
 
 def cmd_eq(args: argparse.Namespace) -> int:
-    mode = Mode(args.mode)
+    mode, allow = Mode(args.mode), not args.no_disc_insertion
     _, env = _load(args.file)
     ctx, t1, t2 = _comparable_values(env, args.name1, args.name2)
     for name, t in ((args.name1, t1), (args.name2, t2)):
-        report = infer_report(ctx, t, mode)
+        report = infer_report(ctx, t, mode, allow_disc_insertion=allow)
         if not report.ok:
             print(f"{name}: {report.message}", file=sys.stderr)
             return 1
-    same = equal(mode, ctx, t1, t2)
+    same = equal(mode, ctx, t1, t2, allow_disc_insertion=allow)
     verdict = "equal" if same else "not equal"
     if args.json:
         print(
@@ -347,18 +347,18 @@ def cmd_eq(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    mode = Mode(args.mode)
+    mode, allow = Mode(args.mode), not args.no_disc_insertion
     _, env = _load(args.file)
     decl = _resolve(env, args.name)
     term = decl.value()
-    report = infer_report(decl.ctx, term, mode)
+    report = infer_report(decl.ctx, term, mode, allow_disc_insertion=allow)
     if not report.ok:
         print(report.message, file=sys.stderr)
         return 1
     assert report.inferred is not None
     inferred = report.inferred
     if mode is Mode.CATT_SA:
-        inferred = reduction.normalize_type(decl.ctx, inferred)
+        inferred = reduction.normalize_type(decl.ctx, inferred, allow_disc_insertion=allow)
     if args.json:
         print(
             json.dumps(
@@ -491,9 +491,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    allow_disc = reduction.ALLOW_DISC_INSERTION_DEFAULT
-    if getattr(args, "no_disc_insertion", False):
-        reduction.set_disc_insertion(False)
     try:
         return args.func(args)
     except SurfaceSyntaxError as exc:
@@ -510,8 +507,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         # called directly by some commands, still recurses on term structure
         print(f"error: {TooDeep()}", file=sys.stderr)
         return 1
-    finally:
-        reduction.set_disc_insertion(allow_disc)
 
 
 def main_entry() -> None:

@@ -15,6 +15,7 @@ from .errors import (
     LinearHeightTooSmall,
     MalformedSyntax,
     PathInvalid,
+    SubstitutionUndefined,
 )
 from .pasting import to_disc_sub
 from .syntax import (
@@ -212,7 +213,7 @@ def insert_sub(
     expected = Coh(problem.inner, problem.inner_type, tau)
     try:
         actual = sigma.lookup(x)
-    except Exception as exc:
+    except SubstitutionUndefined as exc:
         raise HeadMismatch(f"'{x}' missing from the outer substitution") from exc
     if actual != expected:
         raise HeadMismatch(

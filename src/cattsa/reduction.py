@@ -7,10 +7,12 @@ sufficient linear height; everything else is congruence closure.
 normalize locates the innermost-leftmost redex of a term and fires only
 that one; step_candidates enumerates every one-step reduct, for the
 reduction-graph tests.  Both decide redexes with one head-eligibility
-predicate.  These functions assume well-typed input (they never call the
-typechecker, which keeps the equality/typing stratification well founded)
-and surface scope-level defects as IllTyped where they are detected
-incidentally.
+predicate.  Whether a disc-shaped argument may be inserted is the
+allow_disc_insertion keyword of normalize, def_eq and step_candidates
+(default True); the module keeps no setting of its own.  These functions
+assume well-typed input (they never call the typechecker, which keeps
+the equality/typing stratification well founded) and surface
+scope-level defects as IllTyped where they are detected incidentally.
 """
 
 from __future__ import annotations
@@ -57,15 +59,6 @@ RULE_SUB = "sub-component"
 
 Position = tuple[tuple[str, int], ...]
 
-# Module default for accepting disc-shaped inner contexts in the insertion
-# redex; the CLI flips this via --no-disc-insertion.
-ALLOW_DISC_INSERTION_DEFAULT = True
-
-
-def set_disc_insertion(enabled: bool) -> None:
-    global ALLOW_DISC_INSERTION_DEFAULT
-    ALLOW_DISC_INSERTION_DEFAULT = enabled
-
 
 @dataclass(frozen=True)
 class Redex:
@@ -80,12 +73,6 @@ class Redex:
         for kind, index in self.position:
             parts.append(f"{kind}[{index}]" if kind in ("arg", "entry") else kind)
         return ".".join(parts)
-
-
-def _resolve_flag(allow_disc_insertion: Optional[bool]) -> bool:
-    if allow_disc_insertion is None:
-        return ALLOW_DISC_INSERTION_DEFAULT
-    return allow_disc_insertion
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +141,7 @@ def _with_rule(kind: str, pos: Position, detail) -> Redex:
 
 
 def step_candidates(
-    ctx: Context, item: Item, *, allow_disc_insertion: Optional[bool] = None
+    ctx: Context, item: Item, *, allow_disc_insertion: bool = True
 ) -> list[tuple[Redex, Item]]:
     """All one-step reducts of a well-typed item, in traversal order.
 
@@ -162,11 +149,10 @@ def step_candidates(
     coherence, then the head itself, recursively; normalisation picks the
     deepest candidate and breaks ties by this order.
     """
-    allow = _resolve_flag(allow_disc_insertion)
     kind = _kind_of(item)
     return [
         (_with_rule(kind, pos, detail), result)
-        for pos, detail, result in _steps(item, allow)
+        for pos, detail, result in _steps(item, allow_disc_insertion)
     ]
 
 
@@ -322,7 +308,7 @@ def normalize(
     ctx: Context,
     item: Item,
     *,
-    allow_disc_insertion: Optional[bool] = None,
+    allow_disc_insertion: bool = True,
     trace: Optional[list[str]] = None,
 ) -> Item:
     """Innermost-leftmost normal form of a well-typed term, type or
@@ -332,7 +318,7 @@ def normalize(
     the greatest depth and builds only that one reduct.
     """
     kind = _kind_of(item)
-    norm = _Normaliser(_resolve_flag(allow_disc_insertion))
+    norm = _Normaliser(allow_disc_insertion)
     cur = item
     while True:
         found = norm.locate(cur)
@@ -362,13 +348,7 @@ def normalize_type(ctx: Context, ty: Type, **kw) -> Type:
 
 
 @bounded
-def def_eq(
-    ctx: Context,
-    a: Item,
-    b: Item,
-    *,
-    allow_disc_insertion: Optional[bool] = None,
-) -> bool:
+def def_eq(ctx: Context, a: Item, b: Item, *, allow_disc_insertion: bool = True) -> bool:
     """Definitional equality: compare innermost-leftmost normal forms."""
     if _kind_of(a) != _kind_of(b):
         return False

@@ -2,18 +2,21 @@
 
 Two modes share one algorithm: the base mode compares types with ==,
 which ignores the names coherences bind, the strictly associative mode
-compares normal forms.  The checkers call definitional equality on
-already-constructed syntax and definitional equality never calls back
-into typing, which keeps the mutual definition well founded.  Every
-public entry point raises errors.TooDeep, not RecursionError, on a term
-too deep for the kernel, with the rendering of its subject inside the
-guard.
+compares normal forms.  Each public entry point builds one private judge
+that holds the mode, the allow_disc_insertion setting (default True,
+passed on to every normalize and def_eq call) and the rule trace; the
+checkers are its methods, and no setting outlives the call.  The
+checkers call definitional equality on already-constructed syntax and
+definitional equality never calls back into typing, which keeps the
+mutual definition well founded.  Every public entry point raises
+errors.TooDeep, not RecursionError, on a term too deep for the kernel,
+with the rendering of its subject inside the guard.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
@@ -59,16 +62,10 @@ class Mode(enum.Enum):
 
 
 @bounded
-def equal(mode: Mode, ctx: Context, a: Item, b: Item) -> bool:
-    return _equal(mode, ctx, a, b)
-
-
-def _equal(mode: Mode, ctx: Context, a: Item, b: Item) -> bool:
-    # the checkers call this unguarded form, so that a RecursionError
-    # reaches their entry point's guard and is not reported as a failure
-    if mode is Mode.CATT:
-        return a == b
-    return def_eq(ctx, a, b)
+def equal(
+    mode: Mode, ctx: Context, a: Item, b: Item, *, allow_disc_insertion: bool = True
+) -> bool:
+    return _Judge(mode, allow_disc_insertion).equal(ctx, a, b)
 
 
 @dataclass
@@ -93,104 +90,140 @@ class TypingReport:
 # ---------------------------------------------------------------------------
 
 
-def _check_ctx(ctx: Context, mode: Mode, trace: list[str]) -> None:
-    prefix = Context()
-    for v, ty in ctx.entries:
-        _check_type(prefix, ty, mode, trace)
-        prefix = prefix.extend(v, ty)  # raises DuplicateVariable
-        trace.append(f"ctx-extend {v}")
+@dataclass
+class _Judge:
+    """The setting of one public call: the mode, whether disc-shaped
+    arguments are inserted, and the rule trace the checkers append to.
+    Built afresh by every entry point and never shared between calls."""
+
+    mode: Mode
+    allow_disc_insertion: bool
+    trace: list[str] = field(default_factory=list)
+
+    def equal(self, ctx: Context, a: Item, b: Item) -> bool:
+        # the checkers call this unguarded form, so that a RecursionError
+        # reaches their entry point's guard and is not reported as a failure
+        if self.mode is Mode.CATT:
+            return a == b
+        return def_eq(ctx, a, b, allow_disc_insertion=self.allow_disc_insertion)
+
+    def check_ctx(self, ctx: Context) -> None:
+        prefix = Context()
+        for v, ty in ctx.entries:
+            self.check_type(prefix, ty)
+            prefix = prefix.extend(v, ty)  # raises DuplicateVariable
+            self.trace.append(f"ctx-extend {v}")
+
+    def check_type(self, ctx: Context, ty: Type) -> None:
+        if isinstance(ty, Star):
+            self.trace.append("type-star")
+            return
+        assert isinstance(ty, Arr)
+        self.check_type(ctx, ty.base)
+        for label, endpoint in (("source", ty.src), ("target", ty.tgt)):
+            try:
+                self.check_term(ctx, endpoint, ty.base)
+            except TypeMismatch as exc:
+                raise EndpointTypeMismatch(f"{label} of {type_str(ty)}: {exc}") from exc
+        self.trace.append("type-arrow")
+
+    def check_sub(self, delta: Context, sigma: Substitution, gamma: Context) -> None:
+        _check_domain(sigma, gamma)
+        done: list[tuple[VarName, Term]] = []
+        for (v, t), (_, ty) in zip(sigma.entries, gamma.entries):
+            expected = apply_sub_type(ty, Substitution(tuple(done)))
+            self.check_term(delta, t, expected)
+            done.append((v, t))
+            self.trace.append(f"sub-extend {v}")
+
+    def support_vars(self, ctx: Context, item: Item) -> frozenset[VarName]:
+        if self.mode is Mode.CATT_SA:
+            item = normalize(ctx, item, allow_disc_insertion=self.allow_disc_insertion)
+        return support(ctx, item)
+
+    def infer(self, delta: Context, t: Term) -> Type:
+        if isinstance(t, Var):
+            ty = delta.lookup(t.name)  # raises UnknownVariable
+            self.trace.append(f"var' {t.name}")
+            return ty
+        assert isinstance(t, Coh)
+        gamma, head_ty, sigma = t.ctx, t.ty, t.sub
+        tree = ctx_to_tree(gamma)  # raises NotPasting
+        self.check_type(gamma, head_ty)
+        self.check_sub(delta, sigma, gamma)
+
+        full = frozenset(gamma.vars)
+        supp_ty = self.support_vars(gamma, head_ty)
+        if supp_ty == full:
+            self.trace.append("coh'")
+            return apply_sub_type(head_ty, sigma)
+        coh_failure = (
+            f"(coh') support {sorted(supp_ty)} is not the whole context "
+            f"{sorted(full)}"
+        )
+        k = tree_depth(tree) - 1
+        if isinstance(head_ty, Arr) and k >= 0:
+            src_vars = frozenset(all_labels(tree_boundary(tree, k, NEG)))
+            tgt_vars = frozenset(all_labels(tree_boundary(tree, k, POS)))
+            supp_src = self.support_vars(gamma, head_ty.src)
+            supp_tgt = self.support_vars(gamma, head_ty.tgt)
+            problems = []
+            if supp_src != src_vars:
+                problems.append(
+                    f"source support {sorted(supp_src)} != source boundary "
+                    f"{sorted(src_vars)}"
+                )
+            if supp_tgt != tgt_vars:
+                problems.append(
+                    f"target support {sorted(supp_tgt)} != target boundary "
+                    f"{sorted(tgt_vars)}"
+                )
+            if not problems:
+                self.trace.append("comp'")
+                return apply_sub_type(head_ty, sigma)
+            raise SupportViolation(f"(comp') {'; '.join(problems)}; {coh_failure}")
+        raise SupportViolation(coh_failure)
+
+    def check_term(self, delta: Context, t: Term, expected: Type) -> Type:
+        """Check t against expected; returns expected."""
+        inferred = self.infer(delta, t)
+        if not self.equal(delta, inferred, expected):
+            raise TypeMismatch(
+                f"term {term_str(t)} has type {type_str(inferred)}, "
+                f"expected {type_str(expected)}"
+            )
+        return expected
+
+    def well_formed_sub(self, gamma: Context, sigma: Substitution, delta: Context) -> None:
+        if not is_globular_ctx(gamma):
+            raise GlobularityViolation("source context contains a coherence")
+        _check_domain(sigma, gamma)
+        for v, ty in gamma.entries:
+            img = sigma.lookup(v)
+            self.infer(delta, img)
+            d = dim_type(ty)
+            if dim_term(delta, img) != d:
+                raise GlobularityViolation(
+                    f"image of '{v}' has dimension {dim_term(delta, img)}, "
+                    f"declared {d}"
+                )
+            if isinstance(ty, Arr):
+                for sign, endpoint in ((NEG, ty.src), (POS, ty.tgt)):
+                    got = term_boundary(delta, img, d - 1, sign)
+                    want = apply_sub_term(endpoint, sigma)
+                    if not self.equal(delta, got, want):
+                        raise GlobularityViolation(
+                            f"boundary {sign} of image of '{v}' is "
+                            f"{term_str(got)}, expected {term_str(want)}"
+                        )
+            self.trace.append(f"wf {v}")
 
 
-def _check_type(ctx: Context, ty: Type, mode: Mode, trace: list[str]) -> None:
-    if isinstance(ty, Star):
-        trace.append("type-star")
-        return
-    assert isinstance(ty, Arr)
-    _check_type(ctx, ty.base, mode, trace)
-    for label, endpoint in (("source", ty.src), ("target", ty.tgt)):
-        try:
-            _check_term(ctx, endpoint, ty.base, mode, trace)
-        except TypeMismatch as exc:
-            raise EndpointTypeMismatch(
-                f"{label} of {type_str(ty)}: {exc}"
-            ) from exc
-    trace.append("type-arrow")
-
-
-def _check_sub(
-    delta: Context, sigma: Substitution, gamma: Context, mode: Mode, trace: list[str]
-) -> None:
+def _check_domain(sigma: Substitution, gamma: Context) -> None:
     if sigma.domain != gamma.vars:
         raise ArityMismatch(
             f"substitution domain {sigma.domain} does not match "
             f"context variables {gamma.vars}"
-        )
-    done: list[tuple[VarName, Term]] = []
-    for (v, t), (_, ty) in zip(sigma.entries, gamma.entries):
-        expected = apply_sub_type(ty, Substitution(tuple(done)))
-        _check_term(delta, t, expected, mode, trace)
-        done.append((v, t))
-        trace.append(f"sub-extend {v}")
-
-
-def _support_vars(ctx: Context, item: Item, mode: Mode) -> frozenset[VarName]:
-    if mode is Mode.CATT_SA:
-        item = normalize(ctx, item)
-    return support(ctx, item)
-
-
-def _infer(delta: Context, t: Term, mode: Mode, trace: list[str]) -> Type:
-    if isinstance(t, Var):
-        ty = delta.lookup(t.name)  # raises UnknownVariable
-        trace.append(f"var' {t.name}")
-        return ty
-    assert isinstance(t, Coh)
-    gamma, head_ty, sigma = t.ctx, t.ty, t.sub
-    tree = ctx_to_tree(gamma)  # raises NotPasting
-    _check_type(gamma, head_ty, mode, trace)
-    _check_sub(delta, sigma, gamma, mode, trace)
-
-    full = frozenset(gamma.vars)
-    supp_ty = _support_vars(gamma, head_ty, mode)
-    if supp_ty == full:
-        trace.append("coh'")
-        return apply_sub_type(head_ty, sigma)
-    coh_failure = (
-        f"(coh') support {sorted(supp_ty)} is not the whole context "
-        f"{sorted(full)}"
-    )
-    k = tree_depth(tree) - 1
-    if isinstance(head_ty, Arr) and k >= 0:
-        src_vars = frozenset(all_labels(tree_boundary(tree, k, NEG)))
-        tgt_vars = frozenset(all_labels(tree_boundary(tree, k, POS)))
-        supp_src = _support_vars(gamma, head_ty.src, mode)
-        supp_tgt = _support_vars(gamma, head_ty.tgt, mode)
-        problems = []
-        if supp_src != src_vars:
-            problems.append(
-                f"source support {sorted(supp_src)} != source boundary "
-                f"{sorted(src_vars)}"
-            )
-        if supp_tgt != tgt_vars:
-            problems.append(
-                f"target support {sorted(supp_tgt)} != target boundary "
-                f"{sorted(tgt_vars)}"
-            )
-        if not problems:
-            trace.append("comp'")
-            return apply_sub_type(head_ty, sigma)
-        raise SupportViolation(f"(comp') {'; '.join(problems)}; {coh_failure}")
-    raise SupportViolation(coh_failure)
-
-
-def _check_term(
-    delta: Context, t: Term, expected: Type, mode: Mode, trace: list[str]
-) -> None:
-    inferred = _infer(delta, t, mode, trace)
-    if not _equal(mode, delta, inferred, expected):
-        raise TypeMismatch(
-            f"term {term_str(t)} has type {type_str(inferred)}, "
-            f"expected {type_str(expected)}"
         )
 
 
@@ -199,10 +232,12 @@ def _check_term(
 # ---------------------------------------------------------------------------
 
 
-def _report(kind: str, subject: str, mode: Mode, run) -> TypingReport:
+def _report(kind: str, subject: str, mode: Mode, allow: bool, check, *args) -> TypingReport:
+    """Run check(judge, *args) with a fresh judge; its result is the
+    report's inferred type."""
     trace: list[str] = []
     try:
-        inferred = run(trace)
+        inferred = check(_Judge(mode, allow, trace), *args)
     except TooDeep:
         raise  # from a guarded reduction call: not a typing failure
     except CattError as exc:
@@ -211,16 +246,18 @@ def _report(kind: str, subject: str, mode: Mode, run) -> TypingReport:
 
 
 @bounded
-def check_ctx(ctx: Context, mode: Mode = Mode.CATT_SA) -> TypingReport:
-    return _report(
-        "context", str(ctx), mode, lambda tr: _check_ctx(ctx, mode, tr)
-    )
+def check_ctx(
+    ctx: Context, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
+) -> TypingReport:
+    return _report("context", str(ctx), mode, allow_disc_insertion, _Judge.check_ctx, ctx)
 
 
 @bounded
-def check_type(ctx: Context, ty: Type, mode: Mode = Mode.CATT_SA) -> TypingReport:
+def check_type(
+    ctx: Context, ty: Type, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
+) -> TypingReport:
     return _report(
-        "type", type_str(ty), mode, lambda tr: _check_type(ctx, ty, mode, tr)
+        "type", type_str(ty), mode, allow_disc_insertion, _Judge.check_type, ctx, ty
     )
 
 
@@ -230,37 +267,43 @@ def check_sub(
     sigma: Substitution,
     gamma: Context,
     mode: Mode = Mode.CATT_SA,
+    *,
+    allow_disc_insertion: bool = True,
 ) -> TypingReport:
     return _report(
-        "substitution",
-        str(sigma),
-        mode,
-        lambda tr: _check_sub(delta, sigma, gamma, mode, tr),
+        "substitution", str(sigma), mode, allow_disc_insertion, _Judge.check_sub,
+        delta, sigma, gamma,
     )
 
 
 @bounded
 def check_term(
-    ctx: Context, t: Term, ty: Type, mode: Mode = Mode.CATT_SA
+    ctx: Context,
+    t: Term,
+    ty: Type,
+    mode: Mode = Mode.CATT_SA,
+    *,
+    allow_disc_insertion: bool = True,
 ) -> TypingReport:
-    def run(tr: list[str]) -> Type:
-        _check_term(ctx, t, ty, mode, tr)
-        return ty
-
-    return _report("term", term_str(t), mode, run)
+    return _report(
+        "term", term_str(t), mode, allow_disc_insertion, _Judge.check_term, ctx, t, ty
+    )
 
 
 @bounded
-def infer_term(ctx: Context, t: Term, mode: Mode = Mode.CATT_SA) -> Type:
+def infer_term(
+    ctx: Context, t: Term, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
+) -> Type:
     """Inferred type of a term; the substituted head type is returned as
     constructed, not normalised."""
-    trace: list[str] = []
-    return _infer(ctx, t, mode, trace)
+    return _Judge(mode, allow_disc_insertion).infer(ctx, t)
 
 
 @bounded
-def infer_report(ctx: Context, t: Term, mode: Mode = Mode.CATT_SA) -> TypingReport:
-    return _report("term", term_str(t), mode, lambda tr: _infer(ctx, t, mode, tr))
+def infer_report(
+    ctx: Context, t: Term, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
+) -> TypingReport:
+    return _report("term", term_str(t), mode, allow_disc_insertion, _Judge.infer, ctx, t)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +328,7 @@ def is_globular_ctx(ctx: Context) -> bool:
 
 @bounded
 def check_well_formed_sub(
-    gamma: Context, sigma: Substitution, delta: Context
+    gamma: Context, sigma: Substitution, delta: Context, *, allow_disc_insertion: bool = True
 ) -> TypingReport:
     """Globularity-based well-formedness of sigma : gamma -> delta.
 
@@ -294,33 +337,7 @@ def check_well_formed_sub(
     image must be definitionally equal to the images of the declared
     endpoints.
     """
-
-    def run(trace: list[str]) -> None:
-        if not is_globular_ctx(gamma):
-            raise GlobularityViolation("source context contains a coherence")
-        if sigma.domain != gamma.vars:
-            raise ArityMismatch(
-                f"substitution domain {sigma.domain} does not match "
-                f"context variables {gamma.vars}"
-            )
-        for v, ty in gamma.entries:
-            img = sigma.lookup(v)
-            _infer(delta, img, Mode.CATT_SA, trace)
-            d = dim_type(ty)
-            if dim_term(delta, img) != d:
-                raise GlobularityViolation(
-                    f"image of '{v}' has dimension {dim_term(delta, img)}, "
-                    f"declared {d}"
-                )
-            if isinstance(ty, Arr):
-                for sign, endpoint in ((NEG, ty.src), (POS, ty.tgt)):
-                    got = term_boundary(delta, img, d - 1, sign)
-                    want = apply_sub_term(endpoint, sigma)
-                    if not def_eq(delta, got, want):
-                        raise GlobularityViolation(
-                            f"boundary {sign} of image of '{v}' is "
-                            f"{term_str(got)}, expected {term_str(want)}"
-                        )
-            trace.append(f"wf {v}")
-
-    return _report("well-formed-substitution", str(sigma), Mode.CATT_SA, run)
+    return _report(
+        "well-formed-substitution", str(sigma), Mode.CATT_SA, allow_disc_insertion,
+        _Judge.well_formed_sub, gamma, sigma, delta,
+    )

@@ -315,7 +315,7 @@ def _render(item) -> str:
     return str(item)
 
 
-def reference_normalize(context: Context, item, *, allow_disc_insertion=None, trace=None):
+def reference_normalize(context: Context, item, *, allow_disc_insertion=True, trace=None):
     """Innermost-leftmost normalisation by brute force: build every
     one-step reduct and keep the first one at the greatest depth."""
     cur = item

@@ -6,13 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import cattsa
-from cattsa import cli, reduction
+from cattsa import cli, reduction, typecheck
 from cattsa.parser import MAX_NESTING, parse
 from cattsa.syntax import Var, alpha_eq
+from cattsa.typecheck import Mode
 from helpers import comp2
 
 HEADER = """
@@ -190,8 +192,94 @@ def plain (x : *) (y : *) (a : x -> y) (z : *) (b : y -> z) : x -> z := comp [a,
     assert cli.main(["eq", str(p), "wrapped", "plain"]) == 0
     capsys.readouterr()
     assert cli.main(["eq", str(p), "wrapped", "plain", "--no-disc-insertion"]) == 1
+    capsys.readouterr()
     # the flag does not outlive the call
-    assert reduction.ALLOW_DISC_INSERTION_DEFAULT is True
+    assert cli.main(["eq", str(p), "wrapped", "plain"]) == 0
+    assert capsys.readouterr().out == "equal\n"
+
+
+BOXED = HEADER + """
+coh boxed (x : *) (y : *) (f : x -> y) : x -> y
+coh idc (x : *) (y : *) (f : x -> y) : f -> f
+coh vert (x : *) (y : *) (f : x -> y) (g : x -> y) (m : f -> g) (h : x -> y) (n : g -> h) : f -> h
+def wrapped (x : *) (y : *) (a : x -> y) (z : *) (b : y -> z) : x -> z := comp [boxed [a], b]
+def plain (x : *) (y : *) (a : x -> y) (z : *) (b : y -> z) : x -> z := comp [a, b]
+def unbox (x : *) (y : *) (a : x -> y) (z : *) (b : y -> z) : comp [boxed [a], b] -> comp [a, b] := idc [comp [a, b]]
+def stack (x : *) (y : *) (a : x -> y) (z : *) (b : y -> z) (p : comp [a, b] -> comp [boxed [a], b]) (q : comp [a, b] -> comp [a, b]) : comp [a, b] -> comp [a, b] := vert [p, q]
+"""
+
+
+@pytest.fixture()
+def boxed_file(tmp_path):
+    p = tmp_path / "boxed.catt"
+    p.write_text(BOXED)
+    return str(p)
+
+
+@pytest.mark.parametrize("allow", [True, False])
+@pytest.mark.parametrize("mode", list(Mode))
+def test_library_disc_insertion_keyword_agrees_with_cli(boxed_file, capsys, mode, allow):
+    # unbox needs the disc insertion to check, stack needs it to infer
+    env = cli.elaborate_file(parse(BOXED))
+    wrapped, plain, unbox, stack = (env[n] for n in ("wrapped", "plain", "unbox", "stack"))
+    flag = [] if allow else ["--no-disc-insertion"]
+    common = ["--mode", mode.value, *flag]
+    kw = {} if allow else {"allow_disc_insertion": False}
+
+    same = typecheck.equal(mode, wrapped.ctx, wrapped.body, plain.body, **kw)
+    assert same == (mode is Mode.CATT_SA and allow)
+    assert cli.main(["eq", boxed_file, "wrapped", "plain", *common]) == (0 if same else 1)
+
+    checked = typecheck.check_term(unbox.ctx, unbox.body, unbox.ty, mode, **kw)
+    assert checked.ok == same
+    capsys.readouterr()
+    code = cli.main(["check", boxed_file, "--json", *common])
+    verdicts = {r["name"]: r["ok"] for r in json.loads(capsys.readouterr().out)["results"]}
+    assert code == (0 if all(verdicts.values()) else 1)
+    assert verdicts["unbox"] == checked.ok
+
+    inferred = typecheck.infer_report(stack.ctx, stack.body, mode, **kw)
+    assert inferred.ok == same
+    assert verdicts["stack"] == inferred.ok
+    assert cli.main(["infer", boxed_file, "stack", *common]) == (0 if inferred.ok else 1)
+
+
+def test_disc_insertion_flag_does_not_reach_concurrent_calls(boxed_file, capsys):
+    # one thread checks with --no-disc-insertion while another normalises
+    # with the default setting: the default call must still unbox
+    env = cli.elaborate_file(parse(BOXED))
+    wrapped, plain = env["wrapped"], env["plain"]
+    barrier = threading.Barrier(2)
+    codes: list[int] = []
+    seen: list = []
+    done = threading.Event()
+
+    def check() -> None:
+        barrier.wait(timeout=30)
+        try:
+            for _ in range(20):
+                codes.append(cli.main(["check", boxed_file, "--no-disc-insertion"]))
+        finally:
+            done.set()
+
+    def normalise() -> None:
+        barrier.wait(timeout=30)
+        while not done.is_set() or not seen:
+            seen.append(reduction.normalize(wrapped.ctx, wrapped.body))
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=check), threading.Thread(target=normalise)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert codes == [1] * 20
+    assert seen and all(nf == plain.body for nf in seen)
 
 
 def test_eq_requires_matching_telescopes(tmp_path, capsys):

@@ -8,6 +8,7 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cattsa.pasting import unbiased_term, unbiased_type
 from cattsa.reduction import normalize
@@ -132,6 +133,19 @@ def test_concurrent_normalize_matches_sequential():
     assert sorted(results) == list(range(8))
     for got in results.values():
         assert got == expected
+
+
+IDEMPOTENCE_CORPUS = curated_corpus() + random_corpus(200, seed=41)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(case=st.sampled_from(IDEMPOTENCE_CORPUS), allow=st.booleans())
+def test_normalize_is_idempotent(case, allow):
+    context, t = case
+    nf = normalize(context, t, allow_disc_insertion=allow)
+    trace: list[str] = []
+    assert normalize(context, nf, allow_disc_insertion=allow, trace=trace) == nf
+    assert trace == []
 
 
 def _contexts(item, out: dict) -> dict:
