@@ -6,34 +6,21 @@ from .errors import CattError
 from .insertion import (
     InsertionProblem,
     InsertionResult,
-    check_pushout,
     insert_ctx,
     insert_sub,
     insert_tree,
     type_linear_height,
 )
-from .ordinals import Ordinal, nat_sum, omega_pow, ord_lt, syntactic_depth
 from .pasting import (
-    DiscContext,
     boundary_ctx,
-    disc_context,
     is_disc_ctx,
     is_pasting,
     is_unbiased,
     locally_maximal,
-    to_disc_sub,
     unbiased_term,
     unbiased_type,
 )
-from .reduction import (
-    Redex,
-    def_eq,
-    eq_at_level,
-    is_regular,
-    normalize,
-    regular_height,
-    step_candidates,
-)
+from .reduction import Redex, def_eq, normalize
 from .syntax import (
     NEG,
     POS,

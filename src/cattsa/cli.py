@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import reduction
-from .errors import CattError, ElaborationError, SurfaceSyntaxError, TooDeep
+from .errors import CattError, ElaborationError, SurfaceSyntaxError, bounded
 from .insertion import InsertionProblem, insert_ctx
 from .parser import (
     SourceFile,
@@ -306,6 +306,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     return 0
 
 
+@bounded
 def _comparable_values(env: Env, name1: str, name2: str) -> tuple[Context, Term, Term]:
     d1 = _resolve(env, name1)
     d2 = _resolve(env, name2)
@@ -501,11 +502,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except CattError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RecursionError:
-        # typecheck and reduction raise TooDeep themselves; printing,
-        # called directly by some commands, still recurses on term structure
-        print(f"error: {TooDeep()}", file=sys.stderr)
         return 1
 
 

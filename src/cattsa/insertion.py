@@ -1,15 +1,13 @@
 """Insertion: grafting one pasting diagram into another at a locally
 maximal cell, together with the canonical substitutions in and out of the
-result and an executable pushout checker.
+result and the combined argument substitution of an insertion redex.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 from .errors import (
-    DimensionError,
     DuplicateVariable,
     HeadMismatch,
     LinearHeightTooSmall,
@@ -17,7 +15,6 @@ from .errors import (
     PathInvalid,
     SubstitutionUndefined,
 )
-from .pasting import to_disc_sub
 from .syntax import (
     NEG,
     POS,
@@ -28,11 +25,9 @@ from .syntax import (
     Type,
     Var,
     VarName,
-    compose_sub,
     dim_term,
     dim_type,
     fresh_name,
-    identity_sub,
     term_boundary,
     type_boundary,
 )
@@ -63,10 +58,6 @@ class InsertionResult:
     internal: Substitution  # inner -> inserted, variable to variable
     external: Substitution  # outer -> inserted
     renaming: tuple[tuple[VarName, VarName], ...]  # inner label -> fresh label
-
-    @property
-    def renaming_map(self) -> dict[VarName, VarName]:
-        return dict(self.renaming)
 
 
 # ---------------------------------------------------------------------------
@@ -227,172 +218,3 @@ def insert_sub(
         else:
             entries.append((v, sigma.lookup(v)))
     return Substitution(tuple(entries))
-
-
-# ---------------------------------------------------------------------------
-# Pushout checking
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ConeReport:
-    commutes: bool
-    factors_internal: bool
-    factors_external: bool
-    unique: bool
-    candidates_checked: int
-    pool_size: int = 0  # raw dimension-matched candidate space, before pruning
-    messages: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.commutes and self.factors_internal and self.factors_external and self.unique
-
-
-@dataclass
-class PushoutReport:
-    square_commutes: bool
-    cones: list[ConeReport]
-    messages: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return self.square_commutes and all(c.ok for c in self.cones)
-
-
-def _subs_def_eq(ctx: Context, a: Substitution, b: Substitution, def_eq) -> bool:
-    if a.domain != b.domain:
-        return False
-    return all(def_eq(ctx, u, v) for u, v in zip(a.values, b.values))
-
-
-def check_pushout(
-    problem: InsertionProblem,
-    result: InsertionResult,
-    cones: list[tuple[Context, Substitution, Substitution]],
-    max_candidates: int = 2_000_000,
-) -> PushoutReport:
-    """Verify the universal property of an insertion on concrete cones.
-
-    Checks (a) the insertion square commutes, (b) each cone factors through
-    the inserted context via the combined substitution, and (c) that
-    factorisation is unique among all substitutions assembled from a pool
-    of dimension-matched candidate terms drawn from the cone.
-    """
-    from .reduction import def_eq  # deferred import; reduction builds on insertion
-
-    outer, x, inner, inner_type = (
-        problem.outer,
-        problem.var,
-        problem.inner,
-        problem.inner_type,
-    )
-    n = dim_term(outer, Var(x))
-    if dim_type(inner_type) != n:
-        raise DimensionError(
-            f"pushout needs dim(inner type) = dim('{x}') = {n}, got {dim_type(inner_type)}"
-        )
-    xbar = to_disc_sub(outer, Var(x))
-    inner_coh = Coh(inner, inner_type, identity_sub(inner))
-    cohbar = to_disc_sub(inner, inner_coh)
-
-    report = PushoutReport(square_commutes=False, cones=[])
-    left = compose_sub(xbar, result.external)
-    right = compose_sub(cohbar, result.internal)
-    report.square_commutes = _subs_def_eq(result.inserted, left, right, def_eq)
-    if not report.square_commutes:
-        report.messages.append("square does not commute over the disc")
-
-    for gamma, sigma, tau in cones:
-        cone = ConeReport(
-            commutes=False,
-            factors_internal=False,
-            factors_external=False,
-            unique=False,
-            candidates_checked=0,
-        )
-        report.cones.append(cone)
-        cone.commutes = _subs_def_eq(
-            gamma, compose_sub(xbar, sigma), compose_sub(cohbar, tau), def_eq
-        )
-        if not cone.commutes:
-            cone.messages.append("cone does not commute over the disc")
-        try:
-            mu = insert_sub(sigma, x, tau, result)
-        except HeadMismatch as exc:
-            cone.messages.append(str(exc))
-            continue
-        cone.factors_internal = _subs_def_eq(
-            gamma, compose_sub(result.internal, mu), tau, def_eq
-        )
-        cone.factors_external = _subs_def_eq(
-            gamma, compose_sub(result.external, mu), sigma, def_eq
-        )
-
-        cone.unique, cone.candidates_checked, cone.pool_size, note = _unique_factorisation(
-            gamma, sigma, tau, mu, result, def_eq, max_candidates
-        )
-        if note:
-            cone.messages.append(note)
-    return report
-
-
-def _unique_factorisation(
-    gamma: Context,
-    sigma: Substitution,
-    tau: Substitution,
-    mu: Substitution,
-    result: InsertionResult,
-    def_eq,
-    max_candidates: int,
-) -> tuple[bool, int, int, str]:
-    """Exhaustively search candidate substitutions satisfying both
-    factorisation equations; every survivor must agree with mu.
-
-    Candidates for each inserted variable are the dimension-matched terms
-    among the cone's argument terms and the variables of gamma.  A
-    candidate failing its single-variable factorisation equation is pruned
-    before the product is formed, which is sound because those equations
-    are entries of the full factorisation conditions.
-    """
-    pool_by_dim: dict[int, list[Term]] = {}
-    seen: set = set()
-    for t in list(sigma.values) + list(tau.values) + [Var(v) for v in gamma.vars]:
-        if t in seen:
-            continue
-        seen.add(t)
-        pool_by_dim.setdefault(dim_term(gamma, t), []).append(t)
-
-    from_inner = {new: old for old, new in result.renaming}
-    pinned: dict[VarName, Term] = {}
-    for v in result.inserted.vars:
-        if v in from_inner:
-            pinned[v] = tau.lookup(from_inner[v])
-        else:
-            pinned[v] = sigma.lookup(v)
-
-    domains: list[list[Term]] = []
-    pool_size = 1
-    total = 1
-    for v, ty in result.inserted.entries:
-        raw = pool_by_dim.get(dim_type(ty), [])
-        cands = [c for c in raw if def_eq(gamma, c, pinned[v])]
-        pool_size *= max(len(raw), 1)
-        domains.append(cands)
-        total *= max(len(cands), 1)
-        if total > max_candidates:
-            return False, 0, pool_size, "candidate space too large; uniqueness not checked"
-    if any(not d for d in domains):
-        return False, 0, pool_size, "pinned value missing from candidate pool"
-
-    checked = 0
-    names = result.inserted.vars
-    for combo in product(*domains):
-        checked += 1
-        nu = Substitution(tuple(zip(names, combo)))
-        ok_int = _subs_def_eq(gamma, compose_sub(result.internal, nu), tau, def_eq)
-        ok_ext = _subs_def_eq(gamma, compose_sub(result.external, nu), sigma, def_eq)
-        if ok_int and ok_ext:
-            if not all(def_eq(gamma, a, b) for a, b in zip(nu.values, mu.values)):
-                return False, checked, pool_size, "a distinct factorisation passed"
-    return True, checked, pool_size, ""

@@ -1,4 +1,4 @@
-"""Pasting contexts: boundaries, unbiased composites, discs.
+"""Pasting contexts: boundaries, locally maximal cells, unbiased composites.
 
 The pasting judgement is the tree parse trees.ctx_to_tree: a context is
 pasting exactly when it is the emission of a Batanin tree.  Everything
@@ -8,26 +8,20 @@ the tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DimensionError, NotPasting
 from .syntax import (
     NEG,
     POS,
-    STAR,
     Arr,
     Coh,
     Context,
     Sign,
-    Star,
-    Substitution,
     Term,
     Type,
     Var,
     VarName,
-    dim_term,
+    free_vars,
     identity_sub,
-    term_boundary,
 )
 from .trees import (
     BataninTree,
@@ -75,25 +69,8 @@ def maximal_vars(ctx: Context) -> tuple[VarName, ...]:
     """
     used: set[VarName] = set()
     for _, ty in ctx.entries:
-        used |= _type_vars(ty)
+        used |= free_vars(ty)
     return tuple(v for v in ctx.vars if v not in used)
-
-
-def _type_vars(ty: Type) -> set[VarName]:
-    if isinstance(ty, Star):
-        return set()
-    assert isinstance(ty, Arr)
-    return _term_vars(ty.src) | _type_vars(ty.base) | _term_vars(ty.tgt)
-
-
-def _term_vars(t: Term) -> set[VarName]:
-    if isinstance(t, Var):
-        return {t.name}
-    assert isinstance(t, Coh)
-    out: set[VarName] = set()
-    for _, u in t.sub.entries:
-        out |= _term_vars(u)
-    return out
 
 
 def locally_maximal(ctx: Context) -> frozenset[VarName]:
@@ -149,42 +126,3 @@ def is_unbiased(t: Term) -> bool:
     except NotPasting:
         return False
     return t.ty == _unbiased_type(tree)
-
-
-# ---------------------------------------------------------------------------
-# Disc contexts
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscContext:
-    n: int
-    ctx: Context
-
-
-def disc_var(m: int, sign: Sign) -> VarName:
-    return f"d{m}m" if sign == NEG else f"d{m}p"
-
-
-def disc_context(n: int) -> DiscContext:
-    """The pasting context of a single n-cell with its boundary tower."""
-    if n < 0:
-        raise DimensionError("disc dimension must be non-negative")
-    entries: list[tuple[VarName, Type]] = [(disc_var(0, NEG), STAR)]
-    ty: Type = STAR
-    for m in range(n):
-        entries.append((disc_var(m, POS), ty))
-        ty = Arr(Var(disc_var(m, NEG)), ty, Var(disc_var(m, POS)))
-        entries.append((disc_var(m + 1, NEG), ty))
-    return DiscContext(n, Context(tuple(entries)))
-
-
-def to_disc_sub(ctx: Context, t: Term) -> Substitution:
-    """The substitution out of the disc classifying t: boundaries then t itself."""
-    n = dim_term(ctx, t)
-    entries: list[tuple[VarName, Term]] = []
-    for m in range(n):
-        entries.append((disc_var(m, NEG), term_boundary(ctx, t, m, NEG)))
-        entries.append((disc_var(m, POS), term_boundary(ctx, t, m, POS)))
-    entries.append((disc_var(n, NEG), t))
-    return Substitution(tuple(entries))

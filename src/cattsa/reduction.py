@@ -1,27 +1,24 @@
-"""One-step reduction, innermost-leftmost normalisation, definitional
-equality, the graded equality relation, and regularity diagnostics.
+"""One-step reduction, innermost-leftmost normalisation and definitional
+equality.
 
 The only base redex is insertion at the head of a coherence whose
 argument at some locally maximal cell is an unbiased composite of
 sufficient linear height; everything else is congruence closure.
 normalize locates the innermost-leftmost redex of a term and fires only
-that one; step_candidates enumerates every one-step reduct, for the
-reduction-graph tests.  Both decide redexes with one head-eligibility
-predicate.  Whether a disc-shaped argument may be inserted is the
-allow_disc_insertion keyword of normalize, def_eq and step_candidates
-(default True); the module keeps no setting of its own.  These functions
-assume well-typed input (they never call the typechecker, which keeps
-the equality/typing stratification well founded) and surface
-scope-level defects as IllTyped where they are detected incidentally.
+that one.  Whether a disc-shaped argument may be inserted is the
+allow_disc_insertion keyword of normalize and def_eq (default True); the
+module keeps no setting of its own.  These functions assume well-typed
+input (they never call the typechecker, which keeps the equality/typing
+stratification well founded) and surface scope-level defects as
+IllTyped where they are detected incidentally.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
-from .errors import CattError, IllTyped, NotPasting, bounded
+from .errors import IllTyped, NotPasting, bounded
 from .insertion import InsertionProblem, insert_ctx, insert_sub
 from .pasting import _unbiased_type
 from .syntax import (
@@ -29,16 +26,11 @@ from .syntax import (
     Coh,
     Context,
     Item,
-    Star,
     Substitution,
     Term,
     Type,
-    Var,
     VarName,
-    alpha_eq,
     apply_sub_type,
-    dim_term,
-    rename_type,
     term_str,
     type_str,
 )
@@ -64,7 +56,6 @@ Position = tuple[tuple[str, int], ...]
 class Redex:
     rule: str
     position: Position
-    detail: Optional[tuple[VarName, Context, Substitution]] = None
 
     def position_str(self) -> str:
         if not self.position:
@@ -123,7 +114,7 @@ def _with_child(item: Item, kind: str, index: int, new: Item) -> Item:
     return item.replace(index, new)
 
 
-def _with_rule(kind: str, pos: Position, detail) -> Redex:
+def _with_rule(kind: str, pos: Position) -> Redex:
     if not pos:
         rule = RULE_INSERTION
     elif kind == "term":
@@ -132,51 +123,11 @@ def _with_rule(kind: str, pos: Position, detail) -> Redex:
         rule = RULE_TYPE
     else:
         rule = RULE_SUB
-    return Redex(rule, pos, detail)
+    return Redex(rule, pos)
 
 
 # ---------------------------------------------------------------------------
-# Redex enumeration
-# ---------------------------------------------------------------------------
-
-
-def step_candidates(
-    ctx: Context, item: Item, *, allow_disc_insertion: bool = True
-) -> list[tuple[Redex, Item]]:
-    """All one-step reducts of a well-typed item, in traversal order.
-
-    Traversal visits substitution entries left to right, then the type of a
-    coherence, then the head itself, recursively; normalisation picks the
-    deepest candidate and breaks ties by this order.
-    """
-    kind = _kind_of(item)
-    return [
-        (_with_rule(kind, pos, detail), result)
-        for pos, detail, result in _steps(item, allow_disc_insertion)
-    ]
-
-
-def _steps(item: Item, allow: bool) -> list[tuple[Position, tuple, Item]]:
-    out = []
-    for kind, index, child in _children(item):
-        for pos, detail, res in _steps(child, allow):
-            out.append((((kind, index),) + pos, detail, _with_child(item, kind, index, res)))
-    if isinstance(item, Coh):
-        out.extend(_head_insertions(item, allow))
-    return out
-
-
-def _head_insertions(t: Coh, allow: bool) -> list[tuple[Position, tuple, Term]]:
-    """Insertion redexes at the head of a coherence, in context order."""
-    out = []
-    for x in _eligible_heads(t, allow):
-        arg = t.sub.lookup(x)
-        out.append(((), (x, arg.ctx, arg.sub), _insert_at(t, x)))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Head eligibility, shared by enumeration and normalisation
+# Head eligibility, shared by normalisation and the tests' redex enumerator
 # ---------------------------------------------------------------------------
 
 
@@ -255,11 +206,12 @@ _Located = Optional[tuple[Position, VarName]]
 class _Normaliser:
     """The locate memo of one normalize call; never shared between calls.
 
-    locate finds the redex that step_candidates lists first among those at
-    the greatest depth, without building any reduct.  It is memoised by
-    object identity: a step rebuilds only the spine above the redex, so the
-    untouched siblings are the same objects and hit the memo.  Each memo
-    entry keeps its object alive, so no id is reused while it is a key.
+    locate finds the first redex in traversal order (see _children) among
+    those at the greatest depth, without building any reduct.  It is
+    memoised by object identity: a step rebuilds only the spine above the
+    redex, so the untouched siblings are the same objects and hit the memo.
+    Each memo entry keeps its object alive, so no id is reused while it is
+    a key.
     """
 
     def __init__(self, allow: bool) -> None:
@@ -314,7 +266,7 @@ def normalize(
     """Innermost-leftmost normal form of a well-typed term, type or
     substitution.  Appends one line per step to trace when given.
 
-    Each step locates the redex that step_candidates would list first at
+    Each step locates the first redex in traversal order among those at
     the greatest depth and builds only that one reduct.
     """
     kind = _kind_of(item)
@@ -327,7 +279,7 @@ def normalize(
         position, x = found
         result = _fire(cur, position, x)
         if trace is not None:
-            redex = _with_rule(kind, position, None)
+            redex = _with_rule(kind, position)
             trace.append(
                 f"{redex.rule} at {redex.position_str()}: "
                 f"{_render(cur)} ⇝ {_render(result)}"
@@ -355,104 +307,3 @@ def def_eq(ctx: Context, a: Item, b: Item, *, allow_disc_insertion: bool = True)
     na = normalize(ctx, a, allow_disc_insertion=allow_disc_insertion)
     nb = normalize(ctx, b, allow_disc_insertion=allow_disc_insertion)
     return na == nb
-
-
-# ---------------------------------------------------------------------------
-# Graded equality
-# ---------------------------------------------------------------------------
-
-
-def eq_at_level(ctx: Context, a: Item, b: Item, n: int) -> bool:
-    """Equality that is definitional strictly below dimension n and
-    structural (up to alpha) at dimension n and above."""
-    if n < 0:
-        raise IllTyped("equality level must be non-negative")
-    if isinstance(a, Term) and isinstance(b, Term):
-        return _eq_terms(ctx, a, b, n)
-    if isinstance(a, Type) and isinstance(b, Type):
-        return _eq_types(ctx, a, b, n)
-    if isinstance(a, Substitution) and isinstance(b, Substitution):
-        return _eq_subs(ctx, a, b, n)
-    return False
-
-
-def _eq_terms(ctx: Context, a: Term, b: Term, n: int) -> bool:
-    try:
-        da = dim_term(ctx, a)
-        db = dim_term(ctx, b)
-    except CattError as exc:
-        raise IllTyped(str(exc)) from exc
-    if da < n and db < n:
-        return def_eq(ctx, a, b)
-    if isinstance(a, Var):
-        return a == b
-    if isinstance(a, Coh):
-        if not isinstance(b, Coh):
-            return False
-        if len(a.ctx) != len(b.ctx) or not alpha_eq(a.ctx, b.ctx):
-            return False
-        ren = dict(zip(b.ctx.vars, a.ctx.vars))
-        if not _eq_types(a.ctx, a.ty, rename_type(b.ty, ren), n):
-            return False
-        return _eq_subs(ctx, a.sub, b.sub, n)
-    return False
-
-
-def _eq_types(ctx: Context, a: Type, b: Type, n: int) -> bool:
-    if isinstance(a, Star) or isinstance(b, Star):
-        return isinstance(a, Star) and isinstance(b, Star)
-    assert isinstance(a, Arr) and isinstance(b, Arr)
-    return (
-        _eq_terms(ctx, a.src, b.src, n)
-        and _eq_terms(ctx, a.tgt, b.tgt, n)
-        and _eq_types(ctx, a.base, b.base, n)
-    )
-
-
-def _eq_subs(ctx: Context, a: Substitution, b: Substitution, n: int) -> bool:
-    if len(a) != len(b):
-        return False
-    return all(_eq_terms(ctx, u, v, n) for u, v in zip(a.values, b.values))
-
-
-# ---------------------------------------------------------------------------
-# Regularity
-# ---------------------------------------------------------------------------
-
-Height = Union[int, float]  # math.inf for variables
-
-
-def _regular(ctx: Context, t: Term) -> Optional[Height]:
-    if isinstance(t, Var):
-        return math.inf
-    assert isinstance(t, Coh)
-    delta = t.ctx
-    try:
-        tree = ctx_to_tree(delta)
-    except NotPasting:
-        return None
-    if is_linear(tree):  # a disc
-        return None
-    if t.ty != _unbiased_type(tree):
-        return None
-    heights: dict[VarName, Height] = {}
-    for v, arg in t.sub.entries:
-        h = _regular(ctx, arg)
-        if h is None:
-            return None
-        heights[v] = h
-    for x in leaf_labels(tree):
-        if branching_height(tree, x) >= heights[x]:
-            return None
-    return linear_height(tree)
-
-
-def is_regular(ctx: Context, t: Term) -> bool:
-    return _regular(ctx, t) is not None
-
-
-def regular_height(ctx: Context, t: Term) -> Height:
-    h = _regular(ctx, t)
-    if h is None:
-        raise IllTyped(f"term is not regular: {term_str(t)}")
-    return h

@@ -22,7 +22,7 @@ either result is correct; no lock is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Iterator, Literal, TypeVar, Union
+from typing import Callable, Container, Iterator, Literal, TypeVar, Union
 
 from .errors import (
     DimensionError,
@@ -30,6 +30,7 @@ from .errors import (
     MalformedSyntax,
     SubstitutionUndefined,
     UnknownVariable,
+    bounded,
 )
 
 VarName = str
@@ -244,6 +245,26 @@ def dim_term(ctx: Context, t: Term) -> int:
 # ---------------------------------------------------------------------------
 
 
+def free_vars(item: Item) -> set[VarName]:
+    """The variables occurring in a term, type or substitution, arrow bases
+    included.  It reads no context, so a variable need not be bound."""
+    out: set[VarName] = set()
+    todo: list[Item] = [item]
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Var):
+            out.add(x.name)
+        elif isinstance(x, Coh):
+            todo.extend(x.sub.values)
+        elif isinstance(x, Arr):
+            todo += (x.src, x.base, x.tgt)
+        elif isinstance(x, Substitution):
+            todo.extend(x.values)
+        elif not isinstance(x, Star):
+            raise MalformedSyntax(f"cannot take support of {x!r}")
+    return out
+
+
 def support(ctx: Context, item: Item) -> frozenset[VarName]:
     """Downward-closed set of variables the item depends on in ctx.
 
@@ -251,21 +272,14 @@ def support(ctx: Context, item: Item) -> frozenset[VarName]:
     declared type; a coherence contributes only the support of its
     argument substitution.
     """
-    if isinstance(item, Var):
-        ty = ctx.lookup(item.name)
-        return frozenset({item.name}) | support(ctx, ty)
-    if isinstance(item, Coh):
-        return support(ctx, item.sub)
-    if isinstance(item, Star):
-        return frozenset()
-    if isinstance(item, Arr):
-        return support(ctx, item.src) | support(ctx, item.tgt)
-    if isinstance(item, Substitution):
-        out: frozenset[VarName] = frozenset()
-        for _, t in item.entries:
-            out |= support(ctx, t)
-        return out
-    raise MalformedSyntax(f"cannot take support of {item!r}")
+    out: set[VarName] = set()
+    todo = list(free_vars(item))
+    while todo:
+        v = todo.pop()
+        if v not in out:
+            out.add(v)
+            todo.extend(free_vars(ctx.lookup(v)))
+    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -411,25 +425,38 @@ def alpha_eq(a: Item | Context, b: Item | Context) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def fresh_name(base: VarName, taken: Iterable[VarName]) -> VarName:
-    taken = set(taken)
+def fresh_name(base: VarName, taken: Container[VarName]) -> VarName:
+    """base with primes appended until it is not in taken."""
     name = base
     while name in taken:
         name += "'"
     return name
 
 
+@bounded
 def term_str(t: Term) -> str:
+    """The surface rendering of a term; raises TooDeep on a term nested
+    too deeply to print."""
+    return _term_str(t)
+
+
+@bounded
+def type_str(ty: Type) -> str:
+    """The surface rendering of a type; raises TooDeep on a type nested
+    too deeply to print."""
+    return _type_str(ty)
+
+
+def _term_str(t: Term) -> str:
     if isinstance(t, Var):
         return t.name
     assert isinstance(t, Coh)
-    args = ", ".join(term_str(u) for u in t.sub.values)
-    return f"coh {{ {t.ctx} : {type_str(t.ty)} }} [{args}]"
+    args = ", ".join(_term_str(u) for u in t.sub.values)
+    return f"coh {{ {t.ctx} : {_type_str(t.ty)} }} [{args}]"
 
 
-def type_str(ty: Type) -> str:
+def _type_str(ty: Type) -> str:
     if isinstance(ty, Star):
         return "*"
     assert isinstance(ty, Arr)
-    return f"{term_str(ty.src)} -> {term_str(ty.tgt)}"
-
+    return f"{_term_str(ty.src)} -> {_term_str(ty.tgt)}"

@@ -12,7 +12,7 @@ import random
 from itertools import product
 
 from cattsa.pasting import maximal_vars, unbiased_term, unbiased_type
-from cattsa.reduction import normalize, step_candidates
+from cattsa.reduction import normalize
 from cattsa.syntax import (
     NEG,
     POS,
@@ -33,6 +33,7 @@ from cattsa.syntax import (
     type_str,
 )
 from cattsa.trees import BataninTree, bracket_to_tree, tree_to_ctx
+from oracles import disc_context, step_candidates, to_disc_sub
 
 star = STAR
 
@@ -500,8 +501,6 @@ def curated_corpus() -> list[tuple[Context, Term]]:
     out.append((DELTA, Coh(WHISKER_R, unbiased_type(WHISKER_R), sigma)))
 
     # boxed argument: a disc-headed coherence that unboxes by insertion
-    from cattsa.pasting import disc_context, to_disc_sub
-
     d1 = disc_context(1)
     boxed = Coh(d1.ctx, d1.ctx.lookup("d1m"), to_disc_sub(amb1, comp2(amb1, m1, m2)))
     out.append((amb1, comp2(amb1, boxed, m3)))

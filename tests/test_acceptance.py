@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import time
 
-from cattsa.insertion import InsertionProblem, check_pushout, insert_ctx, insert_tree
-from cattsa.ordinals import ord_lt, syntactic_depth
+from cattsa.insertion import InsertionProblem, insert_ctx, insert_tree
 from cattsa.parser import parse
 from cattsa.pasting import unbiased_type
-from cattsa.reduction import def_eq, normalize, step_candidates
+from cattsa.reduction import def_eq, normalize
 from cattsa.syntax import (
     Coh,
     Context,
@@ -43,6 +42,7 @@ from helpers import (
     reduction_graph,
     unbiased_apply,
 )
+from oracles import check_pushout, ord_lt, step_candidates, syntactic_depth
 
 L = tree
 

@@ -360,6 +360,57 @@ def c (x : *) (f : x -> x) : x -> x := b [b [f]]
             assert proc.stderr.strip() == message
 
 
+def test_commands_on_a_term_too_deep_for_the_kernel(tmp_path, capsys):
+    # c elaborates but nests 600 levels deep; eq renames c apart before any
+    # check sees it
+    path = _deep_def_file(tmp_path, 150, "def c (x : *) (f : x -> x) : x -> x := b [b [b [b [f]]]]\n")
+    for argv in (["check", path], ["eq", path, "c", "c"], ["normalize", path, "c"],
+                 ["infer", path, "c"]):
+        for mode in ("sa", "catt"):
+            assert cli.main([*argv, "--mode", mode]) == 1
+            out, err = capsys.readouterr()
+            assert (out, err) == ("", "error: a term is nested too deeply for the kernel\n")
+
+
+PRODUCT_MODULES = {
+    "cattsa", "cattsa.cli", "cattsa.errors", "cattsa.insertion", "cattsa.parser",
+    "cattsa.pasting", "cattsa.reduction", "cattsa.syntax", "cattsa.trees", "cattsa.typecheck",
+}
+
+# The verification machinery of tests/oracles.py, which the package must
+# not define again.
+ORACLE_NAMES = (
+    "check_pushout", "ConeReport", "PushoutReport", "_unique_factorisation", "_subs_def_eq",
+    "Ordinal", "syntactic_depth", "nat_sum", "omega_pow", "ord_lt",
+    "eq_at_level", "_eq_terms", "_eq_types", "_eq_subs",
+    "is_regular", "regular_height", "_regular",
+    "step_candidates", "_steps", "_head_insertions",
+    "DiscContext", "disc_var", "disc_context", "to_disc_sub",
+)
+
+
+def test_the_cli_loads_only_product_code():
+    probe = (
+        "import json, sys, cattsa.cli\n"
+        "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'cattsa')\n"
+        "names = sys.argv[1:]\n"
+        "print(json.dumps([mods, [f'{m}.{n}' for m in mods for n in names"
+        " if hasattr(sys.modules[m], n)]]))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cattsa.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, *ORACLE_NAMES],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules, defined = json.loads(proc.stdout)
+    assert set(modules) == PRODUCT_MODULES
+    assert defined == []
+
+
 def test_deep_nesting_is_a_parse_error(tmp_path):
     for depth in (MAX_NESTING + 1, 3000):
         proc = _run_cli("check", _nested_file(tmp_path, depth))

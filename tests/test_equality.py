@@ -15,9 +15,9 @@ import threading
 
 from hypothesis import given, settings, strategies as st
 
-from cattsa.reduction import step_candidates
 from cattsa.syntax import Arr, Coh, Context, Star, Substitution, Var, term_str
 from helpers import all_bracketings, canonical_term, chain, curated_corpus, random_corpus
+from oracles import step_candidates
 
 SEEDS = settings(derandomize=True, deadline=None, max_examples=12)
 

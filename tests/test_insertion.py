@@ -12,14 +12,12 @@ from cattsa.errors import (
 )
 from cattsa.insertion import (
     InsertionProblem,
-    check_pushout,
     insert_ctx,
     insert_sub,
     insert_tree,
     type_linear_height,
 )
 from cattsa.pasting import (
-    disc_context,
     is_pasting,
     locally_maximal,
     unbiased_term,
@@ -59,6 +57,7 @@ from helpers import (
     star,
     sub,
 )
+from oracles import check_pushout, disc_context
 
 L = tree  # shorthand for small literal trees
 
@@ -123,7 +122,7 @@ def whisker_insertion_problem() -> InsertionProblem:
 
 def test_insert_ctx_worked_example_context_and_kappa():
     res = insert_ctx(whisker_insertion_problem())
-    assert res.renaming_map == {
+    assert dict(res.renaming) == {
         "x": "x'",
         "y": "y'",
         "f": "f'",
@@ -174,7 +173,7 @@ def test_disjoint_inner_names_are_kept():
 
     prob = InsertionProblem(DELTA, "alpha", THETA_PRIMED, unbiased_type(THETA_PRIMED))
     res = insert_ctx(prob)
-    assert res.renaming_map == {v: v for v in THETA_PRIMED.vars}
+    assert dict(res.renaming) == {v: v for v in THETA_PRIMED.vars}
     assert res.internal == identity_sub(THETA_PRIMED)
 
 
@@ -206,7 +205,7 @@ def test_insert_ctx_variable_bookkeeping():
     res = insert_ctx(whisker_insertion_problem())
     erased = {"x", "y", "f", "g", "alpha"}  # the support of alpha
     survivors = set(DELTA.vars) - erased
-    renamed = set(res.renaming_map.values())
+    renamed = set(dict(res.renaming).values())
     assert set(res.inserted.vars) == survivors | renamed
     assert is_pasting(res.inserted)
 

@@ -7,7 +7,10 @@ import random
 import pytest
 
 from cattsa.errors import MalformedSyntax
-from cattsa.ordinals import (
+from cattsa.syntax import Coh, Substitution, Var, identity_sub
+from cattsa.pasting import unbiased_type
+from helpers import CHAIN2, CHAIN3, chain, comp2, unbiased_apply
+from oracles import (
     ONE,
     ZERO,
     Ordinal,
@@ -17,9 +20,6 @@ from cattsa.ordinals import (
     ord_lt,
     syntactic_depth,
 )
-from cattsa.syntax import Coh, Substitution, Var, identity_sub
-from cattsa.pasting import unbiased_type
-from helpers import CHAIN2, CHAIN3, chain, comp2, unbiased_apply
 
 
 def test_zero_sum():

@@ -7,12 +7,11 @@ import pytest
 from cattsa.errors import DimensionError, NotPasting
 from cattsa.pasting import (
     boundary_ctx,
-    disc_context,
     is_disc_ctx,
     is_pasting,
     is_unbiased,
     locally_maximal,
-    to_disc_sub,
+    maximal_vars,
     unbiased_term,
     unbiased_type,
 )
@@ -43,6 +42,7 @@ from helpers import (
     star,
     sub,
 )
+from oracles import disc_context, to_disc_sub
 
 POINT = ctx(("x", star))
 ARROW = ctx(("x", star), ("y", star), ("f", arr("x", star, "y")))
@@ -201,6 +201,12 @@ def test_locally_maximal():
     assert locally_maximal(POINT) == {"x"}
     assert locally_maximal(CHAIN2) == {"a1", "a2"}
     assert locally_maximal(DELTA) == {"alpha", "beta", "k"}
+
+
+def test_maximal_vars_reads_no_context():
+    # elaboration lets a telescope name an unbound arrow target
+    tele = ctx(("x", star), ("f", arr("x", star, "q")))
+    assert maximal_vars(tele) == ("f",)
 
 
 def test_every_disc_has_one_maximal_cell():

@@ -8,17 +8,8 @@ import math
 import pytest
 
 from cattsa.errors import TooDeep
-from cattsa.ordinals import Ordinal, ord_lt, syntactic_depth
-from cattsa.pasting import disc_context, to_disc_sub, unbiased_term, unbiased_type
-from cattsa.reduction import (
-    def_eq,
-    eq_at_level,
-    is_regular,
-    normalize,
-    normalize_term,
-    regular_height,
-    step_candidates,
-)
+from cattsa.pasting import unbiased_term, unbiased_type
+from cattsa.reduction import def_eq, normalize, normalize_term
 from cattsa.syntax import (
     STAR,
     Arr,
@@ -28,6 +19,7 @@ from cattsa.syntax import (
     Var,
     alpha_eq,
     apply_sub_term,
+    free_vars,
     identity_sub,
     support,
 )
@@ -45,6 +37,17 @@ from helpers import (
     random_corpus,
     reduction_graph,
     unbiased_apply,
+)
+from oracles import (
+    Ordinal,
+    disc_context,
+    eq_at_level,
+    is_regular,
+    ord_lt,
+    regular_height,
+    step_candidates,
+    syntactic_depth,
+    to_disc_sub,
 )
 
 AMB3 = chain(3, "u", "m")
@@ -194,8 +197,6 @@ def test_depth_decreases_along_every_step_curated():
 def _head_type_mentions_insertion_var(term, redex) -> bool:
     """Locate the coherence node the redex fired at and test whether the
     inserted variable occurs freely in its head type."""
-    from cattsa.pasting import _type_vars  # reuse the variable scan
-
     node = term
     for kind, index in redex.position:
         if kind == "arg" or kind == "entry":
@@ -210,7 +211,7 @@ def _head_type_mentions_insertion_var(term, redex) -> bool:
             node = node.tgt
     assert isinstance(node, Coh)
     assert redex.detail is not None
-    return redex.detail[0] in _type_vars(node.ty)
+    return redex.detail[0] in free_vars(node.ty)
 
 
 def test_depth_decreases_when_insertion_var_not_in_head_type():
@@ -416,6 +417,13 @@ def test_disc_insertion_can_be_disabled():
     t = comp2(AMB3, _boxed(AMB3, M[0]), M[1])
     cands = step_candidates(AMB3, t, allow_disc_insertion=False)
     assert cands == []
+
+
+def test_graded_equality_follows_the_disc_setting():
+    boxed = comp2(AMB3, _boxed(AMB3, M[0]), M[1])
+    plain = comp2(AMB3, M[0], M[1])
+    assert eq_at_level(AMB3, boxed, plain, 2)
+    assert not eq_at_level(AMB3, boxed, plain, 2, allow_disc_insertion=False)
 
 
 # ---------------------------------------------------------------------------

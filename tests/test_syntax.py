@@ -12,6 +12,7 @@ from cattsa.errors import (
     DuplicateVariable,
     MalformedSyntax,
     SubstitutionUndefined,
+    TooDeep,
     UnknownVariable,
 )
 from cattsa.pasting import unbiased_type
@@ -33,7 +34,9 @@ from cattsa.syntax import (
     identity_sub,
     support,
     term_boundary,
+    term_str,
     type_boundary,
+    type_str,
 )
 from helpers import CHAIN2, DELTA, arr, chain, comp2, ctx, star, sub
 
@@ -235,3 +238,17 @@ def test_support_monotone_randomised():
         for v in support(t.ctx, Var("a1")) | support(t.ctx, Var("a2")):
             expected |= support(amb, t.sub.lookup(v))
         assert expected <= out
+
+
+def test_printers_raise_too_deep():
+    # a left-nested composite of 1501 endo-arrows nests coherences 1500
+    # deep, past what the recursive printers can traverse
+    loop = ctx(("x", star), ("f", arr("x", star, "x")))
+    t = Var("f")
+    for _ in range(1500):
+        t = comp2(loop, t, Var("f"))
+    with pytest.raises(TooDeep):
+        term_str(t)
+    with pytest.raises(TooDeep):
+        type_str(Arr(t, arr("x", star, "x"), t))
+    assert term_str(comp2(loop, Var("f"), Var("f"))).endswith("[x, x, f, x, f]")

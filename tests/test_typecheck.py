@@ -14,7 +14,7 @@ from cattsa.errors import (
     TypeMismatch,
 )
 from cattsa.pasting import unbiased_term, unbiased_type
-from cattsa.reduction import def_eq, normalize_term, step_candidates
+from cattsa.reduction import def_eq, normalize_term
 from cattsa.syntax import (
     Arr,
     Coh,
@@ -46,9 +46,11 @@ from helpers import (
     ctx,
     curated_corpus,
     enumerate_globular_contexts,
+    random_corpus,
     star,
     sub,
 )
+from oracles import step_candidates
 
 POINT = ctx(("x", star))
 ARROW = ctx(("x", star), ("y", star), ("f", arr("x", star, "y")))
@@ -200,7 +202,9 @@ def test_mode_agreement_catt_accepted_implies_sa_accepted():
 
 
 def test_equality_respects_typing():
-    for context, t in curated_corpus():
+    # subject reduction: every one-step reduct checks against the type
+    # inferred for the term it came from
+    for context, t in curated_corpus() + random_corpus(300, seed=17):
         ty = infer_term(context, t, Mode.CATT_SA)
         for _, reduct in step_candidates(context, t):
             assert def_eq(context, t, reduct)
