@@ -61,7 +61,6 @@ from .typecheck import (
     check_sub,
     check_term,
     check_type,
-    check_well_formed_sub,
     infer_term,
 )
 

@@ -44,11 +44,11 @@ from .syntax import (
     dim_term,
     dim_type,
     identity_sub,
-    rename_term,
     term_boundary,
     term_str,
     type_boundary,
     type_str,
+    var_sub,
 )
 from .trees import ctx_to_tree, tree_to_bracket
 from .typecheck import Mode, check_ctx, check_term, check_type, equal, infer_report
@@ -315,8 +315,10 @@ def _comparable_values(env: Env, name1: str, name2: str) -> tuple[Context, Term,
             f"'{name1}' and '{name2}' have different telescopes and "
             "cannot be compared"
         )
-    ren = dict(zip(d2.ctx.vars, d1.ctx.vars))
-    return d1.ctx, d1.value(), rename_term(d2.value(), ren)
+    t2 = d2.value()
+    if d1.ctx.vars != d2.ctx.vars:
+        t2 = apply_sub_term(t2, var_sub(dict(zip(d2.ctx.vars, d1.ctx.vars)), t2))
+    return d1.ctx, d1.value(), t2
 
 
 def cmd_eq(args: argparse.Namespace) -> int:

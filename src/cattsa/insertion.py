@@ -57,7 +57,6 @@ class InsertionResult:
     inserted: Context
     internal: Substitution  # inner -> inserted, variable to variable
     external: Substitution  # outer -> inserted
-    renaming: tuple[tuple[VarName, VarName], ...]  # inner label -> fresh label
 
 
 # ---------------------------------------------------------------------------
@@ -153,12 +152,10 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
             f"need at least {len(path) - 1}"
         )
     taken = set(outer.vars)
-    renaming: list[tuple[VarName, VarName]] = []
+    ren: dict[VarName, VarName] = {}
     for label in inner.vars:
-        fresh = fresh_name(label, taken)
+        ren[label] = fresh = fresh_name(label, taken)
         taken.add(fresh)
-        renaming.append((label, fresh))
-    ren = dict(renaming)
     inserted = tree_to_ctx(insert_tree(s, path, relabel_tree(t, ren)))
 
     internal = Substitution(tuple((v, Var(ren[v])) for v in inner.vars))
@@ -186,7 +183,7 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
             m, sign = boundary_of_x[y]
             entries.append((y, term_boundary(inserted, inner_coh, m, sign)))
     external = Substitution(tuple(entries))
-    return InsertionResult(problem, inserted, internal, external, tuple(renaming))
+    return InsertionResult(problem, inserted, internal, external)
 
 
 def insert_sub(
@@ -210,7 +207,7 @@ def insert_sub(
         raise HeadMismatch(
             f"argument at '{x}' is not the inner coherence applied to tau"
         )
-    from_inner = {new: old for old, new in result.renaming}
+    from_inner = {new.name: old for old, new in result.internal}
     entries: list[tuple[VarName, Term]] = []
     for v in result.inserted.vars:
         if v in from_inner:

@@ -31,14 +31,12 @@ MAX_NESTING = 300
 class Span:
     line: int
     col: int
-    end_line: int
-    end_col: int
 
     def __str__(self) -> str:
         return f"{self.line}:{self.col}"
 
 
-DUMMY_SPAN = Span(0, 0, 0, 0)
+DUMMY_SPAN = Span(0, 0)
 
 
 @dataclass(frozen=True)
@@ -73,22 +71,20 @@ def tokenize(text: str) -> list[Token]:
             while j < n and (text[j].isalnum() or text[j] in "_'"):
                 j += 1
             word = text[i:j]
-            span = Span(line, col, line, col + (j - i))
             kind = "keyword" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, span))
+            tokens.append(Token(kind, word, Span(line, col)))
             col += j - i
             i = j
             continue
         for sym in SYMBOLS:
             if text.startswith(sym, i):
-                span = Span(line, col, line, col + len(sym))
-                tokens.append(Token("symbol", sym, span))
+                tokens.append(Token("symbol", sym, Span(line, col)))
                 i += len(sym)
                 col += len(sym)
                 break
         else:
             raise SurfaceSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", Span(line, col, line, col)))
+    tokens.append(Token("eof", "", Span(line, col)))
     return tokens
 
 
@@ -225,7 +221,7 @@ class _Parser:
         src = self.term()
         self.expect_symbol("->")
         tgt = self.term()
-        return SrcArrow(src, tgt, _term_span(src))
+        return SrcArrow(src, tgt, src.span)
 
     def term(self) -> SrcTerm:
         tok = self.expect_ident("a term")
@@ -244,13 +240,6 @@ class _Parser:
             self.depth -= 1
             return SrcApp(tok.text, tuple(args), tok.span)
         return SrcVar(tok.text, tok.span)
-
-
-def _term_span(t: SrcTerm) -> Span:
-    if isinstance(t, SrcVar):
-        return t.span
-    assert isinstance(t, SrcApp)
-    return t.span
 
 
 def parse(text: str) -> SourceFile:

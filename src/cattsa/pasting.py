@@ -3,10 +3,16 @@
 The pasting judgement is the tree parse trees.ctx_to_tree: a context is
 pasting exactly when it is the emission of a Batanin tree.  Everything
 here that needs a pasting context parses it once and reads the answer off
-the tree.
+the tree.  The shape of a context (its tree, locally maximal cells and
+unbiased type, or None when it is not pasting) is memoised on the
+context; the pasting tests, the unbiased type and the normaliser's redex
+test all read it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Optional
 
 from .errors import DimensionError, NotPasting
 from .syntax import (
@@ -34,12 +40,30 @@ from .trees import (
 )
 
 
-def is_pasting(ctx: Context) -> bool:
+@dataclass(frozen=True)
+class Shape:
+    """What the kernel reads off a pasting context."""
+
+    tree: BataninTree
+    maximal: tuple[VarName, ...]  # locally maximal cells, in context order
+    unbiased: Type
+
+
+def shape(ctx: Context) -> Optional[Shape]:
+    """The shape of ctx, or None if it is not pasting; memoised on ctx."""
+    return ctx.derived("_pasting_shape", _new_shape)
+
+
+def _new_shape(ctx: Context) -> Optional[Shape]:
     try:
-        ctx_to_tree(ctx)
-        return True
+        tree = ctx_to_tree(ctx)
     except NotPasting:
-        return False
+        return None
+    return Shape(tree, leaf_labels(tree), _unbiased_type(tree))
+
+
+def is_pasting(ctx: Context) -> bool:
+    return shape(ctx) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -79,10 +103,8 @@ def locally_maximal(ctx: Context) -> frozenset[VarName]:
 
 def is_disc_ctx(ctx: Context) -> bool:
     """A pasting context with exactly one locally maximal cell."""
-    try:
-        return is_linear(ctx_to_tree(ctx))
-    except NotPasting:
-        return False
+    s = shape(ctx)
+    return s is not None and is_linear(s.tree)
 
 
 # ---------------------------------------------------------------------------
@@ -91,8 +113,12 @@ def is_disc_ctx(ctx: Context) -> bool:
 
 
 def unbiased_type(ctx: Context) -> Type:
-    """The canonical composite type over a pasting context."""
-    return _unbiased_type(ctx_to_tree(ctx))
+    """The canonical composite type over a pasting context; raises
+    NotPasting on any other context."""
+    s = shape(ctx)
+    if s is None:
+        ctx_to_tree(ctx)  # raises NotPasting with the reason
+    return s.unbiased
 
 
 def unbiased_term(ctx: Context) -> Term:
@@ -121,8 +147,5 @@ def is_unbiased(t: Term) -> bool:
     """True iff t is a coherence whose type is the unbiased type of its context."""
     if not isinstance(t, Coh):
         return False
-    try:
-        tree = ctx_to_tree(t.ctx)
-    except NotPasting:
-        return False
-    return t.ty == _unbiased_type(tree)
+    s = shape(t.ctx)
+    return s is not None and t.ty == s.unbiased

@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import IllTyped, NotPasting, bounded
+from .errors import IllTyped, bounded
 from .insertion import InsertionProblem, insert_ctx, insert_sub
-from .pasting import _unbiased_type
+from .pasting import shape
 from .syntax import (
     Arr,
     Coh,
@@ -34,14 +34,7 @@ from .syntax import (
     term_str,
     type_str,
 )
-from .trees import (
-    BataninTree,
-    branching_height,
-    ctx_to_tree,
-    is_linear,
-    leaf_labels,
-    linear_height,
-)
+from .trees import branching_height, is_linear, linear_height
 
 RULE_INSERTION = "insertion"
 RULE_CELL = "cell-reduction"
@@ -127,31 +120,9 @@ def _with_rule(kind: str, pos: Position) -> Redex:
 
 
 # ---------------------------------------------------------------------------
-# Head eligibility, shared by normalisation and the tests' redex enumerator
+# Head eligibility, shared by normalisation and the tests' redex enumerator;
+# the pasting shapes it reads are memoised on their contexts by pasting.shape
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Shape:
-    """What the redex test needs to know about a pasting context."""
-
-    tree: BataninTree
-    maximal: tuple[VarName, ...]  # locally maximal cells, in context order
-    unbiased: Type
-
-
-def _shape(delta: Context) -> Optional[_Shape]:
-    """The pasting shape of a context, or None if it is not pasting;
-    memoised on the context."""
-    return delta.derived("_redex_shape", _new_shape)
-
-
-def _new_shape(delta: Context) -> Optional[_Shape]:
-    try:
-        tree = ctx_to_tree(delta)
-    except NotPasting:
-        return None
-    return _Shape(tree, leaf_labels(tree), _unbiased_type(tree))
 
 
 def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
@@ -163,14 +134,14 @@ def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
     least as linearly high as the cell's branching height; disc-shaped
     arguments qualify only when allow is set.
     """
-    outer = _shape(t.ctx)
+    outer = shape(t.ctx)
     if outer is None:
         return
     for x in outer.maximal:
         arg = t.sub.lookup(x)
         if not isinstance(arg, Coh):
             continue
-        inner = _shape(arg.ctx)
+        inner = shape(arg.ctx)
         if inner is None:
             continue
         if arg.ty != inner.unbiased:

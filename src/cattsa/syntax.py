@@ -12,7 +12,7 @@ The variables a coherence binds are positions in a pasting diagram, so
 Names are still stored and printed.
 
 Contexts and coherences carry a write-once memo of data derived from them
-(a context's Batanin tree and redex shape, a coherence's positional
+(a context's Batanin tree and pasting shape, a coherence's positional
 shape), kept in the instance __dict__ outside the dataclass fields: repr
 and pickling see only the fields.  An entry is a function of the fields
 alone, so two threads that race to fill it compute equal values and
@@ -330,28 +330,12 @@ def compose_sub(tau: Substitution, sigma: Substitution) -> Substitution:
     return Substitution(tuple((v, apply_sub_term(t, sigma)) for v, t in tau.entries))
 
 
-def rename_term(t: Term, mapping: dict[VarName, VarName]) -> Term:
-    """Rename free variables; names absent from the mapping are kept."""
-    if isinstance(t, Var):
-        return Var(mapping.get(t.name, t.name))
-    if isinstance(t, Coh):
-        sub = Substitution(
-            tuple((v, rename_term(u, mapping)) for v, u in t.sub.entries)
-        )
-        return Coh(t.ctx, t.ty, sub)
-    raise MalformedSyntax(f"not a term: {t!r}")
-
-
-def rename_type(ty: Type, mapping: dict[VarName, VarName]) -> Type:
-    if isinstance(ty, Star):
-        return ty
-    if isinstance(ty, Arr):
-        return Arr(
-            rename_term(ty.src, mapping),
-            rename_type(ty.base, mapping),
-            rename_term(ty.tgt, mapping),
-        )
-    raise MalformedSyntax(f"not a type: {ty!r}")
+def var_sub(mapping: dict[VarName, VarName], *items: Item) -> Substitution:
+    """The variable substitution that renames by mapping and sends every
+    other free variable of items to itself, so applying it to items never
+    raises SubstitutionUndefined."""
+    free = set().union(*map(free_vars, items))
+    return Substitution(tuple((v, Var(mapping.get(v, v))) for v in free))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +380,9 @@ def term_boundary(ctx: Context, t: Term, n: int, sign: Sign) -> Term:
 def _positional(ctx: Context, *types: Type) -> tuple[Type, ...]:
     """The entry types of ctx, then types, with the variables of ctx
     renamed to their positions."""
-    ren = {v: f"%{i}" for i, v in enumerate(ctx.vars)}
-    return tuple(rename_type(ty, ren) for ty in (*ctx._table.values(), *types))
+    types = (*ctx._table.values(), *types)
+    sigma = var_sub({v: f"%{i}" for i, v in enumerate(ctx.vars)}, *types)
+    return tuple(apply_sub_type(ty, sigma) for ty in types)
 
 
 def _shape(t: Coh) -> tuple[Type, ...]:

@@ -23,7 +23,6 @@ from .errors import (
     ArityMismatch,
     CattError,
     EndpointTypeMismatch,
-    GlobularityViolation,
     SupportViolation,
     TooDeep,
     TypeMismatch,
@@ -44,12 +43,8 @@ from .syntax import (
     Var,
     VarName,
     alpha_eq,  # noqa: F401  (bench/test_bench.py traces it as typecheck.alpha_eq)
-    apply_sub_term,
     apply_sub_type,
-    dim_term,
-    dim_type,
     support,
-    term_boundary,
     term_str,
     type_str,
 )
@@ -136,11 +131,6 @@ class _Judge:
             done.append((v, t))
             self.trace.append(f"sub-extend {v}")
 
-    def support_vars(self, ctx: Context, item: Item) -> frozenset[VarName]:
-        if self.mode is Mode.CATT_SA:
-            item = normalize(ctx, item, allow_disc_insertion=self.allow_disc_insertion)
-        return support(ctx, item)
-
     def infer(self, delta: Context, t: Term) -> Type:
         if isinstance(t, Var):
             ty = delta.lookup(t.name)  # raises UnknownVariable
@@ -152,8 +142,13 @@ class _Judge:
         self.check_type(gamma, head_ty)
         self.check_sub(delta, sigma, gamma)
 
+        # sa mode reads every support off one normal form: no redex sits at
+        # an arrow, so the endpoints of nf are the normal forms of head_ty's
+        nf = head_ty
+        if self.mode is Mode.CATT_SA:
+            nf = normalize(gamma, head_ty, allow_disc_insertion=self.allow_disc_insertion)
         full = frozenset(gamma.vars)
-        supp_ty = self.support_vars(gamma, head_ty)
+        supp_ty = support(gamma, nf)
         if supp_ty == full:
             self.trace.append("coh'")
             return apply_sub_type(head_ty, sigma)
@@ -162,11 +157,11 @@ class _Judge:
             f"{sorted(full)}"
         )
         k = tree_depth(tree) - 1
-        if isinstance(head_ty, Arr) and k >= 0:
+        if isinstance(nf, Arr) and k >= 0:
             src_vars = frozenset(all_labels(tree_boundary(tree, k, NEG)))
             tgt_vars = frozenset(all_labels(tree_boundary(tree, k, POS)))
-            supp_src = self.support_vars(gamma, head_ty.src)
-            supp_tgt = self.support_vars(gamma, head_ty.tgt)
+            supp_src = support(gamma, nf.src)
+            supp_tgt = support(gamma, nf.tgt)
             problems = []
             if supp_src != src_vars:
                 problems.append(
@@ -193,30 +188,6 @@ class _Judge:
                 f"expected {type_str(expected)}"
             )
         return expected
-
-    def well_formed_sub(self, gamma: Context, sigma: Substitution, delta: Context) -> None:
-        if not is_globular_ctx(gamma):
-            raise GlobularityViolation("source context contains a coherence")
-        _check_domain(sigma, gamma)
-        for v, ty in gamma.entries:
-            img = sigma.lookup(v)
-            self.infer(delta, img)
-            d = dim_type(ty)
-            if dim_term(delta, img) != d:
-                raise GlobularityViolation(
-                    f"image of '{v}' has dimension {dim_term(delta, img)}, "
-                    f"declared {d}"
-                )
-            if isinstance(ty, Arr):
-                for sign, endpoint in ((NEG, ty.src), (POS, ty.tgt)):
-                    got = term_boundary(delta, img, d - 1, sign)
-                    want = apply_sub_term(endpoint, sigma)
-                    if not self.equal(delta, got, want):
-                        raise GlobularityViolation(
-                            f"boundary {sign} of image of '{v}' is "
-                            f"{term_str(got)}, expected {term_str(want)}"
-                        )
-            self.trace.append(f"wf {v}")
 
 
 def _check_domain(sigma: Substitution, gamma: Context) -> None:
@@ -304,40 +275,3 @@ def infer_report(
     ctx: Context, t: Term, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
 ) -> TypingReport:
     return _report("term", term_str(t), mode, allow_disc_insertion, _Judge.infer, ctx, t)
-
-
-# ---------------------------------------------------------------------------
-# Well-formed substitutions out of globular contexts
-# ---------------------------------------------------------------------------
-
-
-def is_globular_ctx(ctx: Context) -> bool:
-    """True when no coherence occurs in any declared type."""
-
-    def term_ok(t: Term) -> bool:
-        return isinstance(t, Var)
-
-    def type_ok(ty: Type) -> bool:
-        if isinstance(ty, Star):
-            return True
-        assert isinstance(ty, Arr)
-        return term_ok(ty.src) and type_ok(ty.base) and term_ok(ty.tgt)
-
-    return all(type_ok(ty) for _, ty in ctx.entries)
-
-
-@bounded
-def check_well_formed_sub(
-    gamma: Context, sigma: Substitution, delta: Context, *, allow_disc_insertion: bool = True
-) -> TypingReport:
-    """Globularity-based well-formedness of sigma : gamma -> delta.
-
-    Every image must be well typed in delta with the dimension of its
-    declared type, and for arrow-typed cells the one-step boundaries of the
-    image must be definitionally equal to the images of the declared
-    endpoints.
-    """
-    return _report(
-        "well-formed-substitution", str(sigma), Mode.CATT_SA, allow_disc_insertion,
-        _Judge.well_formed_sub, gamma, sigma, delta,
-    )

@@ -10,6 +10,9 @@ outside it:
   a redex is);
 - eq_at_level, equality that is definitional below a dimension and
   structural from it on, and the regularity diagnostics;
+- check_well_formed_sub, the globularity-based judgement of a
+  substitution out of a globular context, against which the kernel's
+  check_sub and insertion's substitutions are tested;
 - check_pushout, the universal property of an insertion on concrete
   cones;
 - ordinals below omega^omega and the syntactic-depth measure that
@@ -27,10 +30,12 @@ from typing import Optional, Union
 from cattsa.errors import (
     CattError,
     DimensionError,
+    GlobularityViolation,
     HeadMismatch,
     IllTyped,
     MalformedSyntax,
     NotPasting,
+    bounded,
 )
 from cattsa.insertion import InsertionProblem, InsertionResult, insert_sub
 from cattsa.pasting import _unbiased_type
@@ -61,13 +66,15 @@ from cattsa.syntax import (
     Var,
     VarName,
     alpha_eq,
+    apply_sub_term,
+    apply_sub_type,
     compose_sub,
     dim_term,
     dim_type,
     identity_sub,
-    rename_type,
     term_boundary,
     term_str,
+    var_sub,
 )
 from cattsa.trees import (
     branching_height,
@@ -76,6 +83,7 @@ from cattsa.trees import (
     leaf_labels,
     linear_height,
 )
+from cattsa.typecheck import Mode, TypingReport, _check_domain, _Judge, _report
 
 # ---------------------------------------------------------------------------
 # Disc contexts
@@ -203,7 +211,7 @@ def _eq_terms(ctx: Context, a: Term, b: Term, n: int, allow: bool) -> bool:
         if len(a.ctx) != len(b.ctx) or not alpha_eq(a.ctx, b.ctx):
             return False
         ren = dict(zip(b.ctx.vars, a.ctx.vars))
-        if not _eq_types(a.ctx, a.ty, rename_type(b.ty, ren), n, allow):
+        if not _eq_types(a.ctx, a.ty, apply_sub_type(b.ty, var_sub(ren, b.ty)), n, allow):
             return False
         return _eq_subs(ctx, a.sub, b.sub, n, allow)
     return False
@@ -267,6 +275,70 @@ def regular_height(ctx: Context, t: Term) -> Height:
     if h is None:
         raise IllTyped(f"term is not regular: {term_str(t)}")
     return h
+
+
+# ---------------------------------------------------------------------------
+# Well-formed substitutions out of globular contexts
+# ---------------------------------------------------------------------------
+
+
+def is_globular_ctx(ctx: Context) -> bool:
+    """True when no coherence occurs in any declared type."""
+
+    def term_ok(t: Term) -> bool:
+        return isinstance(t, Var)
+
+    def type_ok(ty: Type) -> bool:
+        if isinstance(ty, Star):
+            return True
+        assert isinstance(ty, Arr)
+        return term_ok(ty.src) and type_ok(ty.base) and term_ok(ty.tgt)
+
+    return all(type_ok(ty) for _, ty in ctx.entries)
+
+
+def _well_formed_sub(
+    judge: _Judge, gamma: Context, sigma: Substitution, delta: Context
+) -> None:
+    if not is_globular_ctx(gamma):
+        raise GlobularityViolation("source context contains a coherence")
+    _check_domain(sigma, gamma)
+    for v, ty in gamma.entries:
+        img = sigma.lookup(v)
+        judge.infer(delta, img)
+        d = dim_type(ty)
+        if dim_term(delta, img) != d:
+            raise GlobularityViolation(
+                f"image of '{v}' has dimension {dim_term(delta, img)}, "
+                f"declared {d}"
+            )
+        if isinstance(ty, Arr):
+            for sign, endpoint in ((NEG, ty.src), (POS, ty.tgt)):
+                got = term_boundary(delta, img, d - 1, sign)
+                want = apply_sub_term(endpoint, sigma)
+                if not judge.equal(delta, got, want):
+                    raise GlobularityViolation(
+                        f"boundary {sign} of image of '{v}' is "
+                        f"{term_str(got)}, expected {term_str(want)}"
+                    )
+        judge.trace.append(f"wf {v}")
+
+
+@bounded
+def check_well_formed_sub(
+    gamma: Context, sigma: Substitution, delta: Context, *, allow_disc_insertion: bool = True
+) -> TypingReport:
+    """Globularity-based well-formedness of sigma : gamma -> delta.
+
+    Every image must be well typed in delta with the dimension of its
+    declared type, and for arrow-typed cells the one-step boundaries of the
+    image must be definitionally equal to the images of the declared
+    endpoints.
+    """
+    return _report(
+        "well-formed-substitution", str(sigma), Mode.CATT_SA, allow_disc_insertion,
+        _well_formed_sub, gamma, sigma, delta,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +468,7 @@ def _unique_factorisation(
         seen.add(t)
         pool_by_dim.setdefault(dim_term(gamma, t), []).append(t)
 
-    from_inner = {new: old for old, new in result.renaming}
+    from_inner = {new.name: old for old, new in result.internal}
     pinned: dict[VarName, Term] = {}
     for v in result.inserted.vars:
         if v in from_inner:

@@ -18,10 +18,11 @@ from cattsa.syntax import (
     Substitution,
     Var,
     alpha_eq,
+    apply_sub_type,
     compose_sub,
     dim_term,
     dim_type,
-    rename_type,
+    var_sub,
 )
 from cattsa.trees import ctx_to_tree, tree, tree_to_ctx
 from cattsa.typecheck import Mode, check_term, infer_term
@@ -272,7 +273,7 @@ def _chain_instance():
 def _renamed_copy(context: Context, suffix: str):
     ren = {v: v + suffix for v in context.vars}
     renamed = Context(
-        tuple((ren[v], rename_type(ty, ren)) for v, ty in context.entries)
+        tuple((ren[v], apply_sub_type(ty, var_sub(ren, ty))) for v, ty in context.entries)
     )
     rho = Substitution(tuple((v, Var(ren[v])) for v in context.vars))
     return renamed, rho

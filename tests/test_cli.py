@@ -361,8 +361,7 @@ def c (x : *) (f : x -> x) : x -> x := b [b [f]]
 
 
 def test_commands_on_a_term_too_deep_for_the_kernel(tmp_path, capsys):
-    # c elaborates but nests 600 levels deep; eq renames c apart before any
-    # check sees it
+    # c elaborates but nests 600 levels deep, past what the checks traverse
     path = _deep_def_file(tmp_path, 150, "def c (x : *) (f : x -> x) : x -> x := b [b [b [b [f]]]]\n")
     for argv in (["check", path], ["eq", path, "c", "c"], ["normalize", path, "c"],
                  ["infer", path, "c"]):
@@ -370,6 +369,17 @@ def test_commands_on_a_term_too_deep_for_the_kernel(tmp_path, capsys):
             assert cli.main([*argv, "--mode", mode]) == 1
             out, err = capsys.readouterr()
             assert (out, err) == ("", "error: a term is nested too deeply for the kernel\n")
+
+
+def test_eq_renames_only_when_the_telescopes_bind_other_names(tmp_path, capsys):
+    # c shares b's deep argument by object identity, so renaming it would
+    # copy that argument once per occurrence; both sides bind the same names
+    path = _deep_def_file(tmp_path, 200, "def c (x : *) (f : x -> x) : x -> x := b [b [f]]\n")
+    env = cli._load(path)[1]
+    assert cli._comparable_values(env, "c", "c")[2] is env["c"].value()
+    assert cli.main(["eq", path, "c", "c"]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: a term is nested too deeply for the kernel\n")
 
 
 PRODUCT_MODULES = {
@@ -386,6 +396,7 @@ ORACLE_NAMES = (
     "is_regular", "regular_height", "_regular",
     "step_candidates", "_steps", "_head_insertions",
     "DiscContext", "disc_var", "disc_context", "to_disc_sub",
+    "check_well_formed_sub", "is_globular_ctx",
 )
 
 

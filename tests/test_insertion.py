@@ -31,11 +31,12 @@ from cattsa.syntax import (
     Substitution,
     Var,
     alpha_eq,
+    apply_sub_type,
     compose_sub,
     dim_ctx,
     dim_term,
     identity_sub,
-    rename_type,
+    var_sub,
 )
 from cattsa.trees import (
     branching_height,
@@ -45,7 +46,6 @@ from cattsa.trees import (
     tree,
     tree_to_ctx,
 )
-from cattsa.typecheck import check_well_formed_sub
 from helpers import (
     CHAIN2,
     DELTA,
@@ -57,7 +57,7 @@ from helpers import (
     star,
     sub,
 )
-from oracles import check_pushout, disc_context
+from oracles import check_pushout, check_well_formed_sub, disc_context
 
 L = tree  # shorthand for small literal trees
 
@@ -122,7 +122,7 @@ def whisker_insertion_problem() -> InsertionProblem:
 
 def test_insert_ctx_worked_example_context_and_kappa():
     res = insert_ctx(whisker_insertion_problem())
-    assert dict(res.renaming) == {
+    assert {v: t.name for v, t in res.internal} == {
         "x": "x'",
         "y": "y'",
         "f": "f'",
@@ -173,7 +173,7 @@ def test_disjoint_inner_names_are_kept():
 
     prob = InsertionProblem(DELTA, "alpha", THETA_PRIMED, unbiased_type(THETA_PRIMED))
     res = insert_ctx(prob)
-    assert dict(res.renaming) == {v: v for v in THETA_PRIMED.vars}
+    assert {v: t.name for v, t in res.internal} == {v: v for v in THETA_PRIMED.vars}
     assert res.internal == identity_sub(THETA_PRIMED)
 
 
@@ -205,7 +205,7 @@ def test_insert_ctx_variable_bookkeeping():
     res = insert_ctx(whisker_insertion_problem())
     erased = {"x", "y", "f", "g", "alpha"}  # the support of alpha
     survivors = set(DELTA.vars) - erased
-    renamed = set(dict(res.renaming).values())
+    renamed = {t.name for t in res.internal.values}
     assert set(res.inserted.vars) == survivors | renamed
     assert is_pasting(res.inserted)
 
@@ -334,7 +334,7 @@ def test_insert_sub_accepts_alpha_renamed_argument():
     ren = dict(zip(prob.inner.vars, inner.vars))
     renamed = Coh(
         inner,
-        rename_type(prob.inner_type, ren),
+        apply_sub_type(prob.inner_type, var_sub(ren, prob.inner_type)),
         Substitution(tuple((ren[v], t) for v, t in tau.entries)),
     )
     assert renamed.ctx != prob.inner
@@ -374,7 +374,7 @@ def test_factorisation_equations():
 def _renamed_copy(context: Context, suffix: str):
     ren = {v: v + suffix for v in context.vars}
     renamed = Context(
-        tuple((ren[v], rename_type(ty, ren)) for v, ty in context.entries)
+        tuple((ren[v], apply_sub_type(ty, var_sub(ren, ty))) for v, ty in context.entries)
     )
     rho = Substitution(tuple((v, Var(ren[v])) for v in context.vars))
     return renamed, rho

@@ -8,18 +8,18 @@ import pickle
 
 import pytest
 
+from cattsa import pasting
 from cattsa.errors import (
     DuplicateVariable,
     NotPasting,
     SubstitutionUndefined,
     UnknownVariable,
 )
-from cattsa.reduction import _shape
 from cattsa.syntax import STAR, Context, Substitution, Var
 from cattsa.trees import ctx_to_tree, tree_to_ctx
 from helpers import arr, enumerate_trees
 
-MEMO_KEYS = ("_tree", "_redex_shape")
+MEMO_KEYS = ("_tree", "_pasting_shape")
 
 
 def _cold(c: Context) -> bool:
@@ -37,12 +37,12 @@ def test_memo_agrees_with_a_fresh_parse_and_is_invisible():
         before = (repr(fresh), hash(fresh))
         assert fresh == emitted and hash(fresh) == hash(emitted)
         assert ctx_to_tree(fresh) == t
-        shape = _shape(fresh)
+        shape = pasting.shape(fresh)
         assert not _cold(fresh)
         assert shape is not None and shape.tree == t
         # a second call returns the recorded values themselves
         assert ctx_to_tree(fresh) is ctx_to_tree(fresh)
-        assert _shape(fresh) is shape
+        assert pasting.shape(fresh) is shape
         assert (repr(fresh), hash(fresh)) == before
         assert fresh == emitted and repr(fresh) == repr(emitted)
         loaded = pickle.loads(pickle.dumps(fresh))
@@ -58,8 +58,8 @@ def test_non_pasting_context_raises_on_every_call():
         for _ in range(2):
             with pytest.raises(NotPasting):
                 ctx_to_tree(c)
-        assert _shape(c) is None
-        assert _shape(c) is None
+        assert pasting.shape(c) is None
+        assert pasting.shape(c) is None
         assert "_tree" not in c.__dict__
 
 

@@ -186,7 +186,7 @@ def test_concurrent_normalize_on_cold_memos():
                 contexts[id(context)] = context
                 _contexts(t, contexts)
             assert all(
-                "_tree" not in c.__dict__ and "_redex_shape" not in c.__dict__
+                "_tree" not in c.__dict__ and "_pasting_shape" not in c.__dict__
                 for c in contexts.values()
             )
             start = threading.Barrier(8)

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cattsa.errors import (
     DimensionError,
@@ -31,14 +32,18 @@ from cattsa.syntax import (
     dim_ctx,
     dim_term,
     dim_type,
+    free_vars,
     identity_sub,
     support,
     term_boundary,
     term_str,
     type_boundary,
     type_str,
+    var_sub,
 )
-from helpers import CHAIN2, DELTA, arr, chain, comp2, ctx, star, sub
+from helpers import CHAIN2, DELTA, PATTERNS, arr, chain, comp2, ctx, star, sub
+
+SEEDS = settings(derandomize=True, deadline=None, max_examples=25)
 
 F_CTX = ctx(("x", star), ("y", star), ("f", arr("x", star, "y")))
 
@@ -122,6 +127,61 @@ def test_compose_associative_on_samples():
     assert compose_sub(compose_sub(rho, tau), sig) == compose_sub(
         rho, compose_sub(tau, sig)
     )
+
+
+def _random_term(rng: random.Random, names: list[str], depth: int):
+    """A variable from names, or a coherence over a pattern with random
+    arguments; substitution never looks at typing, so none is kept."""
+    if depth == 0 or rng.random() < 0.4:
+        return Var(rng.choice(names))
+    pattern = rng.choice(PATTERNS)
+    args = tuple((v, _random_term(rng, names, depth - 1)) for v in pattern.vars)
+    return Coh(pattern, unbiased_type(pattern), Substitution(args))
+
+
+def _random_sub(rng: random.Random, domain: list[str], names: list[str]) -> Substitution:
+    return Substitution(tuple((v, _random_term(rng, names, 2)) for v in domain))
+
+
+@SEEDS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_compose_sub_is_associative(seed):
+    # rho assigns b-terms to a-names, tau c-terms to b-names, sig d-terms
+    # to c-names, so each composite is defined
+    rng = random.Random(seed)
+    a, b, c, d = ([f"{p}{i}" for i in range(rng.randint(1, 4))] for p in "abcd")
+    rho, tau, sig = _random_sub(rng, a, b), _random_sub(rng, b, c), _random_sub(rng, c, d)
+    assert compose_sub(compose_sub(rho, tau), sig) == compose_sub(rho, compose_sub(tau, sig))
+
+
+@SEEDS
+@given(seed=st.integers(0, 2**32 - 1))
+def test_renaming_by_a_bijection_and_back_gives_the_item(seed):
+    # the mapping permutes some names among themselves and fresh ones; every
+    # name outside it is kept, bound in no context of the item or not
+    rng = random.Random(seed)
+    names = [f"v{i}" for i in range(5)]
+    moved = rng.sample(names, rng.randint(0, len(names)))
+    images = rng.sample(moved + [f"w{i}" for i in range(3)], len(moved))
+    mapping = dict(zip(moved, images))
+    inverse = {w: v for v, w in mapping.items()}
+    t = _random_term(rng, names, 3)
+    for item in (t, Arr(t, star, _random_term(rng, names, 2))):
+        there = apply_sub(item, var_sub(mapping, item))
+        assert free_vars(there) == {mapping.get(v, v) for v in free_vars(item)}
+        assert apply_sub(there, var_sub(inverse, there)) == item
+
+
+def test_coherences_over_unbound_names_compare_and_hash():
+    # elaboration lets an unbound q through in (f : x -> q); the positional
+    # shape renames the bound names and keeps q
+    def coh(x, f, q):
+        pattern = ctx((x, star), (f, arr(x, star, q)))
+        return Coh(pattern, arr(x, star, q), sub((x, Var("u")), (f, Var("g"))))
+
+    a, b, c = coh("x", "f", "q"), coh("y", "h", "q"), coh("y", "h", "r")
+    assert a == b and hash(a) == hash(b)
+    assert a != c
 
 
 def test_type_boundary_base_clauses():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from cattsa import typecheck
 from cattsa.errors import (
     ArityMismatch,
     EndpointTypeMismatch,
@@ -14,7 +15,7 @@ from cattsa.errors import (
     TypeMismatch,
 )
 from cattsa.pasting import unbiased_term, unbiased_type
-from cattsa.reduction import def_eq, normalize_term
+from cattsa.reduction import def_eq, normalize, normalize_term
 from cattsa.syntax import (
     Arr,
     Coh,
@@ -31,10 +32,8 @@ from cattsa.typecheck import (
     check_sub,
     check_term,
     check_type,
-    check_well_formed_sub,
     equal,
     infer_term,
-    is_globular_ctx,
 )
 from helpers import (
     CHAIN2,
@@ -50,7 +49,7 @@ from helpers import (
     star,
     sub,
 )
-from oracles import step_candidates
+from oracles import check_well_formed_sub, is_globular_ctx, step_candidates
 
 POINT = ctx(("x", star))
 ARROW = ctx(("x", star), ("y", star), ("f", arr("x", star, "y")))
@@ -142,6 +141,22 @@ def test_binary_composite_infers_composite_type():
     t = comp2(amb, Var("m1"), Var("m2"))
     inferred = infer_term(amb, t)
     assert inferred == arr("u0", star, "u2")
+
+
+@pytest.mark.parametrize("mode, calls", [(Mode.CATT_SA, 1), (Mode.CATT, 0)])
+def test_the_coherence_rule_normalises_the_head_type_once(monkeypatch, mode, calls):
+    # comp [p, q] fails (coh') and passes (comp'): its three supports are
+    # read off one normal form of the head type
+    seen = []
+
+    def counting(*args, **kw):
+        seen.append(args)
+        return normalize(*args, **kw)
+
+    monkeypatch.setattr(typecheck, "normalize", counting)
+    amb = chain(2, "u", "m")
+    assert infer_term(amb, comp2(amb, Var("m1"), Var("m2")), mode) == arr("u0", star, "u2")
+    assert len(seen) == calls
 
 
 def test_identity_coherence_typechecks_by_full_support():
