@@ -56,6 +56,7 @@ from .trees import (
 )
 from .typecheck import (
     Mode,
+    Session,
     TypingReport,
     check_ctx,
     check_sub,

@@ -1,5 +1,9 @@
 """Command-line front end: definition environment, elaboration, commands.
 
+Each command makes all its typing judgements on one typecheck.Session.
+infer, normalize and eq check the telescope of each named declaration
+before its term, as check does.
+
 Exit codes: 0 success (or "equal"), 1 type error or "not equal", 2 usage
 or parse error.
 """
@@ -51,7 +55,7 @@ from .syntax import (
     var_sub,
 )
 from .trees import ctx_to_tree, tree_to_bracket
-from .typecheck import Mode, check_ctx, check_term, check_type, equal, infer_report
+from .typecheck import Mode, Session, TypingReport
 
 
 @dataclass(frozen=True)
@@ -226,32 +230,43 @@ def _load(path: str) -> tuple[SourceFile, Env]:
     return src, elaborate_file(src)
 
 
-def _check_decl(decl: Decl, mode: Mode, allow: bool = True) -> tuple[bool, str]:
-    report = check_ctx(decl.ctx, mode, allow_disc_insertion=allow)
+def _check_decl(decl: Decl, session: Session) -> tuple[bool, str]:
+    report = session.check_ctx(decl.ctx)
     if not report.ok:
         return False, report.message
     if decl.kind == "coh":
-        report = infer_report(decl.ctx, decl.value(), mode, allow_disc_insertion=allow)
+        report = session.infer_report(decl.ctx, decl.value())
         if not report.ok:
             return False, report.message
         return True, f"coh {decl.name}: ok"
-    report = check_type(decl.ctx, decl.ty, mode, allow_disc_insertion=allow)
+    report = session.check_type(decl.ctx, decl.ty)
     if not report.ok:
         return False, report.message
     assert decl.body is not None
-    report = check_term(decl.ctx, decl.body, decl.ty, mode, allow_disc_insertion=allow)
+    report = session.check_term(decl.ctx, decl.body, decl.ty)
     if not report.ok:
         return False, report.message
     return True, f"def {decl.name}: ok"
 
 
+def _session(args: argparse.Namespace) -> Session:
+    return Session(Mode(args.mode), allow_disc_insertion=not args.no_disc_insertion)
+
+
+def _failed(report: TypingReport, prefix: str = "") -> bool:
+    """Whether report failed; its message goes to stderr when it did."""
+    if not report.ok:
+        print(prefix + report.message, file=sys.stderr)
+    return not report.ok
+
+
 def cmd_check(args: argparse.Namespace) -> int:
-    mode, allow = Mode(args.mode), not args.no_disc_insertion
+    session = _session(args)
     src, env = _load(args.file)
     results = []
     ok = True
     for d in src.decls:
-        decl_ok, message = _check_decl(env[d.name], mode, allow)
+        decl_ok, message = _check_decl(env[d.name], session)
         if not decl_ok:
             message = f"{d.span.line}:{d.span.col}: {message}"
         ok = ok and decl_ok
@@ -265,7 +280,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             }
         )
     if args.json:
-        print(json.dumps({"command": "check", "mode": mode.value, "ok": ok, "results": results}, indent=2))
+        print(json.dumps({"command": "check", "mode": session.mode.value, "ok": ok, "results": results}, indent=2))
     else:
         for r in results:
             print(r["message"])
@@ -279,20 +294,20 @@ def _resolve(env: Env, name: str) -> Decl:
 
 
 def cmd_normalize(args: argparse.Namespace) -> int:
-    mode, allow = Mode(args.mode), not args.no_disc_insertion
+    session = _session(args)
     _, env = _load(args.file)
     decl = _resolve(env, args.name)
     term = decl.value()
-    report = infer_report(decl.ctx, term, mode, allow_disc_insertion=allow)
-    if not report.ok:
-        print(report.message, file=sys.stderr)
+    if _failed(session.check_ctx(decl.ctx)) or _failed(session.infer_report(decl.ctx, term)):
         return 1
     trace: list[str] = []
-    normal = reduction.normalize_term(decl.ctx, term, allow_disc_insertion=allow, trace=trace)
+    normal = reduction.normalize_term(
+        decl.ctx, term, allow_disc_insertion=session.allow_disc_insertion, trace=trace
+    )
     if args.json:
         out = {
             "command": "normalize",
-            "mode": mode.value,
+            "mode": session.mode.value,
             "name": args.name,
             "normal_form": term_str(normal),
             "trace": trace,
@@ -322,22 +337,25 @@ def _comparable_values(env: Env, name1: str, name2: str) -> tuple[Context, Term,
 
 
 def cmd_eq(args: argparse.Namespace) -> int:
-    mode, allow = Mode(args.mode), not args.no_disc_insertion
+    session = _session(args)
     _, env = _load(args.file)
-    ctx, t1, t2 = _comparable_values(env, args.name1, args.name2)
-    for name, t in ((args.name1, t1), (args.name2, t2)):
-        report = infer_report(ctx, t, mode, allow_disc_insertion=allow)
-        if not report.ok:
-            print(f"{name}: {report.message}", file=sys.stderr)
+    names = (args.name1, args.name2)
+    decls = [_resolve(env, name) for name in names]
+    for name, decl in zip(names, decls):
+        if _failed(session.check_ctx(decl.ctx), f"{name}: "):
             return 1
-    same = equal(mode, ctx, t1, t2, allow_disc_insertion=allow)
+    ctx, t1, t2 = _comparable_values(env, *names)
+    for name, t in zip(names, (t1, t2)):
+        if _failed(session.infer_report(ctx, t), f"{name}: "):
+            return 1
+    same = session.equal(ctx, t1, t2)
     verdict = "equal" if same else "not equal"
     if args.json:
         print(
             json.dumps(
                 {
                     "command": "eq",
-                    "mode": mode.value,
+                    "mode": session.mode.value,
                     "names": [args.name1, args.name2],
                     "equal": same,
                 },
@@ -350,24 +368,26 @@ def cmd_eq(args: argparse.Namespace) -> int:
 
 
 def cmd_infer(args: argparse.Namespace) -> int:
-    mode, allow = Mode(args.mode), not args.no_disc_insertion
+    session = _session(args)
     _, env = _load(args.file)
     decl = _resolve(env, args.name)
-    term = decl.value()
-    report = infer_report(decl.ctx, term, mode, allow_disc_insertion=allow)
-    if not report.ok:
-        print(report.message, file=sys.stderr)
+    if _failed(session.check_ctx(decl.ctx)):
+        return 1
+    report = session.infer_report(decl.ctx, decl.value())
+    if _failed(report):
         return 1
     assert report.inferred is not None
     inferred = report.inferred
-    if mode is Mode.CATT_SA:
-        inferred = reduction.normalize_type(decl.ctx, inferred, allow_disc_insertion=allow)
+    if session.mode is Mode.CATT_SA:
+        inferred = reduction.normalize_type(
+            decl.ctx, inferred, allow_disc_insertion=session.allow_disc_insertion
+        )
     if args.json:
         print(
             json.dumps(
                 {
                     "command": "infer",
-                    "mode": mode.value,
+                    "mode": session.mode.value,
                     "name": args.name,
                     "type": type_str(inferred),
                 },

@@ -31,8 +31,7 @@ from .syntax import (
     Type,
     VarName,
     apply_sub_type,
-    term_str,
-    type_str,
+    item_str,
 )
 from .trees import branching_height, is_linear, linear_height
 
@@ -218,14 +217,6 @@ def _fire(item: Item, position: Position, x: VarName) -> Item:
     return _with_child(item, *step, _fire(child, position[1:], x))
 
 
-def _render(item: Item) -> str:
-    if isinstance(item, Term):
-        return term_str(item)
-    if isinstance(item, Type):
-        return type_str(item)
-    return str(item)
-
-
 @bounded
 def normalize(
     ctx: Context,
@@ -253,7 +244,7 @@ def normalize(
             redex = _with_rule(kind, position)
             trace.append(
                 f"{redex.rule} at {redex.position_str()}: "
-                f"{_render(cur)} ⇝ {_render(result)}"
+                f"{item_str(cur)} ⇝ {item_str(result)}"
             )
         cur = result
 
@@ -272,9 +263,12 @@ def normalize_type(ctx: Context, ty: Type, **kw) -> Type:
 
 @bounded
 def def_eq(ctx: Context, a: Item, b: Item, *, allow_disc_insertion: bool = True) -> bool:
-    """Definitional equality: compare innermost-leftmost normal forms."""
+    """Definitional equality: equal items, or equal innermost-leftmost
+    normal forms."""
     if _kind_of(a) != _kind_of(b):
         return False
+    if a == b:
+        return True  # normal forms are unique
     na = normalize(ctx, a, allow_disc_insertion=allow_disc_insertion)
     nb = normalize(ctx, b, allow_disc_insertion=allow_disc_insertion)
     return na == nb

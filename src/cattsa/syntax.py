@@ -432,6 +432,15 @@ def type_str(ty: Type) -> str:
     return _type_str(ty)
 
 
+def item_str(item: Item | Context) -> str:
+    """The surface rendering of a term or type, and str of anything else."""
+    if isinstance(item, Term):
+        return term_str(item)
+    if isinstance(item, Type):
+        return type_str(item)
+    return str(item)
+
+
 def _term_str(t: Term) -> str:
     if isinstance(t, Var):
         return t.name

@@ -7,14 +7,18 @@ A context is pasting exactly when it is the emission of a tree
 (tree_to_ctx), so the strict parse ctx_to_tree is the pasting judgement;
 boundaries are read off the tree by tree_boundary.
 
-Trees are immutable values.  tree_to_ctx records the tree in the memo of
-the context it emits (syntax.Context.derived), and ctx_to_tree parses a
-context at most once, so a context built by insertion is never re-parsed.
+Trees are immutable values.  The constructor checks only that a node has
+one more label than branches; the builders from given labels, tree and
+bracket_to_tree, also check that the labels are pairwise distinct.
+tree_to_ctx records the tree in the memo of the context it emits
+(syntax.Context.derived), and ctx_to_tree parses a context at most once,
+so a context built by insertion is never re-parsed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import (
     DuplicateVariable,
@@ -41,18 +45,26 @@ class BataninTree:
                 f"tree needs |labels| = |branches| + 1, got {len(self.labels)} "
                 f"and {len(self.branches)}"
             )
-        seen: set[VarName] = set()
-        for name in all_labels(self):
-            if name in seen:
-                raise DuplicateVariable(name, "tree")
-            seen.add(name)
 
     def __str__(self) -> str:
         return tree_to_bracket(self)
 
 
 def tree(labels: list[VarName] | tuple[VarName, ...], branches=()) -> BataninTree:
-    return BataninTree(tuple(labels), tuple(branches))
+    return _distinct(BataninTree(tuple(labels), tuple(branches)))
+
+
+def _distinct(t: BataninTree) -> BataninTree:
+    """t, once its labels are checked pairwise distinct: a parse of a
+    context, a boundary, a relabelling by fresh names and a splice of
+    disjoint trees keep them so, and a check in the constructor would walk
+    every subtree once per node above it."""
+    seen: set[VarName] = set()
+    for name in all_labels(t):
+        if name in seen:
+            raise DuplicateVariable(name, "tree")
+        seen.add(name)
+    return t
 
 
 def all_labels(t: BataninTree) -> tuple[VarName, ...]:
@@ -173,16 +185,23 @@ def branching_path(t: BataninTree, x: VarName) -> TreePath:
     A branchless tree yields [0]; a label inside a linear branch yields the
     branch index; otherwise the index is prepended to the recursive path.
     """
-    if x not in leaf_labels(t):
+    found = _leaf_search(t, x)
+    if found is None:
         raise NotLocallyMaximal(x)
+    return found[0]
+
+
+def _leaf_search(t: BataninTree, x: VarName) -> Optional[tuple[TreePath, bool]]:
+    """The branching path of the leaf x in t and whether t is linear, in
+    one walk; None when x labels no leaf of t."""
     if not t.branches:
-        return (0,)
+        return ((0,), True) if t.labels[0] == x else None
     for n, br in enumerate(t.branches):
-        if x in all_labels(br):
-            if is_linear(br):
-                return (n,)
-            return (n,) + branching_path(br, x)
-    raise NotLocallyMaximal(x)
+        found = _leaf_search(br, x)
+        if found is not None:
+            path, linear = found
+            return ((n,) if linear else (n,) + path), linear and len(t.branches) == 1
+    return None
 
 
 def branching_height(t: BataninTree, x: VarName) -> int:
@@ -215,7 +234,7 @@ def bracket_to_tree(text: str) -> BataninTree:
     t, i = _parse_bracket(tokens, 0)
     if i != len(tokens):
         raise SurfaceSyntaxError("trailing input after tree", 1, i + 1)
-    return t
+    return _distinct(t)
 
 
 def _tokenize_brackets(text: str) -> list[str]:

@@ -2,21 +2,31 @@
 
 Two modes share one algorithm: the base mode compares types with ==,
 which ignores the names coherences bind, the strictly associative mode
-compares normal forms.  Each public entry point builds one private judge
-that holds the mode, the allow_disc_insertion setting (default True,
-passed on to every normalize and def_eq call) and the rule trace; the
-checkers are its methods, and no setting outlives the call.  The
-checkers call definitional equality on already-constructed syntax and
+compares normal forms, and tries == first: normal forms are unique, so
+equal types need no normalising.  A Session holds the mode, the
+allow_disc_insertion setting (default True, passed on to every normalize
+and def_eq call) and a memo of what the coherence rule has judged: the
+verdict on a head (its pasting tree, head type, sa normal form and
+supports) per (context, head type), and the inferred type per (context,
+term).  Both are keyed by object identity and hold their keys alive, so
+a subterm that elaboration shares is judged once however often it
+occurs; only successes are stored.  Each module function is one call on
+a fresh session, and the CLI builds one session per command.  Each call
+keeps its own rule trace, to which a memo hit adds no line for the
+judgement it recalls, so a shared session changes no verdict or message,
+only the trace of what was not recomputed.
+
+The checkers call definitional equality on already-constructed syntax and
 definitional equality never calls back into typing, which keeps the
-mutual definition well founded.  Every public entry point raises
-errors.TooDeep, not RecursionError, on a term too deep for the kernel,
-with the rendering of its subject inside the guard.
+mutual definition well founded.  Every entry point raises errors.TooDeep,
+not RecursionError, on a term too deep for the kernel.  A report renders
+its subject when it is read, with the printers, which raise TooDeep too.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
@@ -44,11 +54,12 @@ from .syntax import (
     VarName,
     alpha_eq,  # noqa: F401  (bench/test_bench.py traces it as typecheck.alpha_eq)
     apply_sub_type,
+    item_str,
     support,
     term_str,
     type_str,
 )
-from .trees import all_labels, ctx_to_tree, tree_boundary, tree_depth
+from .trees import BataninTree, all_labels, ctx_to_tree, tree_boundary, tree_depth
 
 
 class Mode(enum.Enum):
@@ -56,22 +67,19 @@ class Mode(enum.Enum):
     CATT_SA = "sa"
 
 
-@bounded
-def equal(
-    mode: Mode, ctx: Context, a: Item, b: Item, *, allow_disc_insertion: bool = True
-) -> bool:
-    return _Judge(mode, allow_disc_insertion).equal(ctx, a, b)
-
-
 @dataclass
 class TypingReport:
     ok: bool
     kind: str
-    subject: str
+    judged: Item | Context  # the context, type, substitution or term judged
     mode: Mode
     inferred: Optional[Type] = None
     rule_trace: tuple[str, ...] = ()
     error: Optional[CattError] = None
+
+    @property
+    def subject(self) -> str:
+        return item_str(self.judged)
 
     @property
     def message(self) -> str:
@@ -80,26 +88,78 @@ class TypingReport:
         return f"{self.kind} {self.subject}: {self.error}"
 
 
+class Session:
+    """The setting of a run of judgements and what they have established.
+
+    Sharing one session between calls, or between threads, changes no
+    verdict: a memo entry is a function of its key objects, the mode and
+    the setting, and two threads that race to fill it store equal values.
+    """
+
+    def __init__(self, mode: Mode, *, allow_disc_insertion: bool = True) -> None:
+        self.mode = mode
+        self.allow_disc_insertion = allow_disc_insertion
+        # (id(gamma), id(head type)) -> (gamma, head type, rule)
+        self._heads: dict[tuple[int, int], tuple[Context, Type, str]] = {}
+        # (id(delta), id(term)) -> (delta, term, inferred type)
+        self._inferred: dict[tuple[int, int], tuple[Context, Term, Type]] = {}
+
+    @bounded
+    def equal(self, ctx: Context, a: Item, b: Item) -> bool:
+        return _Judge(self).equal(ctx, a, b)
+
+    @bounded
+    def check_ctx(self, ctx: Context) -> TypingReport:
+        return _report(self, "context", ctx, _Judge.check_ctx, ctx)
+
+    @bounded
+    def check_type(self, ctx: Context, ty: Type) -> TypingReport:
+        return _report(self, "type", ty, _Judge.check_type, ctx, ty)
+
+    @bounded
+    def check_sub(
+        self, delta: Context, sigma: Substitution, gamma: Context
+    ) -> TypingReport:
+        return _report(self, "substitution", sigma, _Judge.check_sub, delta, sigma, gamma)
+
+    @bounded
+    def check_term(self, ctx: Context, t: Term, ty: Type) -> TypingReport:
+        return _report(self, "term", t, _Judge.check_term, ctx, t, ty)
+
+    @bounded
+    def infer_term(self, ctx: Context, t: Term) -> Type:
+        """Inferred type of a term; the substituted head type is returned
+        as constructed, not normalised."""
+        return _Judge(self).infer(ctx, t)
+
+    @bounded
+    def infer_report(self, ctx: Context, t: Term) -> TypingReport:
+        return _report(self, "term", t, _Judge.infer, ctx, t)
+
+
 # ---------------------------------------------------------------------------
 # Internal checkers (raise on failure, append to the rule trace)
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class _Judge:
-    """The setting of one public call: the mode, whether disc-shaped
-    arguments are inserted, and the rule trace the checkers append to.
-    Built afresh by every entry point and never shared between calls."""
+    """The checkers of one call: they read and fill the memo of its
+    session and append to the call's own rule trace."""
 
-    mode: Mode
-    allow_disc_insertion: bool
-    trace: list[str] = field(default_factory=list)
+    def __init__(self, session: Session, trace: Optional[list[str]] = None) -> None:
+        self.mode = session.mode
+        self.allow_disc_insertion = session.allow_disc_insertion
+        self.heads = session._heads
+        self.inferred = session._inferred
+        self.trace: list[str] = [] if trace is None else trace
 
     def equal(self, ctx: Context, a: Item, b: Item) -> bool:
         # the checkers call this unguarded form, so that a RecursionError
         # reaches their entry point's guard and is not reported as a failure
+        if a == b:
+            return True  # normal forms are unique
         if self.mode is Mode.CATT:
-            return a == b
+            return False
         return def_eq(ctx, a, b, allow_disc_insertion=self.allow_disc_insertion)
 
     def check_ctx(self, ctx: Context) -> None:
@@ -132,16 +192,44 @@ class _Judge:
             self.trace.append(f"sub-extend {v}")
 
     def infer(self, delta: Context, t: Term) -> Type:
+        # the memo lookups are inline: a helper would add a frame per level
+        # of nesting, and the nesting bound is set by the frames per level
         if isinstance(t, Var):
             ty = delta.lookup(t.name)  # raises UnknownVariable
             self.trace.append(f"var' {t.name}")
             return ty
         assert isinstance(t, Coh)
+        key = (id(delta), id(t))
+        hit = self.inferred.get(key)
+        if hit is not None:
+            return hit[2]
         gamma, head_ty, sigma = t.ctx, t.ty, t.sub
-        tree = ctx_to_tree(gamma)  # raises NotPasting
-        self.check_type(gamma, head_ty)
+        head_key = (id(gamma), id(head_ty))
+        head = self.heads.get(head_key)
+        if head is not None:
+            rule: str | SupportViolation = head[2]
+        else:
+            tree = ctx_to_tree(gamma)  # raises NotPasting
+            self.check_type(gamma, head_ty)
+            # stored before the arguments are checked, so that nested
+            # coherences with this head find it
+            rule = self.head_rule(gamma, head_ty, tree)
+            if isinstance(rule, str):
+                self.heads[head_key] = (gamma, head_ty, rule)
         self.check_sub(delta, sigma, gamma)
+        if not isinstance(rule, str):
+            raise rule
+        self.trace.append(rule)
+        ty = apply_sub_type(head_ty, sigma)
+        self.inferred[key] = (delta, t, ty)
+        return ty
 
+    def head_rule(
+        self, gamma: Context, head_ty: Type, tree: BataninTree
+    ) -> str | SupportViolation:
+        """The rule, coh' or comp', whose support condition the head type
+        meets, or the violation when it meets neither: it is raised once
+        the substitution checks, whose errors come first."""
         # sa mode reads every support off one normal form: no redex sits at
         # an arrow, so the endpoints of nf are the normal forms of head_ty's
         nf = head_ty
@@ -150,8 +238,7 @@ class _Judge:
         full = frozenset(gamma.vars)
         supp_ty = support(gamma, nf)
         if supp_ty == full:
-            self.trace.append("coh'")
-            return apply_sub_type(head_ty, sigma)
+            return "coh'"
         coh_failure = (
             f"(coh') support {sorted(supp_ty)} is not the whole context "
             f"{sorted(full)}"
@@ -174,10 +261,9 @@ class _Judge:
                     f"{sorted(tgt_vars)}"
                 )
             if not problems:
-                self.trace.append("comp'")
-                return apply_sub_type(head_ty, sigma)
-            raise SupportViolation(f"(comp') {'; '.join(problems)}; {coh_failure}")
-        raise SupportViolation(coh_failure)
+                return "comp'"
+            return SupportViolation(f"(comp') {'; '.join(problems)}; {coh_failure}")
+        return SupportViolation(coh_failure)
 
     def check_term(self, delta: Context, t: Term, expected: Type) -> Type:
         """Check t against expected; returns expected."""
@@ -198,41 +284,43 @@ def _check_domain(sigma: Substitution, gamma: Context) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# Public interface
-# ---------------------------------------------------------------------------
-
-
-def _report(kind: str, subject: str, mode: Mode, allow: bool, check, *args) -> TypingReport:
-    """Run check(judge, *args) with a fresh judge; its result is the
+def _report(session: Session, kind: str, judged, check, *args) -> TypingReport:
+    """Run check(judge, *args) with a judge on session; its result is the
     report's inferred type."""
     trace: list[str] = []
+    mode = session.mode
     try:
-        inferred = check(_Judge(mode, allow, trace), *args)
+        inferred = check(_Judge(session, trace), *args)
     except TooDeep:
         raise  # from a guarded reduction call: not a typing failure
     except CattError as exc:
-        return TypingReport(False, kind, subject, mode, error=exc, rule_trace=tuple(trace))
-    return TypingReport(True, kind, subject, mode, inferred=inferred, rule_trace=tuple(trace))
+        return TypingReport(False, kind, judged, mode, error=exc, rule_trace=tuple(trace))
+    return TypingReport(True, kind, judged, mode, inferred=inferred, rule_trace=tuple(trace))
 
 
-@bounded
+# ---------------------------------------------------------------------------
+# Public interface: one call on a fresh session each
+# ---------------------------------------------------------------------------
+
+
+def equal(
+    mode: Mode, ctx: Context, a: Item, b: Item, *, allow_disc_insertion: bool = True
+) -> bool:
+    return Session(mode, allow_disc_insertion=allow_disc_insertion).equal(ctx, a, b)
+
+
 def check_ctx(
     ctx: Context, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
 ) -> TypingReport:
-    return _report("context", str(ctx), mode, allow_disc_insertion, _Judge.check_ctx, ctx)
+    return Session(mode, allow_disc_insertion=allow_disc_insertion).check_ctx(ctx)
 
 
-@bounded
 def check_type(
     ctx: Context, ty: Type, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
 ) -> TypingReport:
-    return _report(
-        "type", type_str(ty), mode, allow_disc_insertion, _Judge.check_type, ctx, ty
-    )
+    return Session(mode, allow_disc_insertion=allow_disc_insertion).check_type(ctx, ty)
 
 
-@bounded
 def check_sub(
     delta: Context,
     sigma: Substitution,
@@ -241,13 +329,10 @@ def check_sub(
     *,
     allow_disc_insertion: bool = True,
 ) -> TypingReport:
-    return _report(
-        "substitution", str(sigma), mode, allow_disc_insertion, _Judge.check_sub,
-        delta, sigma, gamma,
-    )
+    session = Session(mode, allow_disc_insertion=allow_disc_insertion)
+    return session.check_sub(delta, sigma, gamma)
 
 
-@bounded
 def check_term(
     ctx: Context,
     t: Term,
@@ -256,22 +341,18 @@ def check_term(
     *,
     allow_disc_insertion: bool = True,
 ) -> TypingReport:
-    return _report(
-        "term", term_str(t), mode, allow_disc_insertion, _Judge.check_term, ctx, t, ty
-    )
+    return Session(mode, allow_disc_insertion=allow_disc_insertion).check_term(ctx, t, ty)
 
 
-@bounded
 def infer_term(
     ctx: Context, t: Term, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
 ) -> Type:
     """Inferred type of a term; the substituted head type is returned as
     constructed, not normalised."""
-    return _Judge(mode, allow_disc_insertion).infer(ctx, t)
+    return Session(mode, allow_disc_insertion=allow_disc_insertion).infer_term(ctx, t)
 
 
-@bounded
 def infer_report(
     ctx: Context, t: Term, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
 ) -> TypingReport:
-    return _report("term", term_str(t), mode, allow_disc_insertion, _Judge.infer, ctx, t)
+    return Session(mode, allow_disc_insertion=allow_disc_insertion).infer_report(ctx, t)

@@ -83,7 +83,7 @@ from cattsa.trees import (
     leaf_labels,
     linear_height,
 )
-from cattsa.typecheck import Mode, TypingReport, _check_domain, _Judge, _report
+from cattsa.typecheck import Mode, Session, TypingReport, _check_domain, _Judge, _report
 
 # ---------------------------------------------------------------------------
 # Disc contexts
@@ -336,8 +336,8 @@ def check_well_formed_sub(
     endpoints.
     """
     return _report(
-        "well-formed-substitution", str(sigma), Mode.CATT_SA, allow_disc_insertion,
-        _well_formed_sub, gamma, sigma, delta,
+        Session(Mode.CATT_SA, allow_disc_insertion=allow_disc_insertion),
+        "well-formed-substitution", sigma, _well_formed_sub, gamma, sigma, delta,
     )
 
 

@@ -25,7 +25,7 @@ from cattsa.syntax import (
     var_sub,
 )
 from cattsa.trees import ctx_to_tree, tree, tree_to_ctx
-from cattsa.typecheck import Mode, check_term, infer_term
+from cattsa.typecheck import Mode, Session, check_term, infer_term
 from cattsa import cli
 from helpers import (
     CHAIN2,
@@ -453,7 +453,7 @@ def test_criterion_7_typechecker_surface():
     valid = 0
     for d in header.decls:
         started = time.perf_counter()
-        ok, message = cli._check_decl(env[d.name], Mode.CATT_SA)
+        ok, message = cli._check_decl(env[d.name], Session(Mode.CATT_SA))
         assert ok, message
         assert time.perf_counter() - started < 1.0
         valid += 1
@@ -467,7 +467,7 @@ def test_criterion_7_typechecker_surface():
         try:
             bad_env = cli.elaborate_file(parse(source))
             name = parse(source).decls[-1].name
-            ok, _ = cli._check_decl(bad_env[name], Mode.CATT_SA)
+            ok, _ = cli._check_decl(bad_env[name], Session(Mode.CATT_SA))
             rejected = not ok
         except Exception:
             rejected = True

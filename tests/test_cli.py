@@ -292,6 +292,33 @@ def two (x : *) (y : *) (a : x -> y) (z : *) (b : y -> z) : x -> z := comp [a, b
     assert cli.main(["eq", str(p), "one", "two"]) == 1
 
 
+BAD_TELESCOPES = HEADER + """
+def bad (x : *) (f : x -> q) : x -> q := f
+def bad2 (y : *) (g : y -> q) : y -> q := g
+"""
+
+
+@pytest.mark.parametrize("mode", ["sa", "catt"])
+def test_commands_check_the_telescope_first(tmp_path, capsys, mode):
+    # the terms f and g type in their telescopes; the telescopes do not check
+    p = tmp_path / "telescopes.catt"
+    p.write_text(BAD_TELESCOPES)
+    path = str(p)
+    assert cli.main(["check", path, "--mode", mode]) == 1
+    out, _ = capsys.readouterr()
+    message = "context (x : *) (f : x -> q): unknown variable 'q' in context"
+    assert f"5:1: {message}" in out.splitlines()
+    for argv, err in (
+        (["infer", path, "bad"], message),
+        (["normalize", path, "bad", "--trace"], message),
+        (["eq", path, "bad", "bad2", "--json"], f"bad: {message}"),
+        (["eq", path, "bad2", "bad"],
+         "bad2: context (y : *) (g : y -> q): unknown variable 'q' in context"),
+    ):
+        assert cli.main([*argv, "--mode", mode]) == 1
+        assert capsys.readouterr() == ("", err + "\n")
+
+
 def test_cli_verdicts_agree_with_kernel(assoc_file):
     env = cli.elaborate_file(parse(ASSOC))
     left, right = env["left"], env["right"]
