@@ -11,15 +11,7 @@ from .insertion import (
     insert_tree,
     type_linear_height,
 )
-from .pasting import (
-    boundary_ctx,
-    is_disc_ctx,
-    is_pasting,
-    is_unbiased,
-    locally_maximal,
-    unbiased_term,
-    unbiased_type,
-)
+from .pasting import unbiased_type
 from .reduction import Redex, def_eq, normalize
 from .syntax import (
     NEG,
@@ -36,7 +28,6 @@ from .syntax import (
     alpha_eq,
     apply_sub,
     compose_sub,
-    dim_ctx,
     dim_term,
     dim_type,
     identity_sub,
@@ -54,15 +45,6 @@ from .trees import (
     tree_to_bracket,
     tree_to_ctx,
 )
-from .typecheck import (
-    Mode,
-    Session,
-    TypingReport,
-    check_ctx,
-    check_sub,
-    check_term,
-    check_type,
-    infer_term,
-)
+from .typecheck import Mode, Session, TypingReport
 
 __version__ = "0.1.0"

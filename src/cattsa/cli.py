@@ -5,7 +5,7 @@ infer, normalize and eq check the telescope of each named declaration
 before its term, as check does.
 
 Exit codes: 0 success (or "equal"), 1 type error or "not equal", 2 usage
-or parse error.
+or parse error, or a file that cannot be read as UTF-8 text.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import reduction
-from .errors import CattError, ElaborationError, SurfaceSyntaxError, bounded
+from .errors import CattError, ElaborationError, SurfaceSyntaxError, UnreadableFile, bounded
 from .insertion import InsertionProblem, insert_ctx
 from .parser import (
     SourceFile,
@@ -224,8 +224,13 @@ def elaborate_decl(d: SrcDecl, env: Env) -> Decl:
 
 
 def _load(path: str) -> tuple[SourceFile, Env]:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except OSError as exc:  # missing, a directory, not permitted
+        raise UnreadableFile(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise UnreadableFile(f"'{path}' is not UTF-8 text: {exc}") from None
     src = parse(text)
     return src, elaborate_file(src)
 
@@ -300,8 +305,9 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     term = decl.value()
     if _failed(session.check_ctx(decl.ctx)) or _failed(session.infer_report(decl.ctx, term)):
         return 1
-    trace: list[str] = []
-    normal = reduction.normalize_term(
+    # each step renders the whole term twice: collect only a trace that is shown
+    trace: Optional[list[str]] = [] if args.trace or args.json else None
+    normal = reduction.normalize(
         decl.ctx, term, allow_disc_insertion=session.allow_disc_insertion, trace=trace
     )
     if args.json:
@@ -379,7 +385,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     assert report.inferred is not None
     inferred = report.inferred
     if session.mode is Mode.CATT_SA:
-        inferred = reduction.normalize_type(
+        inferred = reduction.normalize(
             decl.ctx, inferred, allow_disc_insertion=session.allow_disc_insertion
         )
     if args.json:
@@ -519,7 +525,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SurfaceSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except UnreadableFile as exc:
         print(f"cannot read file: {exc}", file=sys.stderr)
         return 2
     except CattError as exc:

@@ -82,10 +82,6 @@ class SupportViolation(IllTyped):
     pass
 
 
-class GlobularityViolation(IllTyped):
-    pass
-
-
 class TooDeep(CattError):
     """A term is nested deeper than the kernel's recursion can traverse."""
 
@@ -120,3 +116,7 @@ class ElaborationError(CattError):
         self.col = col
         where = f"{line}:{col}: " if line else ""
         super().__init__(f"{where}{message}")
+
+
+class UnreadableFile(CattError):
+    """A source file that cannot be opened or is not UTF-8 text."""

@@ -1,4 +1,4 @@
-"""Parser and printer for the surface language.
+"""Parser for the surface language.
 
 A source file is a sequence of declarations::
 
@@ -254,34 +254,3 @@ def parse_telescope(text: str) -> tuple[tuple[str, SrcType], ...]:
         raise p.fail("trailing input after telescope")
     return tele
 
-
-# ---------------------------------------------------------------------------
-# Printing (inverse of parse up to whitespace)
-# ---------------------------------------------------------------------------
-
-
-def print_term(t: SrcTerm) -> str:
-    if isinstance(t, SrcVar):
-        return t.name
-    assert isinstance(t, SrcApp)
-    return f"{t.name} [{', '.join(print_term(a) for a in t.args)}]"
-
-
-def print_type(ty: SrcType) -> str:
-    if isinstance(ty, SrcStar):
-        return "*"
-    assert isinstance(ty, SrcArrow)
-    return f"{print_term(ty.src)} -> {print_term(ty.tgt)}"
-
-
-def print_decl(d: SrcDecl) -> str:
-    tele = " ".join(f"({v} : {print_type(ty)})" for v, ty in d.telescope)
-    head = f"{d.kind} {d.name}" + (f" {tele}" if tele else "")
-    line = f"{head} : {print_type(d.ty)}"
-    if d.body is not None:
-        line += f" := {print_term(d.body)}"
-    return line
-
-
-def print_file(f: SourceFile) -> str:
-    return "\n".join(print_decl(d) for d in f.decls) + ("\n" if f.decls else "")

@@ -249,18 +249,6 @@ def normalize(
         cur = result
 
 
-def normalize_term(ctx: Context, t: Term, **kw) -> Term:
-    out = normalize(ctx, t, **kw)
-    assert isinstance(out, Term)
-    return out
-
-
-def normalize_type(ctx: Context, ty: Type, **kw) -> Type:
-    out = normalize(ctx, ty, **kw)
-    assert isinstance(out, Type)
-    return out
-
-
 @bounded
 def def_eq(ctx: Context, a: Item, b: Item, *, allow_disc_insertion: bool = True) -> bool:
     """Definitional equality: equal items, or equal innermost-leftmost

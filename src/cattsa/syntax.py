@@ -228,10 +228,6 @@ def dim_type(ty: Type) -> int:
     return d
 
 
-def dim_ctx(ctx: Context) -> int:
-    return max((dim_type(ty) for _, ty in ctx.entries), default=-1)
-
-
 def dim_term(ctx: Context, t: Term) -> int:
     if isinstance(t, Var):
         return dim_type(ctx.lookup(t.name))

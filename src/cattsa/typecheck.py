@@ -10,17 +10,18 @@ verdict on a head (its pasting tree, head type, sa normal form and
 supports) per (context, head type), and the inferred type per (context,
 term).  Both are keyed by object identity and hold their keys alive, so
 a subterm that elaboration shares is judged once however often it
-occurs; only successes are stored.  Each module function is one call on
-a fresh session, and the CLI builds one session per command.  Each call
-keeps its own rule trace, to which a memo hit adds no line for the
+occurs; only successes are stored.  The session's methods are the only
+typing entry points, and the CLI builds one session per command.  Each
+call keeps its own rule trace, to which a memo hit adds no line for the
 judgement it recalls, so a shared session changes no verdict or message,
 only the trace of what was not recomputed.
 
 The checkers call definitional equality on already-constructed syntax and
 definitional equality never calls back into typing, which keeps the
-mutual definition well founded.  Every entry point raises errors.TooDeep,
-not RecursionError, on a term too deep for the kernel.  A report renders
-its subject when it is read, with the printers, which raise TooDeep too.
+mutual definition well founded.  Every Session method raises
+errors.TooDeep, not RecursionError, on a term too deep for the kernel.
+A report renders its subject when it is read, with the printers, which
+raise TooDeep too.
 """
 
 from __future__ import annotations
@@ -297,62 +298,3 @@ def _report(session: Session, kind: str, judged, check, *args) -> TypingReport:
         return TypingReport(False, kind, judged, mode, error=exc, rule_trace=tuple(trace))
     return TypingReport(True, kind, judged, mode, inferred=inferred, rule_trace=tuple(trace))
 
-
-# ---------------------------------------------------------------------------
-# Public interface: one call on a fresh session each
-# ---------------------------------------------------------------------------
-
-
-def equal(
-    mode: Mode, ctx: Context, a: Item, b: Item, *, allow_disc_insertion: bool = True
-) -> bool:
-    return Session(mode, allow_disc_insertion=allow_disc_insertion).equal(ctx, a, b)
-
-
-def check_ctx(
-    ctx: Context, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
-) -> TypingReport:
-    return Session(mode, allow_disc_insertion=allow_disc_insertion).check_ctx(ctx)
-
-
-def check_type(
-    ctx: Context, ty: Type, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
-) -> TypingReport:
-    return Session(mode, allow_disc_insertion=allow_disc_insertion).check_type(ctx, ty)
-
-
-def check_sub(
-    delta: Context,
-    sigma: Substitution,
-    gamma: Context,
-    mode: Mode = Mode.CATT_SA,
-    *,
-    allow_disc_insertion: bool = True,
-) -> TypingReport:
-    session = Session(mode, allow_disc_insertion=allow_disc_insertion)
-    return session.check_sub(delta, sigma, gamma)
-
-
-def check_term(
-    ctx: Context,
-    t: Term,
-    ty: Type,
-    mode: Mode = Mode.CATT_SA,
-    *,
-    allow_disc_insertion: bool = True,
-) -> TypingReport:
-    return Session(mode, allow_disc_insertion=allow_disc_insertion).check_term(ctx, t, ty)
-
-
-def infer_term(
-    ctx: Context, t: Term, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
-) -> Type:
-    """Inferred type of a term; the substituted head type is returned as
-    constructed, not normalised."""
-    return Session(mode, allow_disc_insertion=allow_disc_insertion).infer_term(ctx, t)
-
-
-def infer_report(
-    ctx: Context, t: Term, mode: Mode = Mode.CATT_SA, *, allow_disc_insertion: bool = True
-) -> TypingReport:
-    return Session(mode, allow_disc_insertion=allow_disc_insertion).infer_report(ctx, t)

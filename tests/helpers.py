@@ -11,7 +11,18 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from cattsa.pasting import maximal_vars, unbiased_term, unbiased_type
+from cattsa.errors import DimensionError
+from cattsa.parser import (
+    SourceFile,
+    SrcApp,
+    SrcArrow,
+    SrcDecl,
+    SrcStar,
+    SrcTerm,
+    SrcType,
+    SrcVar,
+)
+from cattsa.pasting import _unbiased_term, maximal_vars, unbiased_type
 from cattsa.reduction import normalize
 from cattsa.syntax import (
     NEG,
@@ -24,6 +35,7 @@ from cattsa.syntax import (
     Term,
     Type,
     Star,
+    Sign,
     Var,
     dim_term,
     dim_type,
@@ -32,7 +44,14 @@ from cattsa.syntax import (
     type_boundary,
     type_str,
 )
-from cattsa.trees import BataninTree, bracket_to_tree, tree_to_ctx
+from cattsa.trees import (
+    BataninTree,
+    bracket_to_tree,
+    ctx_to_tree,
+    tree_boundary,
+    tree_depth,
+    tree_to_ctx,
+)
 from oracles import disc_context, step_candidates, to_disc_sub
 
 star = STAR
@@ -65,6 +84,59 @@ def chain(n: int, pref: str = "x", cell: str = "a") -> Context:
 
 def ctx_of_bracket(text: str) -> Context:
     return tree_to_ctx(bracket_to_tree(text))
+
+
+
+# ---------------------------------------------------------------------------
+# References the kernel does not run: dimension, boundary and unbiased
+# composite of a context, and the printer of the surface language
+# ---------------------------------------------------------------------------
+
+
+def dim_ctx(context: Context) -> int:
+    return max((dim_type(ty) for _, ty in context.entries), default=-1)
+
+
+def boundary_ctx(context: Context, sign: Sign) -> Context:
+    """The source (-) or target (+) pasting context, one dimension down."""
+    t = ctx_to_tree(context)
+    d = tree_depth(t)
+    if d < 1:
+        raise DimensionError("boundary of a 0-dimensional pasting context")
+    return tree_to_ctx(tree_boundary(t, d - 1, sign))
+
+
+def unbiased_term(context: Context) -> Term:
+    """The canonical composite term over a pasting context."""
+    return _unbiased_term(ctx_to_tree(context))
+
+
+def print_term(t: SrcTerm) -> str:
+    if isinstance(t, SrcVar):
+        return t.name
+    assert isinstance(t, SrcApp)
+    return f"{t.name} [{', '.join(print_term(a) for a in t.args)}]"
+
+
+def print_type(ty: SrcType) -> str:
+    if isinstance(ty, SrcStar):
+        return "*"
+    assert isinstance(ty, SrcArrow)
+    return f"{print_term(ty.src)} -> {print_term(ty.tgt)}"
+
+
+def print_decl(d: SrcDecl) -> str:
+    tele = " ".join(f"({v} : {print_type(ty)})" for v, ty in d.telescope)
+    head = f"{d.kind} {d.name}" + (f" {tele}" if tele else "")
+    line = f"{head} : {print_type(d.ty)}"
+    if d.body is not None:
+        line += f" := {print_term(d.body)}"
+    return line
+
+
+def print_file(f: SourceFile) -> str:
+    """The inverse of parse, up to whitespace."""
+    return "\n".join(print_decl(d) for d in f.decls) + ("\n" if f.decls else "")
 
 
 # The worked example contexts: Delta has three parallel arrows with two

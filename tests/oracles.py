@@ -12,7 +12,8 @@ outside it:
   structural from it on, and the regularity diagnostics;
 - check_well_formed_sub, the globularity-based judgement of a
   substitution out of a globular context, against which the kernel's
-  check_sub and insertion's substitutions are tested;
+  check_sub and insertion's substitutions are tested, and its error
+  GlobularityViolation;
 - check_pushout, the universal property of an insertion on concrete
   cones;
 - ordinals below omega^omega and the syntactic-depth measure that
@@ -30,7 +31,6 @@ from typing import Optional, Union
 from cattsa.errors import (
     CattError,
     DimensionError,
-    GlobularityViolation,
     HeadMismatch,
     IllTyped,
     MalformedSyntax,
@@ -84,6 +84,11 @@ from cattsa.trees import (
     linear_height,
 )
 from cattsa.typecheck import Mode, Session, TypingReport, _check_domain, _Judge, _report
+
+
+class GlobularityViolation(IllTyped):
+    """A substitution out of a globular context that is not well formed."""
+
 
 # ---------------------------------------------------------------------------
 # Disc contexts

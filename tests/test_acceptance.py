@@ -25,7 +25,7 @@ from cattsa.syntax import (
     var_sub,
 )
 from cattsa.trees import ctx_to_tree, tree, tree_to_ctx
-from cattsa.typecheck import Mode, Session, check_term, infer_term
+from cattsa.typecheck import Mode, Session
 from cattsa import cli
 from helpers import (
     CHAIN2,
@@ -488,7 +488,7 @@ def _wf_entry_ok(gamma, sigma_prefix, v, ty, img, delta) -> bool:
     from cattsa.syntax import Arr, apply_sub_term, term_boundary
 
     try:
-        infer_term(delta, img, Mode.CATT_SA)
+        Session(Mode.CATT_SA).infer_term(delta, img)
         d = dim_type(ty)
         if dim_term(delta, img) != d:
             return False
@@ -509,7 +509,7 @@ def _sub_entry_ok(gamma_prefix_ty, sigma_prefix, img, delta) -> bool:
 
     try:
         expected = apply_sub_type(gamma_prefix_ty, sigma_prefix)
-        return check_term(delta, img, expected, Mode.CATT_SA).ok
+        return Session(Mode.CATT_SA).check_term(delta, img, expected).ok
     except CattError:
         return False
 
@@ -625,14 +625,14 @@ def test_criterion_9_equality_typing_coherence():
     violations = 0
     for context, a, b in pairs:
         assert def_eq(context, a, b)
-        ty_a = infer_term(context, a, Mode.CATT_SA)
-        ty_b = infer_term(context, b, Mode.CATT_SA)
+        ty_a = Session(Mode.CATT_SA).infer_term(context, a)
+        ty_b = Session(Mode.CATT_SA).infer_term(context, b)
         if not def_eq(context, ty_a, ty_b):
             violations += 1
             continue
-        if not check_term(context, a, ty_b, Mode.CATT_SA).ok:
+        if not Session(Mode.CATT_SA).check_term(context, a, ty_b).ok:
             violations += 1
-        if not check_term(context, b, ty_a, Mode.CATT_SA).ok:
+        if not Session(Mode.CATT_SA).check_term(context, b, ty_a).ok:
             violations += 1
     assert violations == 0
     _report(9, "equality/typing coherence", t0, None, pairs=len(pairs))

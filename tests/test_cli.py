@@ -7,14 +7,15 @@ import os
 import subprocess
 import sys
 import threading
+import types
 
 import pytest
 
 import cattsa
-from cattsa import cli, reduction, typecheck
+from cattsa import cli, reduction
 from cattsa.parser import MAX_NESTING, parse
 from cattsa.syntax import Var, alpha_eq
-from cattsa.typecheck import Mode
+from cattsa.typecheck import Mode, Session
 from helpers import comp2
 
 HEADER = """
@@ -75,10 +76,9 @@ def test_normalize_command_agrees_with_kernel(assoc_file, capsys):
     env = cli.elaborate_file(parse(ASSOC))
     decl = env["left"]
     assert decl.body is not None
-    from cattsa.reduction import normalize_term
     from cattsa.syntax import term_str
 
-    assert printed == term_str(normalize_term(decl.ctx, decl.body))
+    assert printed == term_str(reduction.normalize(decl.ctx, decl.body))
 
 
 def test_normalize_catt_mode_checks_in_catt_and_prints_the_sa_normal_form(tmp_path, capsys):
@@ -108,6 +108,26 @@ def test_normalize_trace(assoc_file, capsys):
     assert cli.main(["normalize", assoc_file, "right", "--trace"]) == 0
     out = capsys.readouterr().out
     assert "insertion at head:" in out
+
+
+def test_normalize_collects_a_trace_only_when_it_is_shown(assoc_file, capsys, monkeypatch):
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(kw["trace"])
+        return reduction.normalize(*args, **kw)
+
+    # only the CLI's own calls are seen: def_eq reaches the real normalize
+    monkeypatch.setattr(cli, "reduction", types.SimpleNamespace(normalize=spy))
+    outputs = []
+    for flags in ([], ["--trace"], ["--json"]):
+        assert cli.main(["normalize", assoc_file, "right", *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert calls[0] is None and calls[1] and calls[2] == calls[1]
+    plain, traced, report = outputs[0], outputs[1].splitlines(), json.loads(outputs[2])
+    assert plain == traced[-1] + "\n"
+    assert traced[-2].endswith(" ⇝ " + traced[-1])
+    assert report["trace"] == traced[:-1] and report["normal_form"] == traced[-1]
 
 
 def test_infer_command(assoc_file, capsys):
@@ -172,6 +192,22 @@ def test_missing_file_exit_code(tmp_path, capsys):
     assert cli.main(["check", str(tmp_path / "absent.catt")]) == 2
 
 
+def test_a_directory_is_an_unreadable_file(tmp_path, capsys):
+    for argv in (["check", str(tmp_path)], ["tree", str(tmp_path), "comp"]):
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("cannot read file: ")
+        assert str(tmp_path) in err
+
+
+def test_a_file_that_is_not_utf8_is_an_unreadable_file(tmp_path, capsys):
+    p = tmp_path / "latin1.catt"
+    p.write_bytes(b"\xff\xfe" + ASSOC.encode())
+    assert cli.main(["normalize", str(p), "left"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"cannot read file: '{p}' is not UTF-8 text: ")
+
+
 def test_usage_error_exit_code(capsys):
     assert cli.main(["frobnicate"]) == 2
 
@@ -226,11 +262,11 @@ def test_library_disc_insertion_keyword_agrees_with_cli(boxed_file, capsys, mode
     common = ["--mode", mode.value, *flag]
     kw = {} if allow else {"allow_disc_insertion": False}
 
-    same = typecheck.equal(mode, wrapped.ctx, wrapped.body, plain.body, **kw)
+    same = Session(mode, **kw).equal(wrapped.ctx, wrapped.body, plain.body)
     assert same == (mode is Mode.CATT_SA and allow)
     assert cli.main(["eq", boxed_file, "wrapped", "plain", *common]) == (0 if same else 1)
 
-    checked = typecheck.check_term(unbox.ctx, unbox.body, unbox.ty, mode, **kw)
+    checked = Session(mode, **kw).check_term(unbox.ctx, unbox.body, unbox.ty)
     assert checked.ok == same
     capsys.readouterr()
     code = cli.main(["check", boxed_file, "--json", *common])
@@ -238,7 +274,7 @@ def test_library_disc_insertion_keyword_agrees_with_cli(boxed_file, capsys, mode
     assert code == (0 if all(verdicts.values()) else 1)
     assert verdicts["unbox"] == checked.ok
 
-    inferred = typecheck.infer_report(stack.ctx, stack.body, mode, **kw)
+    inferred = Session(mode, **kw).infer_report(stack.ctx, stack.body)
     assert inferred.ok == same
     assert verdicts["stack"] == inferred.ok
     assert cli.main(["infer", boxed_file, "stack", *common]) == (0 if inferred.ok else 1)

@@ -1,8 +1,12 @@
-"""Every kernel module uses each name it imports.
+"""Every kernel module uses each name it imports, and every public name
+it defines is read in the package or is a documented entry point.
 
 No lint tool is a dependency, so this reads the modules with the
 standard library's ast: an import that nothing in its module reads is a
-stale one, left behind when the code that used it moved or was deleted.
+stale one, left behind when the code that used it moved or was deleted,
+and a public function or class that nothing in src/ reads serves only
+the tests, which keep such code in tests/helpers.py and tests/oracles.py.
+The checks go by name, so a name read anywhere counts as read.
 """
 
 from __future__ import annotations
@@ -28,15 +32,30 @@ def _unused_imports(tree: ast.Module) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-def test_kernel_modules_use_every_name_they_import():
+def _kernel_modules() -> dict[str, ast.Module]:
+    """Every module of the package but __init__, parsed, by name."""
     home = os.path.dirname(os.path.abspath(cattsa.__file__))
-    stale = []
+    out = {}
     for fname in sorted(os.listdir(home)):
-        if not fname.endswith(".py") or fname == "__init__.py":
-            continue
-        module = fname[:-3]
-        with open(os.path.join(home, fname), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+        if fname.endswith(".py") and fname != "__init__.py":
+            with open(os.path.join(home, fname), encoding="utf-8") as fh:
+                out[fname[:-3]] = ast.parse(fh.read())
+    return out
+
+
+def _package_exports() -> set[str]:
+    with open(cattsa.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    return {
+        a.asname or a.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    }
+
+
+def test_kernel_modules_use_every_name_they_import():
+    stale = []
+    for module, tree in _kernel_modules().items():
         stale += [
             f"{module}.{name}" for name in _unused_imports(tree)
             if (module, name) not in PINNED
@@ -53,3 +72,46 @@ def test_the_guard_sees_a_stale_import():
         "    return os.sep\n"
     )
     assert _unused_imports(tree) == ["Var"]
+
+
+def _unread_definitions(modules: dict[str, ast.Module]) -> list[str]:
+    """module.name of each public top-level def or class that no top-level
+    statement of any module reads, its own definition aside."""
+    defined: list[tuple[str, str, ast.stmt]] = []
+    reads: list[tuple[ast.stmt, set[str]]] = []
+    for module, tree in modules.items():
+        for node in tree.body:
+            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+            reads.append((node, names))
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                defined.append((module, node.name, node))
+    return [
+        f"{module}.{name}" for module, name, node in defined
+        if not any(name in names for other, names in reads if other is not node)
+    ]
+
+
+def test_every_public_kernel_name_is_read_or_exported():
+    unread = _unread_definitions(_kernel_modules())
+    exported = _package_exports()
+    assert [n for n in unread if n.split(".")[1] not in exported] == []
+    # exported but read nowhere in the package: the documented entry points
+    assert [n for n in unread if n.split(".")[1] in exported] == ["trees.bracket_to_tree"]
+
+
+def test_the_guard_sees_an_unread_definition():
+    kernel = ast.parse(
+        "def used(x):\n"
+        "    return helper(x)\n"
+        "def helper(x):\n"
+        "    return helper(x - 1) if x else 0\n"  # its own call does not count
+        "def dead():\n"
+        "    return used(1)\n"
+        "class Dead(Exception):\n"
+        "    pass\n"
+        "def _private():\n"
+        "    pass\n"
+    )
+    other = ast.parse("import kernel\nkernel.used(2)\n")
+    assert _unread_definitions({"kernel": kernel, "other": other}) == ["kernel.dead", "kernel.Dead"]

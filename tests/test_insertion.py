@@ -17,12 +17,7 @@ from cattsa.insertion import (
     insert_tree,
     type_linear_height,
 )
-from cattsa.pasting import (
-    is_pasting,
-    locally_maximal,
-    unbiased_term,
-    unbiased_type,
-)
+from cattsa.pasting import shape, unbiased_type
 from cattsa.reduction import def_eq
 from cattsa.syntax import (
     Arr,
@@ -33,7 +28,6 @@ from cattsa.syntax import (
     alpha_eq,
     apply_sub_type,
     compose_sub,
-    dim_ctx,
     dim_term,
     identity_sub,
     var_sub,
@@ -42,6 +36,7 @@ from cattsa.trees import (
     branching_height,
     branching_path,
     ctx_to_tree,
+    leaf_labels,
     linear_height,
     tree,
     tree_to_ctx,
@@ -53,9 +48,11 @@ from helpers import (
     arr,
     chain,
     comp2,
+    dim_ctx,
     enumerate_trees,
     star,
     sub,
+    unbiased_term,
 )
 from oracles import check_pushout, check_well_formed_sub, disc_context
 
@@ -207,7 +204,7 @@ def test_insert_ctx_variable_bookkeeping():
     survivors = set(DELTA.vars) - erased
     renamed = {t.name for t in res.internal.values}
     assert set(res.inserted.vars) == survivors | renamed
-    assert is_pasting(res.inserted)
+    assert shape(res.inserted) is not None
 
 
 def test_insert_ctx_output_is_pasting_for_enumerated_problems():
@@ -215,7 +212,7 @@ def test_insert_ctx_output_is_pasting_for_enumerated_problems():
     checked = 0
     for s in trees:
         outer = tree_to_ctx(s)
-        for x in locally_maximal(outer):
+        for x in leaf_labels(s):
             bh = branching_height(s, x)
             dx = dim_term(outer, Var(x))
             for t in trees:
@@ -228,7 +225,7 @@ def test_insert_ctx_output_is_pasting_for_enumerated_problems():
                 if type_linear_height(a) < bh:
                     continue
                 res = insert_ctx(InsertionProblem(outer, x, inner, a))
-                assert is_pasting(res.inserted)
+                assert shape(res.inserted) is not None
                 checked += 1
     assert checked >= 40
 
@@ -246,7 +243,7 @@ def test_canonical_substitutions_well_formed_for_enumerated_problems():
     checked = 0
     for s in trees:
         outer = tree_to_ctx(s)
-        for x in locally_maximal(outer):
+        for x in leaf_labels(s):
             if dim_term(outer, Var(x)) == 0:
                 continue
             bh = branching_height(ctx_to_tree(outer), x)

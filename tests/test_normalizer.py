@@ -10,10 +10,10 @@ import threading
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cattsa.pasting import unbiased_term, unbiased_type
+from cattsa.pasting import unbiased_type
 from cattsa.reduction import normalize
 from cattsa.syntax import STAR, Arr, Coh, Substitution, Var
-from cattsa.typecheck import Mode, infer_term
+from cattsa.typecheck import Mode, Session
 from helpers import (
     DELTA,
     VERT2,
@@ -27,6 +27,7 @@ from helpers import (
     random_corpus,
     reference_normalize,
     unbiased_apply,
+    unbiased_term,
 )
 
 
@@ -66,7 +67,7 @@ def _types_and_substitutions():
         (amb, Substitution((("p", nested), ("q", Var("u0")), ("r", left)))),
     ]
     for context, t in curated_corpus():
-        out.append((context, infer_term(context, t, Mode.CATT_SA)))
+        out.append((context, Session(Mode.CATT_SA).infer_term(context, t)))
     return out
 
 

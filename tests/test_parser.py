@@ -13,8 +13,8 @@ from cattsa.parser import (
     SrcVar,
     parse,
     parse_telescope,
-    print_file,
 )
+from helpers import print_file
 
 COMP = "coh comp (x : *) (y : *) (f : x -> y) (z : *) (g : y -> z) : x -> z"
 

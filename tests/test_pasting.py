@@ -5,16 +5,8 @@ from __future__ import annotations
 import pytest
 
 from cattsa.errors import DimensionError, NotPasting
-from cattsa.pasting import (
-    boundary_ctx,
-    is_disc_ctx,
-    is_pasting,
-    is_unbiased,
-    locally_maximal,
-    maximal_vars,
-    unbiased_term,
-    unbiased_type,
-)
+from cattsa.pasting import maximal_vars, shape, unbiased_type
+from cattsa.reduction import normalize
 from cattsa.syntax import (
     NEG,
     POS,
@@ -22,25 +14,27 @@ from cattsa.syntax import (
     Coh,
     Context,
     Var,
-    dim_ctx,
     dim_type,
     identity_sub,
     support,
 )
-from cattsa.trees import ctx_to_tree, tree, tree_to_ctx
-from cattsa.typecheck import Mode, infer_report
+from cattsa.trees import ctx_to_tree, is_linear, tree, tree_to_ctx
+from cattsa.typecheck import Mode, Session
 from helpers import (
     CHAIN2,
     CHAIN3,
     DELTA,
     arr,
+    boundary_ctx,
     chain,
     comp2,
     ctx,
+    dim_ctx,
     enumerate_trees,
     pd_derivable,
     star,
     sub,
+    unbiased_term,
 )
 from oracles import disc_context, to_disc_sub
 
@@ -75,7 +69,7 @@ def test_check_pd_agrees_with_exhaustive_search():
     # positive cases: every context arising from a tree
     contexts = [tree_to_ctx(t) for t in enumerate_trees(7)]
     for context in contexts:
-        assert pd_derivable(context) and is_pasting(context)
+        assert pd_derivable(context) and shape(context) is not None
     # mutations: dropping an entry or permuting entries must agree too
     for context in contexts:
         entries = context.entries
@@ -85,11 +79,11 @@ def test_check_pd_agrees_with_exhaustive_search():
                 c = Context(mutated)
             except Exception:
                 continue
-            assert pd_derivable(c) == is_pasting(c)
+            assert pd_derivable(c) == (shape(c) is not None)
         if len(entries) >= 2:
             swapped = (entries[1], entries[0]) + entries[2:]
             c = Context(swapped)
-            assert pd_derivable(c) == is_pasting(c)
+            assert pd_derivable(c) == (shape(c) is not None)
 
 
 def test_boundary_of_single_arrow():
@@ -137,7 +131,7 @@ def test_boundaries_are_pasting_and_one_dimension_down():
             continue
         for sign in (NEG, POS):
             b = boundary_ctx(context, sign)
-            assert is_pasting(b)
+            assert shape(b) is not None
             assert dim_ctx(b) == dim_ctx(context) - 1
 
 
@@ -168,14 +162,18 @@ def test_unbiased_type_of_delta_is_whiskered_pair():
 
 
 def test_is_unbiased():
-    assert is_unbiased(unbiased_term(CHAIN2))
-    assert not is_unbiased(Var("x"))
+    # the redex test's reading: a coherence whose type is the unbiased type
+    # of its pasting context
+    t = unbiased_term(CHAIN2)
+    assert isinstance(t, Coh) and t.ty == shape(t.ctx).unbiased
+    # t's arguments are variables, not composites, so t has no redex
+    assert normalize(CHAIN2, t) == t
     biased = Coh(
         DELTA,
         Arr(Var("f"), arr("x", star, "y"), Var("h")),  # not the unbiased type
         identity_sub(DELTA),
     )
-    assert not is_unbiased(biased)
+    assert biased.ty != shape(biased.ctx).unbiased
 
 
 def test_unbiased_source_support_matches_boundary():
@@ -193,14 +191,14 @@ def test_unbiased_term_typechecks_in_both_modes():
     for context in contexts:
         t = unbiased_term(context)
         for mode in (Mode.CATT, Mode.CATT_SA):
-            report = infer_report(context, t, mode)
+            report = Session(mode).infer_report(context, t)
             assert report.ok, report.message
 
 
 def test_locally_maximal():
-    assert locally_maximal(POINT) == {"x"}
-    assert locally_maximal(CHAIN2) == {"a1", "a2"}
-    assert locally_maximal(DELTA) == {"alpha", "beta", "k"}
+    assert shape(POINT).maximal == ("x",)
+    assert shape(CHAIN2).maximal == ("a1", "a2")
+    assert shape(DELTA).maximal == ("alpha", "beta", "k")
 
 
 def test_maximal_vars_reads_no_context():
@@ -212,9 +210,9 @@ def test_maximal_vars_reads_no_context():
 def test_every_disc_has_one_maximal_cell():
     for n in range(4):
         d = disc_context(n)
-        assert is_disc_ctx(d.ctx)
-        assert len(locally_maximal(d.ctx)) == 1
-        assert is_pasting(d.ctx)
+        assert is_linear(ctx_to_tree(d.ctx))
+        assert shape(d.ctx) is not None
+        assert len(shape(d.ctx).maximal) == 1
 
 
 def test_to_disc_sub_point():
@@ -247,4 +245,4 @@ def test_tree_leaves_are_locally_maximal():
 
     for t in enumerate_trees(7):
         context = tree_to_ctx(t)
-        assert locally_maximal(context) == frozenset(leaf_labels(t))
+        assert maximal_vars(context) == leaf_labels(t)

@@ -8,8 +8,8 @@ import math
 import pytest
 
 from cattsa.errors import TooDeep
-from cattsa.pasting import unbiased_term, unbiased_type
-from cattsa.reduction import def_eq, normalize, normalize_term
+from cattsa.pasting import unbiased_type
+from cattsa.reduction import def_eq, normalize
 from cattsa.syntax import (
     STAR,
     Arr,
@@ -23,7 +23,7 @@ from cattsa.syntax import (
     identity_sub,
     support,
 )
-from cattsa.typecheck import Mode, infer_term
+from cattsa.typecheck import Mode, Session
 from helpers import (
     CHAIN3,
     DELTA,
@@ -37,6 +37,7 @@ from helpers import (
     random_corpus,
     reduction_graph,
     unbiased_apply,
+    unbiased_term,
 )
 from oracles import (
     Ordinal,
@@ -107,7 +108,7 @@ def test_two_dimensional_composite_normalizes_to_unbiased():
     )
     t = Coh(WHISKER_R, unbiased_type(WHISKER_R), sigma)
     expected = unbiased_term(DELTA)
-    got = normalize_term(DELTA, t)
+    got = normalize(DELTA, t)
     assert alpha_eq(got, expected)
     # the exhaustive reduction graph finds the same unique normal form
     nodes, edges, normals = reduction_graph(DELTA, t)
@@ -244,7 +245,7 @@ def test_whisker_argument_flattens_into_the_diagram():
     )
     t = Coh(DELTA, unbiased_type(DELTA), sigma)
     expected = unbiased_apply(amb, amb, [Var("alpha"), Var("beta"), Var("c"), Var("d")])
-    assert alpha_eq(normalize_term(amb, t), expected)
+    assert alpha_eq(normalize(amb, t), expected)
 
 
 def test_depth_can_increase_for_whisker_insertions():
@@ -265,7 +266,7 @@ def test_depth_can_increase_for_whisker_insertions():
         )
     )
     t = Coh(DELTA, unbiased_type(DELTA), sigma)
-    assert infer_term(amb, t, Mode.CATT) is not None  # well typed in both modes
+    assert Session(Mode.CATT).infer_term(amb, t) is not None  # well typed in both modes
     steps = [(r, res) for r, res in step_candidates(amb, t) if r.position == ()]
     assert len(steps) == 1 and steps[0][0].detail[0] == "k"
     before = syntactic_depth(t)
@@ -274,7 +275,7 @@ def test_depth_can_increase_for_whisker_insertions():
     assert after == Ordinal(((3, 1), (1, 4)))  # ω^3 ⊞ ω·4
     assert ord_lt(after, before)  # the measure drops on this whisker step
     # and the term normalizes, with a strictly smaller final depth
-    nf = normalize_term(amb, t)
+    nf = normalize(amb, t)
     assert ord_lt(syntactic_depth(nf), before)
 
 
@@ -287,9 +288,9 @@ def test_local_confluence_curated():
 
 def test_subject_reduction_curated():
     for context, t in curated_corpus():
-        ty = infer_term(context, t, Mode.CATT_SA)
+        ty = Session(Mode.CATT_SA).infer_term(context, t)
         for _, reduct in step_candidates(context, t):
-            ty2 = infer_term(context, reduct, Mode.CATT_SA)
+            ty2 = Session(Mode.CATT_SA).infer_term(context, reduct)
             assert def_eq(context, ty, ty2)
 
 
@@ -389,7 +390,7 @@ def test_interchange_is_not_identified():
     rhs = whisk(vert(Var("alpha"), Var("beta")), Var("k"))
     assert step_candidates(DELTA, lhs) == []
     assert alpha_eq(
-        normalize_term(DELTA, rhs),
+        normalize(DELTA, rhs),
         unbiased_apply(DELTA, DELTA, [Var("alpha"), Var("beta"), Var("k")]),
     )
     assert not def_eq(DELTA, lhs, rhs)
@@ -409,7 +410,7 @@ def test_disc_insertion_unboxes_by_default():
     t = comp2(AMB3, _boxed(AMB3, M[0]), M[1])
     cands = [r for r, _ in step_candidates(AMB3, t) if r.position == ()]
     assert len(cands) == 1
-    got = normalize_term(AMB3, t)
+    got = normalize(AMB3, t)
     assert alpha_eq(got, comp2(AMB3, M[0], M[1]))
 
 

@@ -26,15 +26,13 @@ def _corpus():
 
 
 class _Fresh:
-    """The module functions: each call judges on a session of its own."""
+    """Each call judges on a session of its own."""
 
     def __init__(self, mode: Mode, allow: bool) -> None:
-        self.mode, self.kw = mode, {"allow_disc_insertion": allow}
+        self.mode, self.allow = mode, allow
 
     def __getattr__(self, name):
-        if name == "equal":
-            return lambda *args: typecheck.equal(self.mode, *args, **self.kw)
-        return lambda *args: getattr(typecheck, name)(*args, self.mode, **self.kw)
+        return getattr(Session(self.mode, allow_disc_insertion=self.allow), name)
 
 
 def _corpus_verdicts(judge, corpus) -> list:
@@ -95,23 +93,19 @@ def test_a_shared_session_changes_no_result(mode, allow):
         assert _declaration_verdicts(lambda: one, texts) == fresh_decls
 
 
-def test_two_threads_on_one_session_agree_with_fresh_calls():
-    # the threads walk the corpus in opposite orders, so each meets memo
-    # entries the other is filling
-    orders = [_corpus(), _corpus()[::-1]]
-    fresh = [_corpus_verdicts(_Fresh(Mode.CATT_SA, True), order) for order in orders]
-    shared = Session(Mode.CATT_SA)
-    barrier = threading.Barrier(2)
-    results: list = [None, None]
+def _in_threads(run, n: int) -> None:
+    """run(i) for i < n, each in its own thread, started together and
+    switching often."""
+    barrier = threading.Barrier(n)
 
-    def run(i: int) -> None:
+    def start(i: int) -> None:
         barrier.wait(timeout=30)
-        results[i] = _corpus_verdicts(shared, orders[i])
+        run(i)
 
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+        threads = [threading.Thread(target=start, args=(i,)) for i in range(n)]
         for th in threads:
             th.start()
         for th in threads:
@@ -119,7 +113,46 @@ def test_two_threads_on_one_session_agree_with_fresh_calls():
     finally:
         sys.setswitchinterval(old)
     assert not any(th.is_alive() for th in threads)
+
+
+def test_two_threads_on_one_session_agree_with_fresh_calls():
+    # the threads walk the corpus in opposite orders, so each meets memo
+    # entries the other is filling
+    orders = [_corpus(), _corpus()[::-1]]
+    fresh = [_corpus_verdicts(_Fresh(Mode.CATT_SA, True), order) for order in orders]
+    shared = Session(Mode.CATT_SA)
+    results: list = [None, None]
+
+    def run(i: int) -> None:
+        results[i] = _corpus_verdicts(shared, orders[i])
+
+    _in_threads(run, 2)
     assert results == fresh
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+def test_eight_threads_on_one_session_agree_with_fresh_sessions(mode):
+    # a unit is two consecutive corpus terms, so that equal is judged too;
+    # thread i starts at its own offset and odd threads walk backwards, so
+    # every unit is met first by some thread and from the memo by others
+    corpus = random_corpus(16, seed=29)
+    units = [corpus[k : k + 2] for k in range(len(corpus) - 1)]
+    fresh = [_corpus_verdicts(_Fresh(mode, True), unit) for unit in units]
+    shared = Session(mode)
+    threads = 8
+    results: list = [None] * threads
+
+    def run(i: int) -> None:
+        order = list(range(len(units)))
+        start = i * len(units) // threads
+        order = order[start:] + order[:start]
+        if i % 2:
+            order.reverse()
+        seen = {k: _corpus_verdicts(shared, units[k]) for k in order}
+        results[i] = [seen[k] for k in range(len(units))]
+
+    _in_threads(run, threads)
+    assert results == [fresh] * threads
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ from cattsa.syntax import (
     apply_sub,
     apply_sub_term,
     compose_sub,
-    dim_ctx,
     dim_term,
     dim_type,
     free_vars,
@@ -41,7 +40,7 @@ from cattsa.syntax import (
     type_str,
     var_sub,
 )
-from helpers import CHAIN2, DELTA, PATTERNS, arr, chain, comp2, ctx, star, sub
+from helpers import CHAIN2, DELTA, PATTERNS, arr, chain, comp2, ctx, dim_ctx, star, sub
 
 SEEDS = settings(derandomize=True, deadline=None, max_examples=25)
 

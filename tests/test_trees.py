@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cattsa.errors import (
     DuplicateVariable,
@@ -10,7 +11,7 @@ from cattsa.errors import (
     NotLocallyMaximal,
     NotPasting,
 )
-from cattsa.syntax import alpha_eq, dim_ctx
+from cattsa.syntax import Context, alpha_eq
 from cattsa.trees import (
     BataninTree,
     all_labels,
@@ -26,7 +27,7 @@ from cattsa.trees import (
     tree_to_bracket,
     tree_to_ctx,
 )
-from helpers import DELTA, THETA, ctx, enumerate_trees, star
+from helpers import DELTA, THETA, ctx, dim_ctx, enumerate_trees, star
 
 LEAF = tree(["x"])
 DELTA_TREE = tree(
@@ -137,3 +138,39 @@ def test_bracket_round_trip():
 
 def test_bracket_rendering():
     assert tree_to_bracket(DELTA_TREE) == "[x [f [alpha] g [beta] h] y [k] z]"
+
+
+# ---------------------------------------------------------------------------
+# Round trips on random trees, far beyond the enumerated sizes
+# ---------------------------------------------------------------------------
+
+MAX_NODES = 20  # a tree of n nodes has 2n - 1 labels, so up to 39 here
+
+
+@st.composite
+def batanin_trees(draw) -> BataninTree:
+    """A random plane tree of at most MAX_NODES nodes, labelled v0, v1, ...
+    in the order the labels are drawn."""
+    names = iter(f"v{i}" for i in range(2 * MAX_NODES))
+
+    def build(nodes: int) -> BataninTree:
+        # a node with k branches carries k + 1 labels
+        sizes = []
+        rest = nodes - 1
+        while rest:
+            sizes.append(draw(st.integers(1, rest)))
+            rest -= sizes[-1]
+        labels = [next(names) for _ in range(len(sizes) + 1)]
+        return BataninTree(tuple(labels), tuple(build(n) for n in sizes))
+
+    return build(draw(st.integers(1, MAX_NODES)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(t=batanin_trees())
+def test_round_trips_on_random_trees(t):
+    emitted = tree_to_ctx(t)
+    assert ctx_to_tree(emitted) == t
+    # a context built from the same entries has no memo: this parses it
+    assert ctx_to_tree(Context(emitted.entries)) == t
+    assert bracket_to_tree(tree_to_bracket(t)) == t

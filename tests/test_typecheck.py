@@ -8,14 +8,13 @@ from cattsa import typecheck
 from cattsa.errors import (
     ArityMismatch,
     EndpointTypeMismatch,
-    GlobularityViolation,
     NotPasting,
     SupportViolation,
     TooDeep,
     TypeMismatch,
 )
-from cattsa.pasting import unbiased_term, unbiased_type
-from cattsa.reduction import def_eq, normalize, normalize_term
+from cattsa.pasting import unbiased_type
+from cattsa.reduction import def_eq, normalize
 from cattsa.syntax import (
     Arr,
     Coh,
@@ -26,15 +25,7 @@ from cattsa.syntax import (
     apply_sub_type,
     identity_sub,
 )
-from cattsa.typecheck import (
-    Mode,
-    check_ctx,
-    check_sub,
-    check_term,
-    check_type,
-    equal,
-    infer_term,
-)
+from cattsa.typecheck import Mode, Session
 from helpers import (
     CHAIN2,
     CHAIN3,
@@ -48,51 +39,52 @@ from helpers import (
     random_corpus,
     star,
     sub,
+    unbiased_term,
 )
-from oracles import check_well_formed_sub, is_globular_ctx, step_candidates
+from oracles import GlobularityViolation, check_well_formed_sub, is_globular_ctx, step_candidates
 
 POINT = ctx(("x", star))
 ARROW = ctx(("x", star), ("y", star), ("f", arr("x", star, "y")))
 
 
 def test_empty_context_checks():
-    assert check_ctx(Context()).ok
+    assert Session(Mode.CATT_SA).check_ctx(Context()).ok
 
 
 def test_arrow_context_checks():
-    assert check_ctx(ARROW).ok
+    assert Session(Mode.CATT_SA).check_ctx(ARROW).ok
 
 
 def test_unbound_variable_in_context_rejected():
-    report = check_ctx(ctx(("x", star), ("f", arr("x", star, "y"))))
+    report = Session(Mode.CATT_SA).check_ctx(ctx(("x", star), ("f", arr("x", star, "y"))))
     assert not report.ok
 
 
 def test_star_always_checks():
-    assert check_type(ARROW, star).ok
+    assert Session(Mode.CATT_SA).check_type(ARROW, star).ok
 
 
 def test_arrow_type_checks():
-    assert check_type(ctx(("x", star), ("y", star)), arr("x", star, "y")).ok
+    assert Session(Mode.CATT_SA).check_type(ctx(("x", star), ("y", star)), arr("x", star, "y")).ok
 
 
 def test_arrow_with_mismatched_endpoint_dimension_rejected():
-    report = check_type(ARROW, arr("x", star, "f"))
+    report = Session(Mode.CATT_SA).check_type(ARROW, arr("x", star, "f"))
     assert not report.ok
     assert isinstance(report.error, EndpointTypeMismatch)
 
 
 def test_empty_substitution_checks():
-    assert check_sub(ARROW, Substitution(), Context()).ok
+    assert Session(Mode.CATT_SA).check_sub(ARROW, Substitution(), Context()).ok
 
 
 def test_identity_substitution_checks():
     for context in (POINT, ARROW, CHAIN3, DELTA):
-        assert check_sub(context, identity_sub(context), context).ok
+        assert Session(Mode.CATT_SA).check_sub(context, identity_sub(context), context).ok
 
 
 def test_arity_mismatch_detected():
-    report = check_sub(ARROW, Substitution(), ARROW)
+    report = Session(Mode.CATT_SA).check_sub(ARROW, Substitution(), ARROW)
     assert not report.ok
     assert isinstance(report.error, ArityMismatch)
 
@@ -101,7 +93,7 @@ def test_composite_argument_substitution_checks():
     amb = chain(3, "u", "m")
     t = comp2(amb, Var("m1"), comp2(amb, Var("m2"), Var("m3")))
     assert isinstance(t, Coh)
-    assert check_sub(amb, t.sub, t.ctx, Mode.CATT_SA).ok
+    assert Session(Mode.CATT_SA).check_sub(amb, t.sub, t.ctx).ok
 
 
 def _bracketing_telescopes():
@@ -125,21 +117,21 @@ def _bracketing_telescopes():
 
 def test_substitution_needing_definitional_equality():
     tele_l, tele_r, sigma = _bracketing_telescopes()
-    assert check_ctx(tele_l, Mode.CATT_SA).ok
-    assert check_sub(tele_r, sigma, tele_l, Mode.CATT_SA).ok
-    assert not check_sub(tele_r, sigma, tele_l, Mode.CATT).ok
+    assert Session(Mode.CATT_SA).check_ctx(tele_l).ok
+    assert Session(Mode.CATT_SA).check_sub(tele_r, sigma, tele_l).ok
+    assert not Session(Mode.CATT).check_sub(tele_r, sigma, tele_l).ok
 
 
 def test_variable_rule():
-    assert check_term(POINT, Var("x"), star).ok
-    report = check_term(ARROW, Var("f"), star)
+    assert Session(Mode.CATT_SA).check_term(POINT, Var("x"), star).ok
+    report = Session(Mode.CATT_SA).check_term(ARROW, Var("f"), star)
     assert not report.ok and isinstance(report.error, TypeMismatch)
 
 
 def test_binary_composite_infers_composite_type():
     amb = chain(2, "u", "m")
     t = comp2(amb, Var("m1"), Var("m2"))
-    inferred = infer_term(amb, t)
+    inferred = Session(Mode.CATT_SA).infer_term(amb, t)
     assert inferred == arr("u0", star, "u2")
 
 
@@ -155,7 +147,7 @@ def test_the_coherence_rule_normalises_the_head_type_once(monkeypatch, mode, cal
 
     monkeypatch.setattr(typecheck, "normalize", counting)
     amb = chain(2, "u", "m")
-    assert infer_term(amb, comp2(amb, Var("m1"), Var("m2")), mode) == arr("u0", star, "u2")
+    assert Session(mode).infer_term(amb, comp2(amb, Var("m1"), Var("m2"))) == arr("u0", star, "u2")
     assert len(seen) == calls
 
 
@@ -163,7 +155,7 @@ def test_identity_coherence_typechecks_by_full_support():
     # an endo coherence over a point uses the full-support rule
     t = Coh(POINT, arr("x", star, "x"), sub(("x", Var("u0"))))
     amb = chain(1, "u", "m")
-    assert infer_term(amb, t) == arr("u0", star, "u0")
+    assert Session(Mode.CATT_SA).infer_term(amb, t) == arr("u0", star, "u0")
 
 
 def test_support_violation_reported():
@@ -171,7 +163,8 @@ def test_support_violation_reported():
     pair = comp2(CHAIN3, Var("a1"), Var("a2"))
     ty = Arr(pair, arr("x0", star, "x2"), pair)
     bad = Coh(CHAIN3, ty, identity_sub(CHAIN3))
-    report = check_term(CHAIN3, bad, apply_sub_type(ty, identity_sub(CHAIN3)))
+    expected = apply_sub_type(ty, identity_sub(CHAIN3))
+    report = Session(Mode.CATT_SA).check_term(CHAIN3, bad, expected)
     assert not report.ok
     assert isinstance(report.error, SupportViolation)
 
@@ -182,7 +175,8 @@ def test_dropping_a_whisker_cell_is_rejected():
     tgt = unbiased_type(DELTA)
     assert isinstance(tgt, Arr)
     bad = Coh(DELTA, Arr(Var("f"), tgt.base, tgt.tgt), identity_sub(DELTA))
-    report = check_term(DELTA, bad, apply_sub_type(bad.ty, identity_sub(DELTA)))
+    expected = apply_sub_type(bad.ty, identity_sub(DELTA))
+    report = Session(Mode.CATT_SA).check_term(DELTA, bad, expected)
     assert not report.ok
     assert isinstance(report.error, EndpointTypeMismatch)
 
@@ -191,7 +185,8 @@ def test_swapped_boundaries_rejected():
     ty = unbiased_type(DELTA)
     assert isinstance(ty, Arr)
     swapped = Coh(DELTA, Arr(ty.tgt, ty.base, ty.src), identity_sub(DELTA))
-    report = check_term(DELTA, swapped, apply_sub_type(swapped.ty, identity_sub(DELTA)))
+    expected = apply_sub_type(swapped.ty, identity_sub(DELTA))
+    report = Session(Mode.CATT_SA).check_term(DELTA, swapped, expected)
     assert not report.ok
     assert isinstance(report.error, SupportViolation)
 
@@ -200,7 +195,7 @@ def test_non_pasting_head_rejected():
     two_points = ctx(("x", star), ("y", star))
     bad = Coh(two_points, star, sub(("x", Var("u0")), ("y", Var("u1"))))
     amb = chain(1, "u", "m")
-    report = check_term(amb, bad, star)
+    report = Session(Mode.CATT_SA).check_term(amb, bad, star)
     assert not report.ok
     assert isinstance(report.error, NotPasting)
 
@@ -210,9 +205,10 @@ def test_mode_agreement_catt_accepted_implies_sa_accepted():
     for context, t in curated_corpus():
         judgements.append((context, t))
     for context, t in judgements:
-        catt = check_term(context, t, infer_term(context, t, Mode.CATT_SA), Mode.CATT)
+        ty = Session(Mode.CATT_SA).infer_term(context, t)
+        catt = Session(Mode.CATT).check_term(context, t, ty)
         if catt.ok:
-            sa = check_term(context, t, infer_term(context, t, Mode.CATT_SA), Mode.CATT_SA)
+            sa = Session(Mode.CATT_SA).check_term(context, t, ty)
             assert sa.ok
 
 
@@ -220,23 +216,23 @@ def test_equality_respects_typing():
     # subject reduction: every one-step reduct checks against the type
     # inferred for the term it came from
     for context, t in curated_corpus() + random_corpus(300, seed=17):
-        ty = infer_term(context, t, Mode.CATT_SA)
+        ty = Session(Mode.CATT_SA).infer_term(context, t)
         for _, reduct in step_candidates(context, t):
             assert def_eq(context, t, reduct)
-            assert check_term(context, reduct, ty, Mode.CATT_SA).ok
+            assert Session(Mode.CATT_SA).check_term(context, reduct, ty).ok
 
 
 def test_infer_stable_under_normalisation():
     for context, t in curated_corpus():
-        ty = infer_term(context, t, Mode.CATT_SA)
-        nty = infer_term(context, normalize_term(context, t), Mode.CATT_SA)
+        ty = Session(Mode.CATT_SA).infer_term(context, t)
+        nty = Session(Mode.CATT_SA).infer_term(context, normalize(context, t))
         assert def_eq(context, ty, nty)
 
 
 def test_unbiased_terms_infer_unbiased_types():
     for context in (CHAIN2, CHAIN3, DELTA):
         t = unbiased_term(context)
-        assert alpha_eq(infer_term(context, t), unbiased_type(context))
+        assert alpha_eq(Session(Mode.CATT_SA).infer_term(context, t), unbiased_type(context))
 
 
 def test_term_boundaries_agree_with_type_boundaries():
@@ -245,7 +241,7 @@ def test_term_boundaries_agree_with_type_boundaries():
     from cattsa.syntax import NEG, POS, dim_term, term_boundary, type_boundary
 
     for context, t in curated_corpus()[:12]:
-        ty = infer_term(context, t, Mode.CATT_SA)
+        ty = Session(Mode.CATT_SA).infer_term(context, t)
         for n in range(dim_term(context, t)):
             for sign in (NEG, POS):
                 got = term_boundary(context, t, n, sign)
@@ -256,8 +252,8 @@ def test_term_boundaries_agree_with_type_boundaries():
 def test_rule_trace_is_deterministic():
     amb = chain(2, "u", "m")
     t = comp2(amb, Var("m1"), Var("m2"))
-    r1 = check_term(amb, t, infer_term(amb, t))
-    r2 = check_term(amb, t, infer_term(amb, t))
+    r1 = Session(Mode.CATT_SA).check_term(amb, t, Session(Mode.CATT_SA).infer_term(amb, t))
+    r2 = Session(Mode.CATT_SA).check_term(amb, t, Session(Mode.CATT_SA).infer_term(amb, t))
     assert r1.ok and r1.rule_trace == r2.rule_trace
     assert "comp'" in r1.rule_trace
 
@@ -305,7 +301,7 @@ def test_well_formedness_equivalence_small_scale():
     for gamma in contexts:
         for delta in deltas:
             for sigma in _variable_subs(gamma, delta):
-                lhs = check_sub(delta, sigma, gamma, Mode.CATT_SA).ok
+                lhs = Session(Mode.CATT_SA).check_sub(delta, sigma, gamma).ok
                 rhs = check_well_formed_sub(gamma, sigma, delta).ok
                 assert lhs == rhs
                 checked += 1
@@ -337,11 +333,11 @@ def test_too_deep_term_is_a_typed_error():
     t = tower(400)
     for mode in Mode:
         with pytest.raises(TooDeep) as exc:
-            check_term(loop, t, ty, mode)
+            Session(mode).check_term(loop, t, ty)
         assert str(exc.value) == "a term is nested too deeply for the kernel"
         with pytest.raises(TooDeep):
-            infer_term(loop, t, mode)
+            Session(mode).infer_term(loop, t)
         # equality recurses less deeply per level than checking
         with pytest.raises(TooDeep):
-            equal(mode, loop, tower(1500), tower(1500))
-    assert check_term(loop, tower(2), ty).ok
+            Session(mode).equal(loop, tower(1500), tower(1500))
+    assert Session(Mode.CATT_SA).check_term(loop, tower(2), ty).ok
