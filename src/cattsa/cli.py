@@ -13,8 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import reduction
 from .errors import CattError, ElaborationError, SurfaceSyntaxError, UnreadableFile, bounded
@@ -58,8 +57,7 @@ from .trees import ctx_to_tree, tree_to_bracket
 from .typecheck import Mode, Session, TypingReport
 
 
-@dataclass(frozen=True)
-class Decl:
+class Decl(NamedTuple):
     kind: str  # "coh" | "def"
     name: str
     ctx: Context

@@ -5,7 +5,7 @@ result and the combined argument substitution of an insertion redex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     DuplicateVariable,
@@ -43,16 +43,14 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class InsertionProblem:
+class InsertionProblem(NamedTuple):
     outer: Context
     var: VarName
     inner: Context
     inner_type: Type
 
 
-@dataclass(frozen=True)
-class InsertionResult:
+class InsertionResult(NamedTuple):
     problem: InsertionProblem
     inserted: Context
     internal: Substitution  # inner -> inserted, variable to variable
@@ -137,12 +135,7 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     outer variables and sends each erased boundary of the cell to the
     matching boundary of the inner coherence.
     """
-    outer, x, inner, inner_type = (
-        problem.outer,
-        problem.var,
-        problem.inner,
-        problem.inner_type,
-    )
+    outer, x, inner, inner_type = problem
     s = ctx_to_tree(outer)
     t = ctx_to_tree(inner)
     path = branching_path(s, x)  # raises NotLocallyMaximal

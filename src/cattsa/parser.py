@@ -13,12 +13,13 @@ comment.  Every node carries a source span for diagnostics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import re
+from typing import NamedTuple, Optional
 
 from .errors import SurfaceSyntaxError
+from .syntax import Frozen
 
 KEYWORDS = {"coh", "def"}
-SYMBOLS = ["->", ":=", "(", ")", "[", "]", ":", ",", "*"]
 
 # Deepest nesting of applications a term may have.  The kernel's printers
 # and checkers recurse about twice per level, and 300 levels still fit in
@@ -27,8 +28,7 @@ SYMBOLS = ["->", ":=", "(", ")", "[", "]", ":", ",", "*"]
 MAX_NESTING = 300
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     line: int
     col: int
 
@@ -39,52 +39,32 @@ class Span:
 DUMMY_SPAN = Span(0, 0)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # "ident", "symbol", "keyword", "eof"
     text: str
     span: Span
 
 
+# Blanks, then (1) a newline, a comment, (2) a word, (3) a symbol or (4) an
+# error.  A word starts with a letter or _ (checked: not every \w is one).
+_TOKEN = re.compile(r"[^\S\n]*(?:(\n)|#[^\n]*|([^\W\d][\w']*)|(->|:=|[()\[\]:,*])|(\S))")
+
+
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            word = text[i:j]
-            kind = "keyword" if word in KEYWORDS else "ident"
+    line, start = 1, 0  # start: where the current line begins
+    for m in _TOKEN.finditer(text):
+        group = m.lastindex
+        if group == 1:
+            line, start = line + 1, m.end()
+        elif group is not None:  # not a comment
+            word, col = m[group], m.start(group) - start + 1
+            if group == 4 or group == 2 and not (word[0].isalpha() or word[0] == "_"):
+                raise SurfaceSyntaxError(f"unexpected character {word[0]!r}", line, col)
+            kind = "symbol" if group == 3 else "keyword" if word in KEYWORDS else "ident"
             tokens.append(Token(kind, word, Span(line, col)))
-            col += j - i
-            i = j
-            continue
-        for sym in SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("symbol", sym, Span(line, col)))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise SurfaceSyntaxError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token("eof", "", Span(line, col)))
+    # a comment ends the line and its text takes no column
+    tokens.append(Token("eof", "", Span(line, len(text[start:].partition("#")[0]) + 1)))
     return tokens
 
 
@@ -93,53 +73,66 @@ def tokenize(text: str) -> list[Token]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SrcTerm:
+class _Node(Frozen):
+    """A surface node: == and hash read every field but the span."""
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields if f != "span")
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class SrcTerm(_Node):
     pass
 
 
-@dataclass(frozen=True)
 class SrcVar(SrcTerm):
-    name: str
-    span: Span = field(compare=False, default=DUMMY_SPAN)
+    _fields = ("name", "span")
+
+    def __init__(self, name: str, span: Span = DUMMY_SPAN) -> None:
+        self.__dict__.update(name=name, span=span)
 
 
-@dataclass(frozen=True)
 class SrcApp(SrcTerm):
-    name: str
-    args: tuple[SrcTerm, ...]
-    span: Span = field(compare=False, default=DUMMY_SPAN)
+    _fields = ("name", "args", "span")
+
+    def __init__(self, name: str, args: tuple[SrcTerm, ...], span: Span = DUMMY_SPAN) -> None:
+        self.__dict__.update(name=name, args=args, span=span)
 
 
-@dataclass(frozen=True)
-class SrcType:
+class SrcType(_Node):
     pass
 
 
-@dataclass(frozen=True)
 class SrcStar(SrcType):
-    span: Span = field(compare=False, default=DUMMY_SPAN)
+    _fields = ("span",)
+
+    def __init__(self, span: Span = DUMMY_SPAN) -> None:
+        self.__dict__.update(span=span)
 
 
-@dataclass(frozen=True)
 class SrcArrow(SrcType):
-    src: SrcTerm
-    tgt: SrcTerm
-    span: Span = field(compare=False, default=DUMMY_SPAN)
+    _fields = ("src", "tgt", "span")
+
+    def __init__(self, src: SrcTerm, tgt: SrcTerm, span: Span = DUMMY_SPAN) -> None:
+        self.__dict__.update(src=src, tgt=tgt, span=span)
 
 
-@dataclass(frozen=True)
-class SrcDecl:
-    kind: str  # "coh" | "def"
-    name: str
-    telescope: tuple[tuple[str, SrcType], ...]
-    ty: SrcType
-    body: SrcTerm | None
-    span: Span = field(compare=False, default=DUMMY_SPAN)
+class SrcDecl(_Node):
+    """A declaration; kind is "coh" or "def", and body is None for coh."""
+
+    _fields = ("kind", "name", "telescope", "ty", "body", "span")
+
+    def __init__(self, kind: str, name: str, telescope: tuple[tuple[str, SrcType], ...],
+                 ty: SrcType, body: Optional[SrcTerm], span: Span = DUMMY_SPAN) -> None:
+        self.__dict__.update(zip(self._fields, (kind, name, telescope, ty, body, span)))
 
 
-@dataclass(frozen=True)
-class SourceFile:
+class SourceFile(NamedTuple):
     decls: tuple[SrcDecl, ...]
 
 

@@ -9,8 +9,7 @@ and the normaliser's redex test read it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import NotPasting
 from .syntax import (
@@ -37,8 +36,7 @@ from .trees import (
 )
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(NamedTuple):
     """What the kernel reads off a pasting context."""
 
     tree: BataninTree

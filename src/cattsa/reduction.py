@@ -15,8 +15,7 @@ IllTyped where they are detected incidentally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .errors import IllTyped, bounded
 from .insertion import InsertionProblem, insert_ctx, insert_sub
@@ -44,8 +43,7 @@ RULE_SUB = "sub-component"
 Position = tuple[tuple[str, int], ...]
 
 
-@dataclass(frozen=True)
-class Redex:
+class Redex(NamedTuple):
     rule: str
     position: Position
 

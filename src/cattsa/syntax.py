@@ -11,17 +11,16 @@ The variables a coherence binds are positions in a pasting diagram, so
 == and hash on Coh ignore their names, and alpha equality is plain ==.
 Names are still stored and printed.
 
-Contexts and coherences carry a write-once memo of data derived from them
-(a context's Batanin tree and pasting shape, a coherence's positional
-shape), kept in the instance __dict__ outside the dataclass fields: repr
-and pickling see only the fields.  An entry is a function of the fields
-alone, so two threads that race to fill it compute equal values and
+Values are plain classes derived from Frozen.  Contexts and coherences
+carry a write-once memo of data derived from them (a context's Batanin
+tree and pasting shape, a coherence's positional shape), kept in the
+instance __dict__ beside the fields: ==, hash, repr and pickling read
+only the fields.  An entry is a function of the fields alone, so two threads that race to fill it compute equal values and
 either result is correct; no lock is needed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from typing import Callable, Container, Iterator, Literal, TypeVar, Union
 
 from .errors import (
@@ -35,51 +34,97 @@ from .errors import (
 
 VarName = str
 _T = TypeVar("_T")
+_set = object.__setattr__  # how __init__ sets the field of a frozen value
 
 Sign = Literal["-", "+"]
 NEG: Sign = "-"
 POS: Sign = "+"
 
 
-class Term:
+class Frozen:
+    """Base of the immutable values: a subclass names its fields in _fields,
+    and in __slots__ when it keeps no memo.  It defines == to hold only
+    within its class, and hash as that of the tuple of compared fields."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), tuple(getattr(self, f) for f in self._fields))
+
+
+class Term(Frozen):
     """Abstract base for terms; instances are Var or Coh."""
 
     __slots__ = ()
 
 
-class Type:
+class Type(Frozen):
     """Abstract base for types; instances are Star or Arr."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Var(Term):
-    name: VarName
+    __slots__ = _fields = ("name",)
+
+    def __init__(self, name: VarName) -> None:
+        _set(self, "name", name)
+
+    def __eq__(self, other: object) -> bool:
+        return self.name == other.name if other.__class__ is Var else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name,))
 
     def __str__(self) -> str:
         return self.name
 
 
-@dataclass(frozen=True)
 class Star(Type):
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        return other.__class__ is Star or NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
+
     def __str__(self) -> str:
         return "*"
 
 
-@dataclass(frozen=True)
 class Arr(Type):
-    src: Term
-    base: Type
-    tgt: Term
+    __slots__ = _fields = ("src", "base", "tgt")
+
+    def __init__(self, src: Term, base: Type, tgt: Term) -> None:
+        _set(self, "src", src)
+        _set(self, "base", base)
+        _set(self, "tgt", tgt)
+
+    def __eq__(self, other: object) -> bool:
+        return ((self.src, self.base, self.tgt) == (other.src, other.base, other.tgt)
+                if other.__class__ is Arr else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.src, self.base, self.tgt))
 
     def __str__(self) -> str:
         return f"{self.src} -> {self.tgt}"
 
 
-class _Memo:
-    """A frozen dataclass with a write-once memo in its __dict__; pickling
-    carries only the fields."""
+class _Memo(Frozen):
+    """A value with a write-once memo in its __dict__, beside its fields."""
 
     __slots__ = ()
 
@@ -91,25 +136,27 @@ class _Memo:
             return memo[key]
         return memo.setdefault(key, compute(self))
 
-    def __reduce__(self):
-        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
-
-@dataclass(frozen=True)
 class _Table(_Memo):
     """Ordered (name, value) pairs with pairwise-distinct names, indexed by
     name in __dict__ when built."""
 
-    entries: tuple = ()
+    _fields = ("entries",)
     _where = ""
 
-    def __post_init__(self) -> None:
-        table = dict(self.entries)
-        if len(table) != len(self.entries):
-            names = [name for name, _ in self.entries]
+    def __init__(self, entries: tuple = ()) -> None:
+        table = dict(entries)
+        if len(table) != len(entries):
+            names = [name for name, _ in entries]
             dup = next(v for i, v in enumerate(names) if v in names[:i])
             raise DuplicateVariable(dup, self._where)
-        self.__dict__.update(_table=table, _names=tuple(table))
+        self.__dict__.update(entries=entries, _table=table, _names=tuple(table))
+
+    def __eq__(self, other: object) -> bool:
+        return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.entries,))
 
     def has(self, name: VarName) -> bool:
         return name in self._table
@@ -121,11 +168,9 @@ class _Table(_Memo):
         return iter(self.entries)
 
 
-@dataclass(frozen=True)
 class Context(_Table):
     """Ordered sequence of (variable, type) declarations."""
 
-    entries: tuple[tuple[VarName, Type], ...] = ()
     _where = "context"
 
     @property
@@ -145,11 +190,9 @@ class Context(_Table):
         return " ".join(f"({v} : {type_str(ty)})" for v, ty in self.entries)
 
 
-@dataclass(frozen=True)
 class Substitution(_Table):
     """Ordered sequence of (variable, term) assignments."""
 
-    entries: tuple[tuple[VarName, Term], ...] = ()
     _where = "substitution"
 
     @property
@@ -175,17 +218,15 @@ class Substitution(_Table):
         return "<" + ", ".join(f"{v} := {term_str(t)}" for v, t in self.entries) + ">"
 
 
-@dataclass(frozen=True, eq=False)
 class Coh(Term, _Memo):
-    ctx: Context
-    ty: Type
-    sub: Substitution
+    _fields = ("ctx", "ty", "sub")
 
-    def __post_init__(self) -> None:
-        if self.sub.domain != self.ctx.vars:
+    def __init__(self, ctx: Context, ty: Type, sub: Substitution) -> None:
+        if sub.domain != ctx.vars:
             raise MalformedSyntax(
                 "coherence argument domain must match its context variables in order"
             )
+        self.__dict__.update(ctx=ctx, ty=ty, sub=sub)
 
     def __eq__(self, other: object) -> bool:
         if self is other:

@@ -17,7 +17,7 @@ so a context built by insertion is never re-parsed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 from typing import Optional
 
 from .errors import (
@@ -27,24 +27,31 @@ from .errors import (
     NotPasting,
     SurfaceSyntaxError,
 )
-from .syntax import NEG, STAR, Arr, Context, Sign, Type, Var, VarName
+from .syntax import NEG, STAR, Arr, Context, Frozen, Sign, Type, Var, VarName
 
 TreePath = tuple[int, ...]
 
 _TREE = "_tree"  # memo key of a context's Batanin tree
 
 
-@dataclass(frozen=True)
-class BataninTree:
-    labels: tuple[VarName, ...]
-    branches: tuple["BataninTree", ...]
+class BataninTree(Frozen):
+    __slots__ = _fields = ("labels", "branches")
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.branches) + 1:
+    def __init__(self, labels: tuple[VarName, ...], branches: tuple[BataninTree, ...]) -> None:
+        if len(labels) != len(branches) + 1:
             raise MalformedSyntax(
-                f"tree needs |labels| = |branches| + 1, got {len(self.labels)} "
-                f"and {len(self.branches)}"
+                f"tree needs |labels| = |branches| + 1, got {len(labels)} "
+                f"and {len(branches)}"
             )
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "branches", branches)
+
+    def __eq__(self, other: object) -> bool:
+        return ((self.labels, self.branches) == (other.labels, other.branches)
+                if other.__class__ is BataninTree else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash((self.labels, self.branches))
 
     def __str__(self) -> str:
         return tree_to_bracket(self)
@@ -229,54 +236,47 @@ def tree_to_bracket(t: BataninTree) -> str:
     return "[" + " ".join(parts) + "]"
 
 
+# a bracket, a label (its first letter is checked: not every \w is one) or an error
+_BRACKET_TOKEN = re.compile(r"\s*(?:([\[\]]|[^\W\d][\w']*)|(\S))")
+
+
 def bracket_to_tree(text: str) -> BataninTree:
     tokens = _tokenize_brackets(text)
     t, i = _parse_bracket(tokens, 0)
-    if i != len(tokens):
-        raise SurfaceSyntaxError("trailing input after tree", 1, i + 1)
+    if tokens[i][0]:
+        raise SurfaceSyntaxError("trailing input after tree", 1, tokens[i][1])
     return _distinct(t)
 
 
-def _tokenize_brackets(text: str) -> list[str]:
-    out: list[str] = []
-    i = 0
-    while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c in "[]":
-            out.append(c)
-            i += 1
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] in "_'"):
-                j += 1
-            out.append(text[i:j])
-            i = j
-        else:
-            raise SurfaceSyntaxError(f"unexpected character {c!r} in tree literal", 1, i + 1)
+def _tokenize_brackets(text: str) -> list[tuple[str, int]]:
+    """Each bracket and label of text with its column, then ("", end + 1)."""
+    out: list[tuple[str, int]] = []
+    for m in _BRACKET_TOKEN.finditer(text):
+        tok, col = m[m.lastindex], m.start(m.lastindex) + 1
+        if m.lastindex == 2 or not (tok in "[]" or tok[0].isalpha() or tok[0] == "_"):
+            raise SurfaceSyntaxError(f"unexpected character {tok[0]!r} in tree literal", 1, col)
+        out.append((tok, col))
+    out.append(("", len(text) + 1))
     return out
 
 
-def _parse_bracket(tokens: list[str], i: int) -> tuple[BataninTree, int]:
-    if i >= len(tokens) or tokens[i] != "[":
-        raise SurfaceSyntaxError("expected '['", 1, i + 1)
+def _parse_bracket(tokens: list[tuple[str, int]], i: int) -> tuple[BataninTree, int]:
+    tok, col = tokens[i]
+    if tok != "[":
+        raise SurfaceSyntaxError("expected '['", 1, col)
     i += 1
     labels: list[VarName] = []
     branches: list[BataninTree] = []
-    expect_label = True
-    while i < len(tokens) and tokens[i] != "]":
-        if tokens[i] == "[":
-            if expect_label:
-                raise SurfaceSyntaxError("expected a label before a branch", 1, i + 1)
+    while tokens[i][0] not in ("]", ""):
+        if tokens[i][0] == "[":
+            if not labels:
+                raise SurfaceSyntaxError("expected a label before a branch", 1, tokens[i][1])
             br, i = _parse_bracket(tokens, i)
             branches.append(br)
-            expect_label = False
         else:
-            labels.append(tokens[i])
+            labels.append(tokens[i][0])
             i += 1
-            expect_label = False
     # |labels| = |branches| + 1 is enforced by the constructor
-    if i >= len(tokens):
-        raise SurfaceSyntaxError("unclosed '['", 1, i + 1)
+    if not tokens[i][0]:
+        raise SurfaceSyntaxError("unclosed '['", 1, col)
     return BataninTree(tuple(labels), tuple(branches)), i + 1

@@ -27,8 +27,7 @@ raise TooDeep too.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     ArityMismatch,
@@ -68,8 +67,7 @@ class Mode(enum.Enum):
     CATT_SA = "sa"
 
 
-@dataclass
-class TypingReport:
+class TypingReport(NamedTuple):
     ok: bool
     kind: str
     judged: Item | Context  # the context, type, substitution or term judged

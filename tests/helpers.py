@@ -8,12 +8,19 @@ confirmed by searching the whole reduction graph.
 
 from __future__ import annotations
 
+import ast
+import functools
+import importlib.util
 import random
+import sys
 from itertools import product
+from pathlib import Path
 
-from cattsa.errors import DimensionError
+from cattsa.errors import DimensionError, SurfaceSyntaxError
 from cattsa.parser import (
+    KEYWORDS,
     SourceFile,
+    Span,
     SrcApp,
     SrcArrow,
     SrcDecl,
@@ -21,6 +28,8 @@ from cattsa.parser import (
     SrcTerm,
     SrcType,
     SrcVar,
+    Token,
+    parse,
 )
 from cattsa.pasting import _unbiased_term, maximal_vars, unbiased_type
 from cattsa.reduction import normalize
@@ -151,6 +160,114 @@ HCOMP2 = ctx_of_bracket("[x [f [alpha] g] y [h [beta] i] z]")
 
 CHAIN2 = chain(2)
 CHAIN3 = chain(3)
+
+
+SYMBOLS = ["->", ":=", "(", ")", "[", "]", ":", ",", "*"]
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """The tokens of text, one character at a time: the oracle for
+    parser.tokenize."""
+    tokens: list[Token] = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i += 1
+            line += 1
+            col = 1
+            continue
+        if c.isspace():
+            i += 1
+            col += 1
+            continue
+        if c == "#":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_'"):
+                j += 1
+            word = text[i:j]
+            kind = "keyword" if word in KEYWORDS else "ident"
+            tokens.append(Token(kind, word, Span(line, col)))
+            col += j - i
+            i = j
+            continue
+        for sym in SYMBOLS:
+            if text.startswith(sym, i):
+                tokens.append(Token("symbol", sym, Span(line, col)))
+                i += len(sym)
+                col += len(sym)
+                break
+        else:
+            raise SurfaceSyntaxError(f"unexpected character {c!r}", line, col)
+    tokens.append(Token("eof", "", Span(line, col)))
+    return tokens
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+@functools.cache
+def string_constants() -> list[str]:
+    """Every string constant of the test modules, and every module-level
+    string they build from constants and names with +, in file order;
+    computed once, so do not change the list."""
+    out: list[str] = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        out += [
+            n.value for n in ast.walk(tree)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+        ]
+        known: dict[str, str] = {}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+                value = _static_str(node.value, known)
+                if value is not None:
+                    known[node.targets[0].id] = value
+                    out.append(value)
+    return out
+
+
+def _static_str(node: ast.expr, known: dict[str, str]) -> str | None:
+    if isinstance(node, ast.Constant):
+        return node.value if isinstance(node.value, str) else None
+    if isinstance(node, ast.Name):
+        return known.get(node.id)
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+        left, right = _static_str(node.left, known), _static_str(node.right, known)
+        return None if left is None or right is None else left + right
+    return None
+
+
+def catt_texts() -> list[str]:
+    """The source files written in the test modules: the strings of
+    string_constants that parse to at least one declaration, each once."""
+    out: list[str] = []
+    for text in dict.fromkeys(string_constants()):
+        try:
+            if parse(text).decls:
+                out.append(text)
+        except SurfaceSyntaxError:
+            pass
+    return out
+
+
+def bench_catt_texts(seed: int = 101) -> list[str]:
+    """The texts of the benchmark's generated .catt files at seed."""
+    module = sys.modules.get("bench_inputs")
+    if module is None:
+        path = TESTS.parent / "bench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("bench_inputs", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["bench_inputs"] = module  # dataclasses looks its module up
+        spec.loader.exec_module(module)
+    return [f.text for f in module.catt_files(seed)]
 
 
 def unbiased_apply(pattern: Context, ambient: Context, args: list[Term]) -> Term:

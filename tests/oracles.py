@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import product
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from cattsa.errors import (
     CattError,
@@ -134,12 +134,15 @@ def to_disc_sub(ctx: Context, t: Term) -> Substitution:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Step(Redex):
+class Step(NamedTuple):
     """A redex together with, for a head insertion, the cell it fires at,
     and the context and arguments of the coherence inserted there."""
 
+    rule: str
+    position: Position
     detail: Optional[tuple[VarName, Context, Substitution]] = None
+
+    position_str = Redex.position_str
 
 
 def step_candidates(

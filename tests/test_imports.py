@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import ast
 import os
+import subprocess
+import sys
 
 import cattsa
 
@@ -61,6 +63,22 @@ def test_kernel_modules_use_every_name_they_import():
             if (module, name) not in PINNED
         ]
     assert stale == []
+
+
+def test_the_command_line_loads_no_code_generation_machinery():
+    # every cattsa call starts a process that imports cattsa.cli; these
+    # modules come with dataclasses and cost it time, but no kernel code
+    # needs them
+    probe = (
+        "import sys, cattsa.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cattsa.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_the_guard_sees_a_stale_import():

@@ -10,6 +10,7 @@ from cattsa.errors import (
     MalformedSyntax,
     NotLocallyMaximal,
     NotPasting,
+    SurfaceSyntaxError,
 )
 from cattsa.syntax import Context, alpha_eq
 from cattsa.trees import (
@@ -143,6 +144,29 @@ def test_bracket_rendering():
 # ---------------------------------------------------------------------------
 # Round trips on random trees, far beyond the enumerated sizes
 # ---------------------------------------------------------------------------
+
+def _bracket_error(text: str) -> tuple[str, int, int]:
+    with pytest.raises(SurfaceSyntaxError) as exc:
+        bracket_to_tree(text)
+    return str(exc.value).split(": ", 1)[1], exc.value.line, exc.value.col
+
+
+def test_bracket_errors_point_at_the_character():
+    # trailing input: the column of the first token after the tree
+    assert _bracket_error("[x [f] y] z") == ("trailing input after tree", 1, 11)
+    assert _bracket_error("[x]  [y]") == ("trailing input after tree", 1, 6)
+    # expected '[': the offending token, or the end of the input
+    assert _bracket_error("  x") == ("expected '['", 1, 3)
+    assert _bracket_error("   ") == ("expected '['", 1, 4)
+    # a branch before the first label of a node
+    assert _bracket_error("[x [  [f] g] y]") == ("expected a label before a branch", 1, 7)
+    # an unclosed node: the column of its own '['
+    assert _bracket_error("[x    [f] y") == ("unclosed '['", 1, 1)
+    assert _bracket_error("[x [f] y") == ("unclosed '['", 1, 1)
+    assert _bracket_error("[x [f  [a] g] y [k") == ("unclosed '['", 1, 17)
+    # a character no token starts with
+    assert _bracket_error("[x ² y]") == ("unexpected character '²' in tree literal", 1, 4)
+
 
 MAX_NODES = 20  # a tree of n nodes has 2n - 1 labels, so up to 39 here
 
