@@ -1,16 +1,18 @@
-"""One-step reduction, innermost-leftmost normalisation and definitional
-equality.
+"""Innermost-leftmost normalisation and definitional equality.
 
 The only base redex is insertion at the head of a coherence whose
 argument at some locally maximal cell is an unbiased composite of
 sufficient linear height; everything else is congruence closure.
-normalize locates the innermost-leftmost redex of a term and fires only
-that one.  Whether a disc-shaped argument may be inserted is the
-allow_disc_insertion keyword of normalize and def_eq (default True); the
-module keeps no setting of its own.  These functions assume well-typed
-input (they never call the typechecker, which keeps the equality/typing
-stratification well founded) and surface scope-level defects as
-IllTyped where they are detected incidentally.
+Reduction is confluent and terminating, so normalize computes the normal
+form bottom-up in one pass, each subterm object once; the innermost-
+leftmost steps are recorded as events by the same pass and rendered, by
+replaying them, only when a trace is asked for.  Whether a disc-shaped
+argument may be inserted is the allow_disc_insertion keyword of
+normalize and def_eq (default True); the module keeps no setting of its
+own.  These functions assume well-typed input (they never call the
+typechecker, which keeps the equality/typing stratification well
+founded) and surface scope-level defects as IllTyped where they are
+detected incidentally.
 """
 
 from __future__ import annotations
@@ -25,9 +27,11 @@ from .syntax import (
     Coh,
     Context,
     Item,
+    Star,
     Substitution,
     Term,
     Type,
+    Var,
     VarName,
     apply_sub_type,
     item_str,
@@ -88,20 +92,19 @@ def _children(item: Item) -> list[tuple[str, int, Item]]:
     return []
 
 
+def _rebuilt(item: Item, kids: list[Item]) -> Item:
+    """item with its children, in _children order, replaced by kids."""
+    if isinstance(item, Coh):
+        # zip stops at the last argument; the type comes after it
+        return Coh(item.ctx, kids[-1], Substitution(tuple(zip(item.sub.domain, kids))))
+    if isinstance(item, Arr):
+        return Arr(*kids)
+    return Substitution(tuple(zip(item.domain, kids)))
+
+
 def _with_child(item: Item, kind: str, index: int, new: Item) -> Item:
     """item with the child at (kind, index) replaced by new."""
-    if isinstance(item, Coh):
-        if kind == "arg":
-            return Coh(item.ctx, item.ty, item.sub.replace(index, new))
-        return Coh(item.ctx, new, item.sub)
-    if isinstance(item, Arr):
-        if kind == "src":
-            return Arr(new, item.base, item.tgt)
-        if kind == "base":
-            return Arr(item.src, new, item.tgt)
-        return Arr(item.src, item.base, new)
-    assert isinstance(item, Substitution)
-    return item.replace(index, new)
+    return _rebuilt(item, [new if (k, i) == (kind, index) else c for k, i, c in _children(item)])
 
 
 def _with_rule(kind: str, pos: Position) -> Redex:
@@ -166,53 +169,52 @@ def _insert_at(t: Coh, x: VarName) -> Term:
 # Normalisation
 # ---------------------------------------------------------------------------
 
-# Where the innermost-leftmost redex of an item sits: its position and the
-# cell of the head insertion fired there.
-_Located = Optional[tuple[Position, VarName]]
+
+def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
+    """The memo entry (item, normal form, steps) of item, stored under
+    id(item); the steps, a list only when traced, pair a position relative
+    to item with the subitem that replaces the redex there.
+
+    The children are normalised first (arguments, then the type), the node
+    is rebuilt only if one changed, then its head insertions fire.  A
+    subterm's steps do not depend on its siblings and a head fires only
+    once its children are normal, so item's innermost-leftmost steps are
+    its children's, merged by _merged, then its head's.  The memo lookups
+    are inline, so a level of nesting takes one frame; each entry keeps its
+    item alive, so no id is reused while it is a key."""
+    children = _children(item)
+    done = []
+    for _, _, child in children:
+        hit = memo.get(id(child))
+        if hit is None:  # a variable or * is normal and needs no memo entry
+            leaf = isinstance(child, (Var, Star))
+            hit = (child, child, None) if leaf else _nf(child, memo, allow, traced)
+        done.append(hit)
+    nf = _rebuilt(item, [h[1] for h in done]) if any(h[1] is not h[0] for h in done) else item
+    steps = _merged([(c[:2], h[2]) for c, h in zip(children, done) if h[2]]) if traced else None
+    while isinstance(nf, Coh) and (x := next(_eligible_heads(nf, allow), None)) is not None:
+        nf = _insert_at(nf, x)
+        # the reduct's arguments are normal arguments: only its type may reduce
+        _, ty, inner = _nf(nf.ty, memo, allow, traced)
+        if traced:
+            steps.append(((), nf))
+            steps += [((("type", 0),) + pos, new) for pos, new in inner]
+        nf = Coh(nf.ctx, ty, nf.sub)
+    return memo.setdefault(id(item), (item, nf, steps))
 
 
-class _Normaliser:
-    """The locate memo of one normalize call; never shared between calls.
-
-    locate finds the first redex in traversal order (see _children) among
-    those at the greatest depth, without building any reduct.  It is
-    memoised by object identity: a step rebuilds only the spine above the
-    redex, so the untouched siblings are the same objects and hit the memo.
-    Each memo entry keeps its object alive, so no id is reused while it is
-    a key.
-    """
-
-    def __init__(self, allow: bool) -> None:
-        self.allow = allow
-        self.located: dict[int, tuple[Item, _Located]] = {}
-
-    def locate(self, item: Item) -> _Located:
-        hit = self.located.get(id(item))
-        if hit is not None:
-            return hit[1]
-        best: _Located = None
-        for kind, index, child in _children(item):
-            found = self.locate(child)
-            # found sits one level below item: take it only if strictly
-            # deeper than best, so ties go to the earlier child
-            if found is not None and (best is None or len(found[0]) >= len(best[0])):
-                best = (((kind, index),) + found[0], found[1])
-        if best is None and isinstance(item, Coh):
-            x = next(_eligible_heads(item, self.allow), None)
-            if x is not None:
-                best = ((), x)
-        self.located[id(item)] = (item, best)
-        return best
-
-
-def _fire(item: Item, position: Position, x: VarName) -> Item:
-    """Rebuild item along position with the head insertion at x fired."""
-    if not position:
-        assert isinstance(item, Coh)
-        return _insert_at(item, x)
-    step = position[0]
-    child = next(c for kind, index, c in _children(item) if (kind, index) == step)
-    return _with_child(item, *step, _fire(child, position[1:], x))
+def _merged(lists: list[tuple[tuple[str, int], list]]) -> list:
+    """The steps of a node's children, each list under its (kind, index),
+    in the order innermost-leftmost reduction takes them: at every turn the
+    next step at the greatest depth, ties to the earlier child.  A turn
+    looks at every child, which costs less than rendering the step."""
+    out, heads = [], [0] * len(lists)
+    while live := [j for j, (_, steps) in enumerate(lists) if heads[j] < len(steps)]:
+        j = max(live, key=lambda j: len(lists[j][1][heads[j]][0]))  # the first deepest
+        step, steps = lists[j]
+        out.append(((step,) + steps[heads[j]][0], steps[heads[j]][1]))
+        heads[j] += 1
+    return out
 
 
 @bounded
@@ -224,27 +226,23 @@ def normalize(
     trace: Optional[list[str]] = None,
 ) -> Item:
     """Innermost-leftmost normal form of a well-typed term, type or
-    substitution.  Appends one line per step to trace when given.
-
-    Each step locates the first redex in traversal order among those at
-    the greatest depth and builds only that one reduct.
-    """
+    substitution.  Appends one line per step to trace when given, rendered
+    by replaying the steps the normalising pass recorded."""
     kind = _kind_of(item)
-    norm = _Normaliser(allow_disc_insertion)
-    cur = item
-    while True:
-        found = norm.locate(cur)
-        if found is None:
-            return cur
-        position, x = found
-        result = _fire(cur, position, x)
-        if trace is not None:
-            redex = _with_rule(kind, position)
-            trace.append(
-                f"{redex.rule} at {redex.position_str()}: "
-                f"{item_str(cur)} ⇝ {item_str(result)}"
-            )
-        cur = result
+    _, nf, steps = _nf(item, {}, allow_disc_insertion, trace is not None)
+    cur, shown = item, ""
+    for position, new in steps or ():
+        spine, node = [], cur  # replace the subitem at position, without recursion
+        for step in position:
+            spine.append((node, step))
+            node = next(c for k, i, c in _children(node) if (k, i) == step)
+        for parent, step in reversed(spine):
+            new = _with_child(parent, *step, new)
+        redex = _with_rule(kind, position)
+        # a step's left side is the last one's right side: render each once
+        before, shown, cur = shown or item_str(item), item_str(new), new
+        trace.append(f"{redex.rule} at {redex.position_str()}: {before} ⇝ {shown}")
+    return nf
 
 
 @bounded

@@ -242,41 +242,49 @@ _BRACKET_TOKEN = re.compile(r"\s*(?:([\[\]]|[^\W\d][\w']*)|(\S))")
 
 def bracket_to_tree(text: str) -> BataninTree:
     tokens = _tokenize_brackets(text)
-    t, i = _parse_bracket(tokens, 0)
+    t, i = _parse_bracket(text, tokens, 0)
     if tokens[i][0]:
-        raise SurfaceSyntaxError("trailing input after tree", 1, tokens[i][1])
+        raise SurfaceSyntaxError("trailing input after tree", *_at(text, tokens[i][1]))
     return _distinct(t)
 
 
+def _at(text: str, offset: int) -> tuple[int, int]:
+    """The line and column of the character at offset in text."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
 def _tokenize_brackets(text: str) -> list[tuple[str, int]]:
-    """Each bracket and label of text with its column, then ("", end + 1)."""
+    """Each bracket and label of text with its offset, then ("", len(text))."""
     out: list[tuple[str, int]] = []
     for m in _BRACKET_TOKEN.finditer(text):
-        tok, col = m[m.lastindex], m.start(m.lastindex) + 1
+        tok, offset = m[m.lastindex], m.start(m.lastindex)
         if m.lastindex == 2 or not (tok in "[]" or tok[0].isalpha() or tok[0] == "_"):
-            raise SurfaceSyntaxError(f"unexpected character {tok[0]!r} in tree literal", 1, col)
-        out.append((tok, col))
-    out.append(("", len(text) + 1))
+            raise SurfaceSyntaxError(
+                f"unexpected character {tok[0]!r} in tree literal", *_at(text, offset)
+            )
+        out.append((tok, offset))
+    out.append(("", len(text)))
     return out
 
 
-def _parse_bracket(tokens: list[tuple[str, int]], i: int) -> tuple[BataninTree, int]:
-    tok, col = tokens[i]
+def _parse_bracket(text: str, tokens: list[tuple[str, int]], i: int) -> tuple[BataninTree, int]:
+    tok, offset = tokens[i]
     if tok != "[":
-        raise SurfaceSyntaxError("expected '['", 1, col)
+        raise SurfaceSyntaxError("expected '['", *_at(text, offset))
     i += 1
     labels: list[VarName] = []
     branches: list[BataninTree] = []
     while tokens[i][0] not in ("]", ""):
         if tokens[i][0] == "[":
             if not labels:
-                raise SurfaceSyntaxError("expected a label before a branch", 1, tokens[i][1])
-            br, i = _parse_bracket(tokens, i)
+                where = _at(text, tokens[i][1])
+                raise SurfaceSyntaxError("expected a label before a branch", *where)
+            br, i = _parse_bracket(text, tokens, i)
             branches.append(br)
         else:
             labels.append(tokens[i][0])
             i += 1
     # |labels| = |branches| + 1 is enforced by the constructor
     if not tokens[i][0]:
-        raise SurfaceSyntaxError("unclosed '['", 1, col)
+        raise SurfaceSyntaxError("unclosed '['", *_at(text, offset))
     return BataninTree(tuple(labels), tuple(branches)), i + 1

@@ -16,6 +16,7 @@ import sys
 from itertools import product
 from pathlib import Path
 
+from cattsa import reduction
 from cattsa.errors import DimensionError, SurfaceSyntaxError
 from cattsa.parser import (
     KEYWORDS,
@@ -31,6 +32,7 @@ from cattsa.parser import (
     Token,
     parse,
 )
+from cattsa.insertion import insert_ctx
 from cattsa.pasting import _unbiased_term, maximal_vars, unbiased_type
 from cattsa.reduction import normalize
 from cattsa.syntax import (
@@ -525,6 +527,19 @@ def reference_normalize(context: Context, item, *, allow_disc_insertion=True, tr
                 f"{_render(cur)} ⇝ {_render(result)}"
             )
         cur = result
+
+
+def count_insertions(monkeypatch) -> list:
+    """The problems of every insert_ctx call the normaliser makes from now
+    on, for the rest of the test."""
+    calls: list = []
+
+    def counting(problem):
+        calls.append(problem)
+        return insert_ctx(problem)
+
+    monkeypatch.setattr(reduction, "insert_ctx", counting)
+    return calls
 
 
 # ---------------------------------------------------------------------------

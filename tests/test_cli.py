@@ -363,11 +363,11 @@ def test_cli_verdicts_agree_with_kernel(assoc_file):
     assert (cli.main(["eq", assoc_file, "left", "right"]) == 0) == kernel
 
 
-def _nested_file(tmp_path, depth: int) -> str:
+def _nested_file(tmp_path, depth: int, left: bool = False) -> str:
     body = "f"
     for _ in range(depth):
-        body = f"comp [f, {body}]"
-    p = tmp_path / f"deep{depth}.catt"
+        body = f"comp [{body}, f]" if left else f"comp [f, {body}]"
+    p = tmp_path / f"deep{depth}{'-left' if left else ''}.catt"
     p.write_text(HEADER + f"def deep (x : *) (f : x -> x) : x -> x := {body}\n")
     return str(p)
 
@@ -390,6 +390,20 @@ def test_nesting_at_the_limit_checks(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.returncode == 0
     assert "def deep: ok" in proc.stdout
+
+
+@pytest.mark.parametrize("left", [False, True], ids=["right-nested", "left-nested"])
+def test_normalize_at_the_nesting_limit(tmp_path, left):
+    path = _nested_file(tmp_path, MAX_NESTING, left)
+    plain = _run_cli("normalize", path, "deep")
+    traced = _run_cli("normalize", path, "deep", "--trace")
+    for proc in (plain, traced):
+        assert "Traceback" not in proc.stderr
+        assert (proc.returncode, proc.stderr) == (0, "")
+    # MAX_NESTING binary composites flatten in MAX_NESTING - 1 insertions,
+    # one line each before the normal form
+    assert len(traced.stdout.splitlines()) == MAX_NESTING
+    assert plain.stdout.splitlines()[-1] == traced.stdout.splitlines()[-1]
 
 
 def _deep_def_file(tmp_path, depth: int, uses: str) -> str:

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from cattsa import reduction
 from cattsa.errors import TooDeep
 from cattsa.pasting import unbiased_type
 from cattsa.reduction import def_eq, normalize
@@ -31,6 +32,7 @@ from helpers import (
     WHISKER_R,
     canonical_term,
     chain,
+    count_insertions,
     comp2,
     ctx_of_bracket,
     curated_corpus,
@@ -509,3 +511,36 @@ def test_too_deep_term_is_a_typed_error_in_reduction():
         normalize(loop, t)
     with pytest.raises(TooDeep):
         def_eq(loop, t, Var("f"))
+
+
+# ---------------------------------------------------------------------------
+# No wasted work: nothing rendered untraced, one insertion per step
+# ---------------------------------------------------------------------------
+
+
+def test_untraced_normalisation_renders_nothing(monkeypatch):
+    def no_render(item):
+        raise AssertionError("an untraced normalisation rendered a term")
+
+    monkeypatch.setattr(reduction, "item_str", no_render)
+    cases = curated_corpus() + random_corpus(60, seed=5)
+    for allow in (True, False):
+        for context, t in cases:
+            nf = normalize(context, t, allow_disc_insertion=allow)
+            assert def_eq(context, t, nf, allow_disc_insertion=allow)
+    with pytest.raises(AssertionError, match="rendered"):
+        normalize(*cases[1], trace=[])
+
+
+def test_each_step_of_the_curated_corpus_inserts_once(monkeypatch):
+    calls = count_insertions(monkeypatch)
+    steps = 0
+    for allow in (True, False):
+        for context, t in curated_corpus():
+            calls.clear()
+            trace: list[str] = []
+            normalize(context, t, allow_disc_insertion=allow, trace=trace)
+            assert len(calls) == len(trace)
+            steps += len(trace)
+    assert steps > 0
+

@@ -14,7 +14,7 @@ from cattsa.parser import parse
 from cattsa.reduction import normalize
 from cattsa.syntax import STAR, Coh
 from cattsa.typecheck import Mode, Session
-from helpers import curated_corpus, random_corpus
+from helpers import count_insertions, curated_corpus, random_corpus, reference_normalize
 from test_acceptance import _INVALID_DECLS, _VALID_DEFS, _VALID_HEADER
 from test_cli import ASSOC, BAD_TELESCOPES, BOXED, _run_cli
 
@@ -188,6 +188,22 @@ def _coherences(t) -> tuple[int, int]:
 
     total = walk(t)
     return len(occurrences), total
+
+
+@pytest.mark.parametrize("allow", [True, False])
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_shared_subterm_steps_once_per_occurrence(monkeypatch, d, allow):
+    insertions = count_insertions(monkeypatch)
+    c = cli.elaborate_file(parse(_nested_defs(d)))["c"]
+    want: list[str] = []
+    got: list[str] = []
+    nf = reference_normalize(c.ctx, c.body, allow_disc_insertion=allow, trace=want)
+    insertions.clear()
+    assert normalize(c.ctx, c.body, allow_disc_insertion=allow, trace=got) == nf
+    assert got == want
+    # the trace steps through every occurrence, the normaliser through
+    # every distinct coherence object
+    assert len(insertions) < len(got)
 
 
 @pytest.mark.parametrize("mode", list(Mode))

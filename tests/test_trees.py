@@ -168,6 +168,15 @@ def test_bracket_errors_point_at_the_character():
     assert _bracket_error("[x ² y]") == ("unexpected character '²' in tree literal", 1, 4)
 
 
+def test_bracket_errors_on_later_lines_count_from_the_line_start():
+    assert _bracket_error("[x [f] y]\n z") == ("trailing input after tree", 2, 2)
+    assert _bracket_error("\n\n  x") == ("expected '['", 3, 3)
+    assert _bracket_error("\n  \n  ") == ("expected '['", 3, 3)
+    assert _bracket_error("[x\n  [ [f] g] y]") == ("expected a label before a branch", 2, 5)
+    assert _bracket_error("[x [f] y\n[k") == ("unclosed '['", 2, 1)
+    assert _bracket_error("[x\n\ty ²]") == ("unexpected character '²' in tree literal", 2, 4)
+
+
 MAX_NODES = 20  # a tree of n nodes has 2n - 1 labels, so up to 39 here
 
 
