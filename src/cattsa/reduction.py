@@ -4,12 +4,12 @@ The only base redex is insertion at the head of a coherence whose
 argument at some locally maximal cell is an unbiased composite of
 sufficient linear height; everything else is congruence closure.
 Reduction is confluent and terminating, so normalize computes the normal
-form bottom-up in one pass, each subterm object once; the innermost-
-leftmost steps are recorded as events by the same pass and rendered, by
-replaying them, only when a trace is asked for.  Whether a disc-shaped
-argument may be inserted is the allow_disc_insertion keyword of
-normalize and def_eq (default True); the module keeps no setting of its
-own.  These functions assume well-typed input (they never call the
+form bottom-up in one pass, each normal subterm object once; the
+innermost-leftmost steps are recorded as events by the same pass and
+rendered, by replaying them, only when a trace is asked for.  Whether a
+disc-shaped argument may be inserted is the allow_disc_insertion keyword
+of normalize and def_eq (default True); the module keeps no setting of
+its own.  These functions assume well-typed input (they never call the
 typechecker, which keeps the equality/typing stratification well
 founded) and surface scope-level defects as IllTyped where they are
 detected incidentally.
@@ -171,17 +171,19 @@ def _insert_at(t: Coh, x: VarName) -> Term:
 
 
 def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
-    """The memo entry (item, normal form, steps) of item, stored under
-    id(item); the steps, a list only when traced, pair a position relative
-    to item with the subitem that replaces the redex there.
+    """The entry (item, normal form, steps) of item; the steps, a list
+    only when traced, pair a position relative to item with the subitem
+    that replaces the redex there.  Only a normal item is stored in the
+    memo, under id(item): a subitem that reduces is normalised again at
+    each position it occupies, so every step fires its own insertion.
 
     The children are normalised first (arguments, then the type), the node
     is rebuilt only if one changed, then its head insertions fire.  A
     subterm's steps do not depend on its siblings and a head fires only
     once its children are normal, so item's innermost-leftmost steps are
     its children's, merged by _merged, then its head's.  The memo lookups
-    are inline, so a level of nesting takes one frame; each entry keeps its
-    item alive, so no id is reused while it is a key."""
+    are inline, so a level of nesting takes one frame; each stored entry
+    keeps its item alive, so no id is reused while it is a key."""
     children = _children(item)
     done = []
     for _, _, child in children:
@@ -200,7 +202,7 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
             steps.append(((), nf))
             steps += [((("type", 0),) + pos, new) for pos, new in inner]
         nf = Coh(nf.ctx, ty, nf.sub)
-    return memo.setdefault(id(item), (item, nf, steps))
+    return memo.setdefault(id(item), (item, nf, steps)) if nf is item else (item, nf, steps)
 
 
 def _merged(lists: list[tuple[tuple[str, int], list]]) -> list:
