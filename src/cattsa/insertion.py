@@ -5,19 +5,22 @@ result and the combined argument substitution of an insertion redex.
 
 from __future__ import annotations
 
+from itertools import chain, compress, count
+from operator import attrgetter, is_not, ne
 from typing import NamedTuple
 
 from .errors import (
     DuplicateVariable,
     HeadMismatch,
     LinearHeightTooSmall,
-    MalformedSyntax,
     PathInvalid,
     SubstitutionUndefined,
 )
 from .syntax import (
     NEG,
     POS,
+    STAR,
+    Arr,
     Coh,
     Context,
     Substitution,
@@ -25,9 +28,8 @@ from .syntax import (
     Type,
     Var,
     VarName,
-    dim_term,
     dim_type,
-    fresh_name,
+    identity_sub,
     term_boundary,
     type_boundary,
 )
@@ -37,9 +39,10 @@ from .trees import (
     all_labels,
     branching_path,
     ctx_to_tree,
+    emit_groups,
     linear_height,
     relabel_tree,
-    tree_to_ctx,
+    with_tree,
 )
 
 
@@ -96,7 +99,8 @@ def _splice(s: BataninTree, path: TreePath, t: BataninTree) -> BataninTree:
         )
     if n >= len(s.branches):
         raise PathInvalid(f"path head {n} out of range")
-    assert len(t.branches) == 1  # by the linear-height condition
+    if len(t.branches) != 1:  # t is not linearly high enough
+        raise LinearHeightTooSmall(f"linear height 0 < path length {len(path)} - 1")
     inner = _splice(s.branches[n], path[1:], t.branches[0])
     return BataninTree(
         s.labels[:n] + t.labels + s.labels[n + 2 :],
@@ -129,54 +133,96 @@ def type_linear_height(ty: Type) -> int:
 def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     """Insert the inner pasting context in place of a locally maximal cell.
 
-    The inner labels are freshened against every outer label (primes are
-    appended) before splicing.  The internal substitution maps each inner
-    variable to its fresh image; the external substitution keeps surviving
-    outer variables and sends each erased boundary of the cell to the
-    matching boundary of the inner coherence.
+    Only the inner labels that collide are renamed, each to the first name
+    with primes appended that no outer label and no earlier inner image
+    has, as when every label was freshened.  relabel_tree rebuilds only the
+    subtrees that hold a renamed label, and a run of outer or inner entries
+    whose labels and base are unchanged is copied, not emitted again.  The
+    internal substitution maps each inner variable to its image; the
+    external one keeps the surviving outer variables and sends x and its
+    boundary, erased by the splice, to the inner coherence and its boundary.
     """
     outer, x, inner, inner_type = problem
-    s = ctx_to_tree(outer)
-    t = ctx_to_tree(inner)
+    s, t = ctx_to_tree(outer), ctx_to_tree(inner)
     path = branching_path(s, x)  # raises NotLocallyMaximal
     if type_linear_height(inner_type) < len(path) - 1:
         raise LinearHeightTooSmall(
             f"inner type has linear height {type_linear_height(inner_type)}, "
             f"need at least {len(path) - 1}"
         )
-    taken = set(outer.vars)
-    ren: dict[VarName, VarName] = {}
-    for label in inner.vars:
-        ren[label] = fresh = fresh_name(label, taken)
-        taken.add(fresh)
-    inserted = tree_to_ctx(insert_tree(s, path, relabel_tree(t, ren)))
+    outer_at, inner_at = dict(zip(outer.vars, count())), dict(zip(inner.vars, count()))
+    ren = _renaming(outer_at, inner.vars, inner_at)
+    tree = _splice(s, path, relabel_tree(t, ren, inner_at))
+    entries = [(tree.labels[0], STAR)]
+    _graft(tree, s, path, t, STAR, (outer.entries, outer_at), (inner.entries, inner_at), entries)
+    inserted = with_tree(tree, entries)  # raises DuplicateVariable on a clash
 
-    internal = Substitution(tuple((v, Var(ren[v])) for v in inner.vars))
+    internal = Substitution(tuple(zip(inner.vars, map(Var, map(ren.get, inner.vars, inner.vars)))))
     inner_coh: Term = Coh(inner, inner_type, internal)
+    external, ty = list(identity_sub(outer).entries), outer.lookup(x)
+    erased = [(type_boundary(ty, m, sign).name, m, sign) for m in range(dim_type(ty)) for sign in (NEG, POS)]
+    for y, m, sign in erased + [(x, dim_type(ty), NEG)]:
+        external[outer_at[y]] = (y, term_boundary(inserted, inner_coh, m, sign))
+    return InsertionResult(problem, inserted, internal, Substitution(tuple(external)))
 
-    boundary_of_x: dict[VarName, tuple[int, str]] = {}
-    dx = dim_term(outer, Var(x))
-    for m in range(dx):
-        for sign in (NEG, POS):
-            b = term_boundary(outer, Var(x), m, sign)
-            assert isinstance(b, Var), "pasting context boundaries are variables"
-            boundary_of_x[b.name] = (m, sign)
-    boundary_of_x[x] = (dx, NEG)
 
-    surviving = set(inserted.vars)
-    entries: list[tuple[VarName, Term]] = []
-    for y in outer.vars:
-        if y in surviving:
-            entries.append((y, Var(y)))
-        else:
-            if y not in boundary_of_x:
-                raise MalformedSyntax(
-                    f"erased variable '{y}' is not a boundary of '{x}'"
-                )
-            m, sign = boundary_of_x[y]
-            entries.append((y, term_boundary(inserted, inner_coh, m, sign)))
-    external = Substitution(tuple(entries))
-    return InsertionResult(problem, inserted, internal, external)
+def _renaming(outer: dict, inner: tuple[VarName, ...], at: dict) -> dict[VarName, VarName]:
+    """The new name of each inner label that collides with an outer label or
+    with the new name of an earlier one, visiting only those; outer and at
+    give the position of each outer and inner label."""
+    ren: dict[VarName, VarName] = {}
+    taken: set[VarName] = set()  # the new names given so far
+    todo, later = sorted(map(at.get, outer.keys() & at.keys()), reverse=True), set()
+    while todo or later:  # in context order: the least of todo's last and later
+        i = min(later) if later and not (todo and todo[-1] < min(later)) else todo.pop()
+        later.discard(i)
+        v = w = inner[i]
+        while (at.get(w, i) < i and w not in ren) or w in outer or w in taken:
+            w += "'"
+        if at.get(w, i) > i:
+            later.add(at[w])  # a later inner label that now collides
+        ren[v] = w
+        taken.add(w)
+    return ren
+
+
+def _graft(new, s, path, t, base, outer, inner, out) -> None:
+    """Append to out the entries over base of new, which is t relabelled and
+    spliced into s along path, all but its first.  outer and inner are the
+    (entries, positions) pairs of the contexts s and t were parsed from."""
+    n, m = path[0], len(t.branches) if len(path) == 1 else 1
+    _part(new, s, 0, n, 0, base, outer, len(outer[0]), out)
+    if len(path) == 1:
+        _part(new, t, n, n + m, -n, base, inner, len(inner[0]), out)
+    else:  # below, the base holds t's labels, so nothing of s is copied
+        sub_base = Arr(Var(new.labels[n]), base, Var(new.labels[n + 1]))
+        out += ((new.labels[n + 1], base), (new.branches[n].labels[0], sub_base))
+        _graft(new.branches[n], s.branches[n], path[1:], t.branches[0], sub_base, outer, inner, out)
+    _part(new, s, n + m, len(new.branches), 1 - m, base, outer, len(outer[0]), out)
+
+
+def _part(new, old, lo, hi, d, base, src, end, out) -> None:
+    """Append to out groups lo to hi - 1 of new over base, group j being the
+    entry of label j + 1 and the emission of branch j.  It stands where
+    group j + d of old stood in src, an (entries, positions) pair in which
+    old's entries end at end.  Over old's base, each run of groups whose
+    labels and branches are old's is copied; changed groups are emitted."""
+    entries, at = src
+    labels, branches, was = new.labels, new.branches, old.labels
+    if hi - lo < 3 or base != entries[at[was[0]]][1]:  # copying pays on longer runs
+        return emit_groups(new, lo, hi, base, out)
+    changed = set(compress(count(lo), map(is_not, branches[lo:hi], old.branches[lo + d : hi + d])))
+    for j in compress(count(lo), map(ne, labels[lo : hi + 1], was[lo + d : hi + d + 1])):
+        changed |= {j - 1, j}  # a label bounds the branches on both sides
+    done = at[was[lo + d + 1]]  # where the next run starts in src
+    for j in sorted(j for j in changed if lo <= j < hi):
+        out += entries[done : at[was[j + d + 1]]]
+        sub_base = Arr(Var(labels[j]), base, Var(labels[j + 1]))
+        out += ((labels[j + 1], base), (branches[j].labels[0], sub_base))
+        done = at[was[j + d + 2]] if j + d + 2 < len(was) else end
+        if branches[j].branches:
+            _part(branches[j], old.branches[j + d], 0, len(branches[j].branches), 0, sub_base, src, done, out)
+    out += entries[done : at[was[hi + d + 1]] if hi + d + 1 < len(was) else end]
 
 
 def insert_sub(
@@ -186,25 +232,24 @@ def insert_sub(
 
     Variables surviving from the outer context map via sigma, variables
     originating from the inner context map via tau.  The argument at x must
-    be the inner coherence applied to tau.
+    be the inner coherence applied to tau; when it is built from the very
+    inner context, type and tau, it is not built again to compare.
     """
     problem = result.problem
     if x != problem.var:
         raise HeadMismatch(f"insertion was performed at '{problem.var}', not '{x}'")
-    expected = Coh(problem.inner, problem.inner_type, tau)
+    actual = sigma.lookup(x) if sigma.has(x) else None
+    if not (isinstance(actual, Coh) and actual.ctx is problem.inner
+            and actual.ty is problem.inner_type and actual.sub is tau):
+        expected = Coh(problem.inner, problem.inner_type, tau)
+        if actual is None:
+            raise HeadMismatch(f"'{x}' missing from the outer substitution")
+        if actual != expected:
+            raise HeadMismatch(f"argument at '{x}' is not the inner coherence applied to tau")
+    # tau's domain is the inner context's variables, in the order internal maps them
+    table = dict(chain(sigma.entries, zip(map(attrgetter("name"), result.internal.values), tau.values)))
+    names = result.inserted.vars
     try:
-        actual = sigma.lookup(x)
-    except SubstitutionUndefined as exc:
-        raise HeadMismatch(f"'{x}' missing from the outer substitution") from exc
-    if actual != expected:
-        raise HeadMismatch(
-            f"argument at '{x}' is not the inner coherence applied to tau"
-        )
-    from_inner = {new.name: old for old, new in result.internal}
-    entries: list[tuple[VarName, Term]] = []
-    for v in result.inserted.vars:
-        if v in from_inner:
-            entries.append((v, tau.lookup(from_inner[v])))
-        else:
-            entries.append((v, sigma.lookup(v)))
-    return Substitution(tuple(entries))
+        return Substitution(tuple(zip(names, map(table.__getitem__, names))))
+    except KeyError as exc:
+        raise SubstitutionUndefined(exc.args[0]) from None

@@ -17,6 +17,7 @@ detected incidentally.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import IllTyped, bounded
@@ -52,12 +53,8 @@ class Redex(NamedTuple):
     position: Position
 
     def position_str(self) -> str:
-        if not self.position:
-            return "head"
-        parts = []
-        for kind, index in self.position:
-            parts.append(f"{kind}[{index}]" if kind in ("arg", "entry") else kind)
-        return ".".join(parts)
+        parts = [f"{kind}[{i}]" if kind in ("arg", "entry") else kind for kind, i in self.position]
+        return ".".join(parts) or "head"
 
 
 # ---------------------------------------------------------------------------
@@ -137,11 +134,8 @@ def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
     outer = shape(t.ctx)
     if outer is None:
         return
-    for x in outer.maximal:
-        arg = t.sub.lookup(x)
-        if not isinstance(arg, Coh):
-            continue
-        inner = shape(arg.ctx)
+    for x, arg in compress(t.sub.entries, map(isinstance, t.sub.values, repeat(Coh))):
+        inner = shape(arg.ctx) if x in outer.maximal else None
         if inner is None:
             continue
         if arg.ty != inner.unbiased:
@@ -201,7 +195,8 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
         if traced:
             steps.append(((), nf))
             steps += [((("type", 0),) + pos, new) for pos, new in inner]
-        nf = Coh(nf.ctx, ty, nf.sub)
+        if ty is not nf.ty:
+            nf = Coh(nf.ctx, ty, nf.sub)
     return memo.setdefault(id(item), (item, nf, steps)) if nf is item else (item, nf, steps)
 
 

@@ -21,7 +21,7 @@ either result is correct; no lock is needed.
 
 from __future__ import annotations
 
-from typing import Callable, Container, Iterator, Literal, TypeVar, Union
+from typing import Callable, Iterator, Literal, TypeVar, Union
 
 from .errors import (
     DimensionError,
@@ -186,8 +186,9 @@ class Context(_Table):
     def extend(self, name: VarName, ty: Type) -> "Context":
         return Context(self.entries + ((name, ty),))
 
+    @bounded
     def __str__(self) -> str:
-        return " ".join(f"({v} : {type_str(ty)})" for v, ty in self.entries)
+        return _ctx_str(self)
 
 
 class Substitution(_Table):
@@ -253,7 +254,8 @@ STAR = Star()
 
 
 def identity_sub(ctx: Context) -> Substitution:
-    return Substitution(tuple((v, Var(v)) for v in ctx.vars))
+    """Each variable of ctx sent to itself; memoised on ctx."""
+    return ctx.derived("_identity", lambda c: Substitution(tuple(zip(c.vars, map(Var, c.vars)))))
 
 
 # ---------------------------------------------------------------------------
@@ -443,16 +445,8 @@ def alpha_eq(a: Item | Context, b: Item | Context) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Fresh names and printing
+# Printing
 # ---------------------------------------------------------------------------
-
-
-def fresh_name(base: VarName, taken: Container[VarName]) -> VarName:
-    """base with primes appended until it is not in taken."""
-    name = base
-    while name in taken:
-        name += "'"
-    return name
 
 
 @bounded
@@ -483,7 +477,11 @@ def _term_str(t: Term) -> str:
         return t.name
     assert isinstance(t, Coh)
     args = ", ".join(_term_str(u) for u in t.sub.values)
-    return f"coh {{ {t.ctx} : {_type_str(t.ty)} }} [{args}]"
+    return f"coh {{ {_ctx_str(t.ctx)} : {_type_str(t.ty)} }} [{args}]"
+
+
+def _ctx_str(ctx: Context) -> str:
+    return " ".join(f"({v} : {_type_str(ty)})" for v, ty in ctx.entries)
 
 
 def _type_str(ty: Type) -> str:

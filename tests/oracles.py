@@ -16,6 +16,10 @@ outside it:
   GlobularityViolation;
 - check_pushout, the universal property of an insertion on concrete
   cones;
+- reference_insert_ctx and reference_insert_sub, insertion as the kernel
+  computed it before it shared unchanged structure: every inner label
+  freshened, the tree relabelled and spliced whole, the context emitted
+  whole, and the combined substitution looked up one name at a time;
 - ordinals below omega^omega and the syntactic-depth measure that
   decreases along every reduction step.
 """
@@ -33,11 +37,19 @@ from cattsa.errors import (
     DimensionError,
     HeadMismatch,
     IllTyped,
+    LinearHeightTooSmall,
     MalformedSyntax,
     NotPasting,
+    SubstitutionUndefined,
     bounded,
 )
-from cattsa.insertion import InsertionProblem, InsertionResult, insert_sub
+from cattsa.insertion import (
+    InsertionProblem,
+    InsertionResult,
+    insert_sub,
+    insert_tree,
+    type_linear_height,
+)
 from cattsa.pasting import _unbiased_type
 from cattsa.reduction import (
     Position,
@@ -77,11 +89,14 @@ from cattsa.syntax import (
     var_sub,
 )
 from cattsa.trees import (
+    BataninTree,
     branching_height,
+    branching_path,
     ctx_to_tree,
     is_linear,
     leaf_labels,
     linear_height,
+    tree_to_ctx,
 )
 from cattsa.typecheck import Mode, Session, TypingReport, _check_domain, _Judge, _report
 
@@ -509,6 +524,87 @@ def _unique_factorisation(
             if not all(def_eq(gamma, a, b) for a, b in zip(nu.values, mu.values)):
                 return False, checked, pool_size, "a distinct factorisation passed"
     return True, checked, pool_size, ""
+
+
+# ---------------------------------------------------------------------------
+# Insertion without sharing: the reference for insert_ctx and insert_sub
+# ---------------------------------------------------------------------------
+
+
+def fresh_name(base: VarName, taken) -> VarName:
+    """base with primes appended until it is not in taken."""
+    name = base
+    while name in taken:
+        name += "'"
+    return name
+
+
+def relabel_whole(t: BataninTree, mapping: dict[VarName, VarName]) -> BataninTree:
+    """t with every node rebuilt and its labels renamed by mapping."""
+    return BataninTree(
+        tuple(mapping.get(label, label) for label in t.labels),
+        tuple(relabel_whole(br, mapping) for br in t.branches),
+    )
+
+
+def reference_insert_ctx(problem: InsertionProblem) -> InsertionResult:
+    """insert_ctx computed from scratch: each inner label in turn freshened
+    against the outer labels and the earlier images, the relabelled tree
+    spliced by insert_tree and emitted whole, and the external substitution
+    read off every outer variable."""
+    outer, x, inner, inner_type = problem
+    s = ctx_to_tree(outer)
+    t = ctx_to_tree(inner)
+    path = branching_path(s, x)
+    if type_linear_height(inner_type) < len(path) - 1:
+        raise LinearHeightTooSmall("inner type too shallow")
+    taken = set(outer.vars)
+    ren: dict[VarName, VarName] = {}
+    for label in inner.vars:
+        ren[label] = fresh = fresh_name(label, taken)
+        taken.add(fresh)
+    inserted = tree_to_ctx(insert_tree(s, path, relabel_whole(t, ren)))
+    internal = Substitution(tuple((v, Var(ren[v])) for v in inner.vars))
+    inner_coh = Coh(inner, inner_type, internal)
+    boundary_of_x: dict[VarName, tuple[int, Sign]] = {}
+    dx = dim_term(outer, Var(x))
+    for m in range(dx):
+        for sign in (NEG, POS):
+            b = term_boundary(outer, Var(x), m, sign)
+            boundary_of_x[b.name] = (m, sign)
+    boundary_of_x[x] = (dx, NEG)
+    surviving = set(inserted.vars)
+    entries: list[tuple[VarName, Term]] = []
+    for y in outer.vars:
+        if y in surviving:
+            entries.append((y, Var(y)))
+        else:
+            m, sign = boundary_of_x[y]
+            entries.append((y, term_boundary(inserted, inner_coh, m, sign)))
+    return InsertionResult(problem, inserted, internal, Substitution(tuple(entries)))
+
+
+def reference_insert_sub(
+    sigma: Substitution, x: VarName, tau: Substitution, result: InsertionResult
+) -> Substitution:
+    """insert_sub built one name at a time: the argument at x compared with
+    a freshly built inner coherence, then each inserted variable looked up
+    in tau (through internal) or in sigma."""
+    problem = result.problem
+    if x != problem.var:
+        raise HeadMismatch("wrong cell")
+    expected = Coh(problem.inner, problem.inner_type, tau)
+    try:
+        actual = sigma.lookup(x)
+    except SubstitutionUndefined as exc:
+        raise HeadMismatch("missing cell") from exc
+    if actual != expected:
+        raise HeadMismatch("not the inner coherence")
+    from_inner = {new.name: old for old, new in result.internal}
+    return Substitution(tuple(
+        (v, tau.lookup(from_inner[v]) if v in from_inner else sigma.lookup(v))
+        for v in result.inserted.vars
+    ))
 
 
 # ---------------------------------------------------------------------------

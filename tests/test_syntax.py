@@ -311,3 +311,28 @@ def test_printers_raise_too_deep():
     with pytest.raises(TooDeep):
         type_str(Arr(t, arr("x", star, "x"), t))
     assert term_str(comp2(loop, Var("f"), Var("f"))).endswith("[x, x, f, x, f]")
+
+
+def test_printing_a_coherence_renders_its_context_unguarded(monkeypatch):
+    # the guard is for entry points: a coherence's context entries are
+    # rendered inside term_str's own guard, not through type_str
+    from cattsa import syntax
+
+    inner = comp2(CHAIN2, Var("a1"), Var("a2"))
+    t = comp2(chain(3), inner, Var("a3"))
+    want = (
+        f"coh {{ {t.ctx} : {type_str(t.ty)} }} "
+        f"[x0, x2, {term_str(inner)}, x3, a3]"
+    )
+    calls = []
+    real = syntax.type_str
+    monkeypatch.setattr(syntax, "type_str", lambda ty: calls.append(ty) or real(ty))
+    assert term_str(t) == want
+    assert calls == []
+    # str of a context is still guarded: a context too deep to print raises TooDeep
+    loop = ctx(("x", star), ("f", arr("x", star, "x")))
+    deep = Var("f")
+    for _ in range(1500):
+        deep = comp2(loop, deep, Var("f"))
+    with pytest.raises(TooDeep):
+        str(ctx(("x", star), ("y", star), ("g", arr(deep, star, deep))))
