@@ -98,7 +98,9 @@ def elaborate_term(src: SrcTerm, ctx: Context, env: Env) -> Term:
         return Var(src.name)
     assert isinstance(src, SrcApp)
     if src.name not in env:
-        raise ElaborationError(f"unknown declaration '{src.name}'", *src.span)
+        raise ElaborationError(
+            f"unknown declaration '{src.name}'", src.span.line, src.span.col
+        )
     args = tuple(elaborate_term(a, ctx, env) for a in src.args)
     return apply_decl(env[src.name], args, ctx, src.span)
 
@@ -113,7 +115,9 @@ def elaborate_type(src: SrcType, ctx: Context, env: Env) -> Type:
         base = _raw_type(ctx, s)
     except CattError as exc:
         raise ElaborationError(
-            f"cannot determine the type of '{term_str(s)}': {exc}", *src.span
+            f"cannot determine the type of '{term_str(s)}': {exc}",
+            src.span.line,
+            src.span.col,
         ) from exc
     return Arr(s, base, t)
 
@@ -138,12 +142,16 @@ def apply_decl(decl: Decl, args: tuple[Term, ...], ambient: Context, span: Span)
                 dt = dim_term(ambient, t)
             except CattError as exc:
                 raise ElaborationError(
-                    f"argument '{term_str(t)}' for '{v}' of '{decl.name}': {exc}", *span
+                    f"argument '{term_str(t)}' for '{v}' of '{decl.name}': {exc}",
+                    span.line,
+                    span.col,
                 ) from exc
             if dt < dv:
                 raise ElaborationError(
                     f"argument '{term_str(t)}' for '{v}' of '{decl.name}' has "
-                    f"dimension {dt}, needs at least {dv}", *span
+                    f"dimension {dt}, needs at least {dv}",
+                    span.line,
+                    span.col,
                 )
             for m in range(dv):
                 for sign in ("-", "+"):
@@ -153,12 +161,16 @@ def apply_decl(decl: Decl, args: tuple[Term, ...], ambient: Context, span: Span)
     else:
         raise ElaborationError(
             f"'{decl.name}' takes {len(maximal)} arguments "
-            f"(or all {len(tele.vars)}), got {len(args)}", *span
+            f"(or all {len(tele.vars)}), got {len(args)}",
+            span.line,
+            span.col,
         )
     missing = [v for v in tele.vars if v not in assignment]
     if missing:
         raise ElaborationError(
-            f"cannot infer argument for '{missing[0]}' of '{decl.name}'", *span
+            f"cannot infer argument for '{missing[0]}' of '{decl.name}'",
+            span.line,
+            span.col,
         )
     sigma = Substitution(tuple((v, assignment[v]) for v in tele.vars))
     if decl.kind == "coh":
@@ -172,14 +184,18 @@ def elaborate_file(src: SourceFile) -> Env:
     env: Env = {}
     for d in src.decls:
         if d.name in env:
-            raise ElaborationError(f"duplicate declaration '{d.name}'", *d.span)
+            raise ElaborationError(
+                f"duplicate declaration '{d.name}'", d.span.line, d.span.col
+            )
         try:
             env[d.name] = elaborate_decl(d, env)
         except RecursionError:
             # def expansion can nest a term deeper than its source, past
             # what the recursive kernel functions can traverse
             raise ElaborationError(
-                f"'{d.name}' expands to a term nested too deeply", *d.span
+                f"'{d.name}' expands to a term nested too deeply",
+                d.span.line,
+                d.span.col,
             ) from None
     return env
 
@@ -188,7 +204,9 @@ def elaborate_decl(d: SrcDecl, env: Env) -> Decl:
     ctx = Context()
     for v, src_ty in d.telescope:
         if ctx.has(v):
-            raise ElaborationError(f"duplicate telescope variable '{v}'", *d.span)
+            raise ElaborationError(
+                f"duplicate telescope variable '{v}'", d.span.line, d.span.col
+            )
         ctx = ctx.extend(v, elaborate_type(src_ty, ctx, env))
     ty = elaborate_type(d.ty, ctx, env)
     body = None
@@ -216,27 +234,26 @@ def _load(path: str) -> tuple[SourceFile, Env]:
 
 
 def _check_decl(decl: Decl, session: Session) -> tuple[bool, str]:
-    """The telescope, then the coherence or the type and body, in turn."""
-    judgements = [lambda: session.check_ctx(decl.ctx)]
+    report = session.check_ctx(decl.ctx)
+    if not report.ok:
+        return False, report.message
     if decl.kind == "coh":
-        judgements.append(lambda: session.infer_report(decl.ctx, decl.value()))
-    else:
-        judgements.append(lambda: session.check_type(decl.ctx, decl.ty))
-        judgements.append(lambda: session.check_term(decl.ctx, decl.body, decl.ty))
-    for judge in judgements:
-        report = judge()
+        report = session.infer_report(decl.ctx, decl.value())
         if not report.ok:
             return False, report.message
-    return True, f"{decl.kind} {decl.name}: ok"
+        return True, f"coh {decl.name}: ok"
+    report = session.check_type(decl.ctx, decl.ty)
+    if not report.ok:
+        return False, report.message
+    assert decl.body is not None
+    report = session.check_term(decl.ctx, decl.body, decl.ty)
+    if not report.ok:
+        return False, report.message
+    return True, f"def {decl.name}: ok"
 
 
 def _session(args: argparse.Namespace) -> Session:
     return Session(Mode(args.mode), allow_disc_insertion=not args.no_disc_insertion)
-
-
-def _print_json(command: str, **fields) -> None:
-    """Print the single JSON report of a command: its name, then fields."""
-    print(json.dumps({"command": command, **fields}, indent=2))
 
 
 def _failed(report: TypingReport, prefix: str = "") -> bool:
@@ -257,10 +274,16 @@ def cmd_check(args: argparse.Namespace) -> int:
             message = f"{d.span.line}:{d.span.col}: {message}"
         ok = ok and decl_ok
         results.append(
-            {"name": d.name, "ok": decl_ok, "line": d.span.line, "col": d.span.col, "message": message}
+            {
+                "name": d.name,
+                "ok": decl_ok,
+                "line": d.span.line,
+                "col": d.span.col,
+                "message": message,
+            }
         )
     if args.json:
-        _print_json("check", mode=session.mode.value, ok=ok, results=results)
+        print(json.dumps({"command": "check", "mode": session.mode.value, "ok": ok, "results": results}, indent=2))
     else:
         for r in results:
             print(r["message"])
@@ -286,8 +309,14 @@ def cmd_normalize(args: argparse.Namespace) -> int:
         decl.ctx, term, allow_disc_insertion=session.allow_disc_insertion, trace=trace
     )
     if args.json:
-        _print_json("normalize", mode=session.mode.value, name=args.name,
-                    normal_form=term_str(normal), trace=trace)
+        out = {
+            "command": "normalize",
+            "mode": session.mode.value,
+            "name": args.name,
+            "normal_form": term_str(normal),
+            "trace": trace,
+        }
+        print(json.dumps(out, indent=2))
     else:
         if args.trace:
             for line in trace:
@@ -324,10 +353,21 @@ def cmd_eq(args: argparse.Namespace) -> int:
         if _failed(session.infer_report(ctx, t), f"{name}: "):
             return 1
     same = session.equal(ctx, t1, t2)
+    verdict = "equal" if same else "not equal"
     if args.json:
-        _print_json("eq", mode=session.mode.value, names=[args.name1, args.name2], equal=same)
+        print(
+            json.dumps(
+                {
+                    "command": "eq",
+                    "mode": session.mode.value,
+                    "names": [args.name1, args.name2],
+                    "equal": same,
+                },
+                indent=2,
+            )
+        )
     else:
-        print("equal" if same else "not equal")
+        print(verdict)
     return 0 if same else 1
 
 
@@ -335,15 +375,29 @@ def cmd_infer(args: argparse.Namespace) -> int:
     session = _session(args)
     _, env = _load(args.file)
     decl = _resolve(env, args.name)
-    if _failed(session.check_ctx(decl.ctx)) or _failed(report := session.infer_report(decl.ctx, decl.value())):
+    if _failed(session.check_ctx(decl.ctx)):
         return 1
+    report = session.infer_report(decl.ctx, decl.value())
+    if _failed(report):
+        return 1
+    assert report.inferred is not None
     inferred = report.inferred
     if session.mode is Mode.CATT_SA:
         inferred = reduction.normalize(
             decl.ctx, inferred, allow_disc_insertion=session.allow_disc_insertion
         )
     if args.json:
-        _print_json("infer", mode=session.mode.value, name=args.name, type=type_str(inferred))
+        print(
+            json.dumps(
+                {
+                    "command": "infer",
+                    "mode": session.mode.value,
+                    "name": args.name,
+                    "type": type_str(inferred),
+                },
+                indent=2,
+            )
+        )
     else:
         print(type_str(inferred))
     return 0
@@ -374,15 +428,26 @@ def cmd_tree(args: argparse.Namespace) -> int:
             return 2
         inner_ctx = _resolve(env, args.inner).ctx
         problem = InsertionProblem(ctx, args.insert, inner_ctx, unbiased_type(inner_ctx))
-        out_tree = ctx_to_tree(insert_ctx(problem).inserted)
+        result = insert_ctx(problem)
+        out_tree = ctx_to_tree(result.inserted)
         if args.json:
-            _print_json("tree", outer=tree_to_bracket(t), inner=tree_to_bracket(ctx_to_tree(inner_ctx)),
-                        at=args.insert, inserted=tree_to_bracket(out_tree))
+            print(
+                json.dumps(
+                    {
+                        "command": "tree",
+                        "outer": tree_to_bracket(t),
+                        "inner": tree_to_bracket(ctx_to_tree(inner_ctx)),
+                        "at": args.insert,
+                        "inserted": tree_to_bracket(out_tree),
+                    },
+                    indent=2,
+                )
+            )
         else:
             print(tree_to_bracket(out_tree))
         return 0
     if args.json:
-        _print_json("tree", tree=tree_to_bracket(t))
+        print(json.dumps({"command": "tree", "tree": tree_to_bracket(t)}, indent=2))
     else:
         print(tree_to_bracket(t))
     return 0

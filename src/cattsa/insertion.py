@@ -5,8 +5,8 @@ result and the combined argument substitution of an insertion redex.
 
 from __future__ import annotations
 
-from itertools import chain, compress, count
-from operator import attrgetter, is_not, ne
+from itertools import chain, count
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import (
@@ -19,8 +19,6 @@ from .errors import (
 from .syntax import (
     NEG,
     POS,
-    STAR,
-    Arr,
     Coh,
     Context,
     Substitution,
@@ -39,10 +37,9 @@ from .trees import (
     all_labels,
     branching_path,
     ctx_to_tree,
-    emit_groups,
     linear_height,
     relabel_tree,
-    with_tree,
+    tree_to_ctx,
 )
 
 
@@ -135,12 +132,11 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
 
     Only the inner labels that collide are renamed, each to the first name
     with primes appended that no outer label and no earlier inner image
-    has, as when every label was freshened.  relabel_tree rebuilds only the
-    subtrees that hold a renamed label, and a run of outer or inner entries
-    whose labels and base are unchanged is copied, not emitted again.  The
-    internal substitution maps each inner variable to its image; the
-    external one keeps the surviving outer variables and sends x and its
-    boundary, erased by the splice, to the inner coherence and its boundary.
+    has, as when every label was freshened, and relabel_tree rebuilds only
+    the subtrees that hold a renamed label.  The internal substitution maps
+    each inner variable to its image; the external one keeps the surviving
+    outer variables and sends x and its boundary, erased by the splice, to
+    the inner coherence and its boundary.
     """
     outer, x, inner, inner_type = problem
     s, t = ctx_to_tree(outer), ctx_to_tree(inner)
@@ -153,15 +149,14 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     outer_at, inner_at = dict(zip(outer.vars, count())), dict(zip(inner.vars, count()))
     ren = _renaming(outer_at, inner.vars, inner_at)
     tree = _splice(s, path, relabel_tree(t, ren, inner_at))
-    entries = [(tree.labels[0], STAR)]
-    _graft(tree, s, path, t, STAR, (outer.entries, outer_at), (inner.entries, inner_at), entries)
-    inserted = with_tree(tree, entries)  # raises DuplicateVariable on a clash
+    inserted = tree_to_ctx(tree)  # raises DuplicateVariable on a clash
 
     internal = Substitution(tuple(zip(inner.vars, map(Var, map(ren.get, inner.vars, inner.vars)))))
     inner_coh: Term = Coh(inner, inner_type, internal)
     external, ty = list(identity_sub(outer).entries), outer.lookup(x)
-    erased = [(type_boundary(ty, m, sign).name, m, sign) for m in range(dim_type(ty)) for sign in (NEG, POS)]
-    for y, m, sign in erased + [(x, dim_type(ty), NEG)]:
+    dx = dim_type(ty)
+    erased = [(type_boundary(ty, m, sign).name, m, sign) for m in range(dx) for sign in (NEG, POS)]
+    for y, m, sign in erased + [(x, dx, NEG)]:
         external[outer_at[y]] = (y, term_boundary(inserted, inner_coh, m, sign))
     return InsertionResult(problem, inserted, internal, Substitution(tuple(external)))
 
@@ -172,57 +167,22 @@ def _renaming(outer: dict, inner: tuple[VarName, ...], at: dict) -> dict[VarName
     give the position of each outer and inner label."""
     ren: dict[VarName, VarName] = {}
     taken: set[VarName] = set()  # the new names given so far
-    todo, later = sorted(map(at.get, outer.keys() & at.keys()), reverse=True), set()
-    while todo or later:  # in context order: the least of todo's last and later
-        i = min(later) if later and not (todo and todo[-1] < min(later)) else todo.pop()
-        later.discard(i)
+    todo = sorted(map(at.get, outer.keys() & at.keys()), reverse=True)  # popped least first
+    while todo:
+        i = todo.pop()
         v = w = inner[i]
         while (at.get(w, i) < i and w not in ren) or w in outer or w in taken:
             w += "'"
-        if at.get(w, i) > i:
-            later.add(at[w])  # a later inner label that now collides
+        j = at.get(w, i)
+        if j > i:  # a later inner label that now collides, put in its place in todo
+            lo, hi = 0, len(todo)
+            while lo < hi:
+                mid = (lo + hi) // 2
+                lo, hi = (mid + 1, hi) if todo[mid] > j else (lo, mid)
+            todo.insert(lo, j)
         ren[v] = w
         taken.add(w)
     return ren
-
-
-def _graft(new, s, path, t, base, outer, inner, out) -> None:
-    """Append to out the entries over base of new, which is t relabelled and
-    spliced into s along path, all but its first.  outer and inner are the
-    (entries, positions) pairs of the contexts s and t were parsed from."""
-    n, m = path[0], len(t.branches) if len(path) == 1 else 1
-    _part(new, s, 0, n, 0, base, outer, len(outer[0]), out)
-    if len(path) == 1:
-        _part(new, t, n, n + m, -n, base, inner, len(inner[0]), out)
-    else:  # below, the base holds t's labels, so nothing of s is copied
-        sub_base = Arr(Var(new.labels[n]), base, Var(new.labels[n + 1]))
-        out += ((new.labels[n + 1], base), (new.branches[n].labels[0], sub_base))
-        _graft(new.branches[n], s.branches[n], path[1:], t.branches[0], sub_base, outer, inner, out)
-    _part(new, s, n + m, len(new.branches), 1 - m, base, outer, len(outer[0]), out)
-
-
-def _part(new, old, lo, hi, d, base, src, end, out) -> None:
-    """Append to out groups lo to hi - 1 of new over base, group j being the
-    entry of label j + 1 and the emission of branch j.  It stands where
-    group j + d of old stood in src, an (entries, positions) pair in which
-    old's entries end at end.  Over old's base, each run of groups whose
-    labels and branches are old's is copied; changed groups are emitted."""
-    entries, at = src
-    labels, branches, was = new.labels, new.branches, old.labels
-    if hi - lo < 3 or base != entries[at[was[0]]][1]:  # copying pays on longer runs
-        return emit_groups(new, lo, hi, base, out)
-    changed = set(compress(count(lo), map(is_not, branches[lo:hi], old.branches[lo + d : hi + d])))
-    for j in compress(count(lo), map(ne, labels[lo : hi + 1], was[lo + d : hi + d + 1])):
-        changed |= {j - 1, j}  # a label bounds the branches on both sides
-    done = at[was[lo + d + 1]]  # where the next run starts in src
-    for j in sorted(j for j in changed if lo <= j < hi):
-        out += entries[done : at[was[j + d + 1]]]
-        sub_base = Arr(Var(labels[j]), base, Var(labels[j + 1]))
-        out += ((labels[j + 1], base), (branches[j].labels[0], sub_base))
-        done = at[was[j + d + 2]] if j + d + 2 < len(was) else end
-        if branches[j].branches:
-            _part(branches[j], old.branches[j + d], 0, len(branches[j].branches), 0, sub_base, src, done, out)
-    out += entries[done : at[was[hi + d + 1]] if hi + d + 1 < len(was) else end]
 
 
 def insert_sub(
@@ -247,7 +207,8 @@ def insert_sub(
         if actual != expected:
             raise HeadMismatch(f"argument at '{x}' is not the inner coherence applied to tau")
     # tau's domain is the inner context's variables, in the order internal maps them
-    table = dict(chain(sigma.entries, zip(map(attrgetter("name"), result.internal.values), tau.values)))
+    renamed = map(attrgetter("name"), result.internal.values)
+    table = dict(chain(sigma.entries, zip(renamed, tau.values)))
     names = result.inserted.vars
     try:
         return Substitution(tuple(zip(names, map(table.__getitem__, names))))

@@ -17,7 +17,6 @@ detected incidentally.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import IllTyped, bounded
@@ -53,8 +52,12 @@ class Redex(NamedTuple):
     position: Position
 
     def position_str(self) -> str:
-        parts = [f"{kind}[{i}]" if kind in ("arg", "entry") else kind for kind, i in self.position]
-        return ".".join(parts) or "head"
+        if not self.position:
+            return "head"
+        parts = []
+        for kind, index in self.position:
+            parts.append(f"{kind}[{index}]" if kind in ("arg", "entry") else kind)
+        return ".".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +137,11 @@ def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
     outer = shape(t.ctx)
     if outer is None:
         return
-    for x, arg in compress(t.sub.entries, map(isinstance, t.sub.values, repeat(Coh))):
-        inner = shape(arg.ctx) if x in outer.maximal else None
+    for x in outer.maximal:
+        arg = t.sub.lookup(x)
+        if not isinstance(arg, Coh):
+            continue
+        inner = shape(arg.ctx)
         if inner is None:
             continue
         if arg.ty != inner.unbiased:

@@ -94,7 +94,9 @@ def leaf_labels(t: BataninTree) -> tuple[VarName, ...]:
 
 
 def tree_depth(t: BataninTree) -> int:
-    return 1 + max(map(tree_depth, t.branches), default=-1)
+    if not t.branches:
+        return 0
+    return 1 + max(tree_depth(br) for br in t.branches)
 
 
 def linear_height(t: BataninTree) -> int:
@@ -117,25 +119,20 @@ def is_linear(t: BataninTree) -> bool:
 
 def tree_to_ctx(t: BataninTree) -> Context:
     entries = [(t.labels[0], STAR)]
-    emit_groups(t, 0, len(t.branches), STAR, entries)
-    return with_tree(t, entries)
-
-
-def with_tree(t: BataninTree, entries: list[tuple[VarName, Type]]) -> Context:
-    """The context of entries, the emission of t, with t recorded as its tree."""
+    _emit(t, STAR, entries)
     ctx = Context(tuple(entries))
     ctx.derived(_TREE, lambda _: t)
     return ctx
 
 
-def emit_groups(t: BataninTree, lo: int, hi: int, base: Type, out: list) -> None:
-    """Append to out groups lo to hi - 1 of t over base: group j is label
-    j + 1, then branch j (its first label, then its groups)."""
-    for j in range(lo, hi):
-        br, sub_base = t.branches[j], Arr(Var(t.labels[j]), base, Var(t.labels[j + 1]))
-        out += ((t.labels[j + 1], base), (br.labels[0], sub_base))
+def _emit(t: BataninTree, base: Type, out: list[tuple[VarName, Type]]) -> None:
+    """Append to out the entries of t over base after its first label: each
+    later label, then the branch before it."""
+    for lo, hi, br in zip(t.labels, t.labels[1:], t.branches):
+        sub_base = Arr(Var(lo), base, Var(hi))
+        out += ((hi, base), (br.labels[0], sub_base))
         if br.branches:
-            emit_groups(br, 0, len(br.branches), sub_base, out)
+            _emit(br, sub_base, out)
 
 
 def ctx_to_tree(ctx: Context) -> BataninTree:
@@ -220,14 +217,14 @@ def branching_height(t: BataninTree, x: VarName) -> int:
     return len(branching_path(t, x)) - 1
 
 
-def relabel_tree(t: BataninTree, mapping: dict[VarName, VarName], at: dict[VarName, int]) -> BataninTree:
+def relabel_tree(
+    t: BataninTree, mapping: dict[VarName, VarName], at: dict[VarName, int]
+) -> BataninTree:
     """t with its labels renamed by mapping, where at gives the position of
     each label of t in its emission.  Only the subtrees that hold a renamed
     label are rebuilt; the others are returned as the same objects."""
     if not mapping:
         return t
-    if len(mapping) >= len(t.labels):  # as many searches as labels: rebuild every node
-        return _relabel_all(t, mapping)
     labels, inside = t.labels, {}
     for v, w in mapping.items():  # the branch that holds v, if t's labels do not
         q, lo, hi = at[v], 0, len(labels)  # lo becomes the number of labels before v
@@ -240,13 +237,6 @@ def relabel_tree(t: BataninTree, mapping: dict[VarName, VarName], at: dict[VarNa
     for j, below in inside.items():
         branches[j] = relabel_tree(branches[j], below, at)
     return BataninTree(tuple(map(mapping.get, labels, labels)), tuple(branches))
-
-
-def _relabel_all(t: BataninTree, mapping: dict[VarName, VarName]) -> BataninTree:
-    return BataninTree(
-        tuple(map(mapping.get, t.labels, t.labels)),
-        tuple(_relabel_all(br, mapping) for br in t.branches),
-    )
 
 
 # ---------------------------------------------------------------------------

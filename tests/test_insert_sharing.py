@@ -29,7 +29,8 @@ TREES = enumerate_trees(9)
 def _named(t, scheme: str):
     """t with the label at emission position i renamed by scheme: inner
     labels that collide with the canonical outer names v0, v1, ... in part,
-    and chains of primes such as z, z', z'' in either order."""
+    and chains of primes such as z, z', z'' in either order, and the first
+    half canonical with the second half the same names primed."""
     names = all_labels(t)
     k = len(names)
     pick = {
@@ -39,6 +40,7 @@ def _named(t, scheme: str):
         "shifted": lambda i: f"v{i + 1}" if i % 2 == 0 else f"w{i}",
         "primed": lambda i: f"v{i}" + "'" * (i % 3),
         "mixed": lambda i: ("z'" if i == 0 else "z" if i == k - 1 else f"v{i}'"),
+        "half-primed": lambda i: f"v{i}" if i < (k + 1) // 2 else f"v{i - (k + 1) // 2}'",
     }[scheme]
     return relabel_whole(t, {v: pick(i) for i, v in enumerate(names)})
 
@@ -51,7 +53,7 @@ def _outer_named(t, scheme: str):
     return relabel_whole(t, {names[-1]: "z", names[1]: "z''"})
 
 
-SCHEMES = ("canonical", "chain", "chain-reversed", "shifted", "primed", "mixed")
+SCHEMES = ("canonical", "chain", "chain-reversed", "shifted", "primed", "mixed", "half-primed")
 
 
 def _problems():
