@@ -413,6 +413,7 @@ def _context_of_tree_arg(args: argparse.Namespace, env: Env | None) -> Context:
     return _resolve(env, args.name).ctx
 
 
+@bounded
 def cmd_tree(args: argparse.Namespace) -> int:
     env: Env | None = None
     if args.file:

@@ -130,13 +130,13 @@ def type_linear_height(ty: Type) -> int:
 def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     """Insert the inner pasting context in place of a locally maximal cell.
 
-    Only the inner labels that collide are renamed, each to the first name
-    with primes appended that no outer label and no earlier inner image
-    has, as when every label was freshened, and relabel_tree rebuilds only
-    the subtrees that hold a renamed label.  The internal substitution maps
-    each inner variable to its image; the external one keeps the surviving
-    outer variables and sends x and its boundary, erased by the splice, to
-    the inner coherence and its boundary.
+    Each inner label in turn is freshened: primes are appended until no
+    outer label and no earlier inner image has the name.  Only the labels
+    whose name changed are recorded, and relabel_tree rebuilds only the
+    nodes that hold one.  The internal substitution maps each inner
+    variable to its image; the external one keeps the surviving outer
+    variables and sends x and its boundary, erased by the splice, to the
+    inner coherence and its boundary.
     """
     outer, x, inner, inner_type = problem
     s, t = ctx_to_tree(outer), ctx_to_tree(inner)
@@ -146,9 +146,17 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
             f"inner type has linear height {type_linear_height(inner_type)}, "
             f"need at least {len(path) - 1}"
         )
-    outer_at, inner_at = dict(zip(outer.vars, count())), dict(zip(inner.vars, count()))
-    ren = _renaming(outer_at, inner.vars, inner_at)
-    tree = _splice(s, path, relabel_tree(t, ren, inner_at))
+    outer_at = dict(zip(outer.vars, count()))
+    ren: dict[VarName, VarName] = {}
+    images: set[VarName] = set()
+    for v in inner.vars:
+        w = v
+        while w in outer_at or w in images:
+            w += "'"
+        images.add(w)
+        if w != v:
+            ren[v] = w
+    tree = _splice(s, path, relabel_tree(t, ren))
     inserted = tree_to_ctx(tree)  # raises DuplicateVariable on a clash
 
     internal = Substitution(tuple(zip(inner.vars, map(Var, map(ren.get, inner.vars, inner.vars)))))
@@ -159,30 +167,6 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     for y, m, sign in erased + [(x, dx, NEG)]:
         external[outer_at[y]] = (y, term_boundary(inserted, inner_coh, m, sign))
     return InsertionResult(problem, inserted, internal, Substitution(tuple(external)))
-
-
-def _renaming(outer: dict, inner: tuple[VarName, ...], at: dict) -> dict[VarName, VarName]:
-    """The new name of each inner label that collides with an outer label or
-    with the new name of an earlier one, visiting only those; outer and at
-    give the position of each outer and inner label."""
-    ren: dict[VarName, VarName] = {}
-    taken: set[VarName] = set()  # the new names given so far
-    todo = sorted(map(at.get, outer.keys() & at.keys()), reverse=True)  # popped least first
-    while todo:
-        i = todo.pop()
-        v = w = inner[i]
-        while (at.get(w, i) < i and w not in ren) or w in outer or w in taken:
-            w += "'"
-        j = at.get(w, i)
-        if j > i:  # a later inner label that now collides, put in its place in todo
-            lo, hi = 0, len(todo)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                lo, hi = (mid + 1, hi) if todo[mid] > j else (lo, mid)
-            todo.insert(lo, j)
-        ren[v] = w
-        taken.add(w)
-    return ren
 
 
 def insert_sub(

@@ -18,6 +18,7 @@ so a context built by insertion is never re-parsed.
 from __future__ import annotations
 
 import re
+from operator import is_
 from typing import Optional
 
 from .errors import (
@@ -63,9 +64,9 @@ def tree(labels: list[VarName] | tuple[VarName, ...], branches=()) -> BataninTre
 
 def _distinct(t: BataninTree) -> BataninTree:
     """t, once its labels are checked pairwise distinct: a parse of a
-    context, a boundary, a relabelling by fresh names and a splice of
-    disjoint trees keep them so, and a check in the constructor would walk
-    every subtree once per node above it."""
+    context, a boundary, a relabelling to names that no other label has
+    and a splice of disjoint trees keep them so, and a check in the
+    constructor would walk every subtree once per node above it."""
     seen: set[VarName] = set()
     for name in all_labels(t):
         if name in seen:
@@ -217,26 +218,18 @@ def branching_height(t: BataninTree, x: VarName) -> int:
     return len(branching_path(t, x)) - 1
 
 
-def relabel_tree(
-    t: BataninTree, mapping: dict[VarName, VarName], at: dict[VarName, int]
-) -> BataninTree:
-    """t with its labels renamed by mapping, where at gives the position of
-    each label of t in its emission.  Only the subtrees that hold a renamed
-    label are rebuilt; the others are returned as the same objects."""
+def relabel_tree(t: BataninTree, mapping: dict[VarName, VarName]) -> BataninTree:
+    """t with its labels renamed by mapping, in one walk that rebuilds only
+    the nodes where a label or a branch changed and returns every other
+    subtree as the same object (a leaf that keeps its name without a call)."""
     if not mapping:
         return t
-    labels, inside = t.labels, {}
-    for v, w in mapping.items():  # the branch that holds v, if t's labels do not
-        q, lo, hi = at[v], 0, len(labels)  # lo becomes the number of labels before v
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (mid + 1, hi) if at[labels[mid]] < q else (lo, mid)
-        if lo == len(labels) or labels[lo] != v:
-            inside.setdefault(lo - 2, {})[v] = w  # in the branch after label lo - 1
-    branches = list(t.branches)
-    for j, below in inside.items():
-        branches[j] = relabel_tree(branches[j], below, at)
-    return BataninTree(tuple(map(mapping.get, labels, labels)), tuple(branches))
+    labels = tuple(map(mapping.get, t.labels, t.labels))
+    branches = tuple(relabel_tree(br, mapping) if br.branches or br.labels[0] in mapping
+                     else br for br in t.branches)
+    if labels == t.labels and all(map(is_, branches, t.branches)):
+        return t
+    return BataninTree(labels, branches)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,12 @@ runs cattsa.cli.main in-process on every source text of the test modules
 (helpers.catt_texts) and of the benchmark at seed 101
 (helpers.bench_catt_texts): check (plain and --json), and for each
 declaration infer, normalize (plain, --trace, --json) and tree, and eq on
-each declaration with the next one, all in both modes, with and without
---no-disc-insertion.  Each line is the run's key and a hash of its stdout,
-stderr and exit code (or of the exception that escaped).  SRC is the
+each declaration with the next one, and tree --insert VAR --inner NEXT
+for each declaration, each locally maximal variable VAR of its telescope
+(one that no arrow type there names as an endpoint) and the next
+declaration NEXT, all in both modes, with and without
+--no-disc-insertion.  Each line is the run's key and a hash of its
+stdout, stderr and exit code (or of the exception that escaped).  SRC is the
 directory the cattsa package is imported from, by default the src/ of
 this checkout; the texts always come from this checkout, so two kernels
 give the same keys and `diff` of their digests lists the runs whose
@@ -44,7 +47,16 @@ def _digest(main, argv: list[str]) -> str:
     return hashlib.sha256(blob.encode("utf-8", "surrogatepass")).hexdigest()[:16]
 
 
-def _runs(names: list[str]):
+def _locally_maximal(decl) -> list[str]:
+    """The variables of decl's telescope that no arrow type in it names as
+    an endpoint."""
+    arrows = [ty for _, ty in decl.telescope if hasattr(ty, "src")]
+    ends = {end.name for ty in arrows for end in (ty.src, ty.tgt)}
+    return [v for v, _ in decl.telescope if v not in ends]
+
+
+def _runs(decls):
+    names = [d.name for d in decls]
     yield ["check"]
     yield ["check", "--json"]
     for name in names:
@@ -55,6 +67,9 @@ def _runs(names: list[str]):
         yield ["tree", name]
     for first, second in zip(names, names[1:]):
         yield ["eq", first, second]
+    for decl, inner in zip(decls, names[1:]):
+        for var in _locally_maximal(decl):
+            yield ["tree", decl.name, "--insert", var, "--inner", inner]
 
 
 def main(src: str) -> None:
@@ -70,8 +85,7 @@ def main(src: str) -> None:
         for i, (where, text) in enumerate(texts):
             path = f"{where}{i:03d}.catt"
             Path(path).write_text(text, encoding="utf-8")
-            names = [d.name for d in parse(text).decls]
-            for run in _runs(names):
+            for run in _runs(parse(text).decls):
                 for setting in SETTINGS:
                     argv = [run[0], path, *run[1:], *setting]
                     print(" ".join(argv), _digest(cli.main, argv), flush=True)

@@ -448,6 +448,20 @@ def test_commands_on_a_term_too_deep_for_the_kernel(tmp_path, capsys):
             assert (out, err) == ("", "error: a term is nested too deeply for the kernel\n")
 
 
+def test_tree_of_a_telescope_too_deep_for_the_kernel(tmp_path, capsys):
+    # a 400-dimensional disc: its tree and its types nest 400 levels deep
+    n = 400
+    cells = ["(x0 : *) (y0 : *)"] + [
+        f"(x{i} : x{i - 1} -> y{i - 1}) (y{i} : x{i - 1} -> y{i - 1})" for i in range(1, n)
+    ]
+    path = tmp_path / "disc.catt"
+    path.write_text(f"coh id {' '.join(cells)} (d : x{n - 1} -> y{n - 1}) : d -> d\n")
+    for extra in ([], ["--json"], ["--insert", "d", "--inner", "id"]):
+        assert cli.main(["tree", str(path), "id", *extra]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: a term is nested too deeply for the kernel\n")
+
+
 def test_eq_renames_only_when_the_telescopes_bind_other_names(tmp_path, capsys):
     # c shares b's deep argument by object identity, so renaming it would
     # copy that argument once per occurrence; both sides bind the same names

@@ -80,6 +80,16 @@ def _problems():
                             yield InsertionProblem(outer, x, inner, a), bh + 1
 
 
+def _half_primed_chain(k: int) -> InsertionProblem:
+    """The half-primed insertion of tests/scaling_probe.py: a chain of k
+    arrows named v0, ... then v0', ..., inserted at the first arrow of a
+    chain of k arrows named v0, v1, ..."""
+    s = ctx_to_tree(chain(k))
+    s = relabel_whole(s, {v: f"v{i}" for i, v in enumerate(all_labels(s))})
+    outer, inner = tree_to_ctx(s), tree_to_ctx(_named(s, "half-primed"))
+    return InsertionProblem(outer, outer.vars[2], inner, unbiased_type(inner))
+
+
 def _sigma(problem: InsertionProblem, tau: Substitution) -> Substitution:
     """An outer argument substitution whose argument at the cell is the
     inner coherence applied to tau, and a distinct variable elsewhere."""
@@ -91,7 +101,7 @@ def _sigma(problem: InsertionProblem, tau: Substitution) -> Substitution:
 
 def test_sharing_insertion_agrees_with_the_reference():
     lengths: dict[int, int] = {}
-    for problem, length in _problems():
+    for problem, length in [*_problems(), (_half_primed_chain(64), 1)]:
         got, want = insert_ctx(problem), reference_insert_ctx(problem)
         assert got.inserted.entries == want.inserted.entries
         assert ctx_to_tree(got.inserted) == ctx_to_tree(want.inserted)
@@ -135,14 +145,13 @@ def test_only_colliding_labels_are_renamed():
 def test_relabelling_shares_the_subtrees_without_a_renamed_label():
     t = ctx_to_tree(tree_to_ctx(_named(TREES[-1], "canonical")))
     inner = tree_to_ctx(t)
-    at = {v: i for i, v in enumerate(inner.vars)}
     last = inner.vars[-1]
-    new = relabel_tree(t, {last: last + "'"}, at)
+    new = relabel_tree(t, {last: last + "'"})
     assert new == relabel_whole(t, {last: last + "'"})
     # only the branches on the way to the renamed label are new objects
     unchanged = [br for br in t.branches if last not in all_labels(br)]
     assert all(any(br is nb for nb in new.branches) for br in unchanged)
-    assert relabel_tree(t, {}, at) is t
+    assert relabel_tree(t, {}) is t
 
 
 # ---------------------------------------------------------------------------
