@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from . import reduction
 from .errors import CattError, ElaborationError, SurfaceSyntaxError, UnreadableFile, bounded
@@ -233,23 +233,22 @@ def _load(path: str) -> tuple[SourceFile, Env]:
     return src, elaborate_file(src)
 
 
-def _check_decl(decl: Decl, session: Session) -> tuple[bool, str]:
-    report = session.check_ctx(decl.ctx)
-    if not report.ok:
-        return False, report.message
+def _judgements(decl: Decl, session: Session) -> Iterator[TypingReport]:
+    """decl's judgements in order, each made only once the one before passed."""
+    yield session.check_ctx(decl.ctx)
     if decl.kind == "coh":
-        report = session.infer_report(decl.ctx, decl.value())
-        if not report.ok:
-            return False, report.message
-        return True, f"coh {decl.name}: ok"
-    report = session.check_type(decl.ctx, decl.ty)
-    if not report.ok:
-        return False, report.message
+        yield session.infer_report(decl.ctx, decl.value())
+        return
+    yield session.check_type(decl.ctx, decl.ty)
     assert decl.body is not None
-    report = session.check_term(decl.ctx, decl.body, decl.ty)
-    if not report.ok:
-        return False, report.message
-    return True, f"def {decl.name}: ok"
+    yield session.check_term(decl.ctx, decl.body, decl.ty)
+
+
+def _check_decl(decl: Decl, session: Session) -> tuple[bool, str]:
+    failed = next((r for r in _judgements(decl, session) if not r.ok), None)
+    if failed is not None:
+        return False, failed.message
+    return True, f"{decl.kind} {decl.name}: ok"
 
 
 def _session(args: argparse.Namespace) -> Session:
@@ -263,16 +262,23 @@ def _failed(report: TypingReport, prefix: str = "") -> bool:
     return not report.ok
 
 
+def _print_result(args: argparse.Namespace, doc: dict, *lines: str) -> None:
+    """Print the command's result: doc as JSON under --json, else lines."""
+    if args.json:
+        print(json.dumps(doc, indent=2))
+    else:
+        for line in lines:
+            print(line)
+
+
 def cmd_check(args: argparse.Namespace) -> int:
     session = _session(args)
     src, env = _load(args.file)
     results = []
-    ok = True
     for d in src.decls:
         decl_ok, message = _check_decl(env[d.name], session)
         if not decl_ok:
             message = f"{d.span.line}:{d.span.col}: {message}"
-        ok = ok and decl_ok
         results.append(
             {
                 "name": d.name,
@@ -282,11 +288,9 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "message": message,
             }
         )
-    if args.json:
-        print(json.dumps({"command": "check", "mode": session.mode.value, "ok": ok, "results": results}, indent=2))
-    else:
-        for r in results:
-            print(r["message"])
+    ok = all(r["ok"] for r in results)
+    doc = {"command": "check", "mode": session.mode.value, "ok": ok, "results": results}
+    _print_result(args, doc, *(r["message"] for r in results))
     return 0 if ok else 1
 
 
@@ -308,30 +312,21 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     normal = reduction.normalize(
         decl.ctx, term, allow_disc_insertion=session.allow_disc_insertion, trace=trace
     )
-    if args.json:
-        out = {
-            "command": "normalize",
-            "mode": session.mode.value,
-            "name": args.name,
-            "normal_form": term_str(normal),
-            "trace": trace,
-        }
-        print(json.dumps(out, indent=2))
-    else:
-        if args.trace:
-            for line in trace:
-                print(line)
-        print(term_str(normal))
+    doc = {
+        "command": "normalize",
+        "mode": session.mode.value,
+        "name": args.name,
+        "normal_form": term_str(normal),
+        "trace": trace,
+    }
+    _print_result(args, doc, *(trace if args.trace else ()), doc["normal_form"])
     return 0
 
 
-@bounded
-def _comparable_values(env: Env, name1: str, name2: str) -> tuple[Context, Term, Term]:
-    d1 = _resolve(env, name1)
-    d2 = _resolve(env, name2)
+def _comparable_values(d1: Decl, d2: Decl) -> tuple[Context, Term, Term]:
     if not alpha_eq(d1.ctx, d2.ctx):
         raise CattError(
-            f"'{name1}' and '{name2}' have different telescopes and "
+            f"'{d1.name}' and '{d2.name}' have different telescopes and "
             "cannot be compared"
         )
     t2 = d2.value()
@@ -343,31 +338,20 @@ def _comparable_values(env: Env, name1: str, name2: str) -> tuple[Context, Term,
 def cmd_eq(args: argparse.Namespace) -> int:
     session = _session(args)
     _, env = _load(args.file)
-    names = (args.name1, args.name2)
-    decls = [_resolve(env, name) for name in names]
-    for name, decl in zip(names, decls):
-        if _failed(session.check_ctx(decl.ctx), f"{name}: "):
-            return 1
-    ctx, t1, t2 = _comparable_values(env, *names)
-    for name, t in zip(names, (t1, t2)):
-        if _failed(session.infer_report(ctx, t), f"{name}: "):
-            return 1
+    decls = (_resolve(env, args.name1), _resolve(env, args.name2))
+    if any(_failed(session.check_ctx(d.ctx), f"{d.name}: ") for d in decls):
+        return 1
+    ctx, t1, t2 = _comparable_values(*decls)
+    if any(_failed(session.infer_report(ctx, t), f"{d.name}: ") for d, t in zip(decls, (t1, t2))):
+        return 1
     same = session.equal(ctx, t1, t2)
-    verdict = "equal" if same else "not equal"
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "eq",
-                    "mode": session.mode.value,
-                    "names": [args.name1, args.name2],
-                    "equal": same,
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(verdict)
+    doc = {
+        "command": "eq",
+        "mode": session.mode.value,
+        "names": [args.name1, args.name2],
+        "equal": same,
+    }
+    _print_result(args, doc, "equal" if same else "not equal")
     return 0 if same else 1
 
 
@@ -386,71 +370,46 @@ def cmd_infer(args: argparse.Namespace) -> int:
         inferred = reduction.normalize(
             decl.ctx, inferred, allow_disc_insertion=session.allow_disc_insertion
         )
-    if args.json:
-        print(
-            json.dumps(
-                {
-                    "command": "infer",
-                    "mode": session.mode.value,
-                    "name": args.name,
-                    "type": type_str(inferred),
-                },
-                indent=2,
-            )
-        )
-    else:
-        print(type_str(inferred))
+    doc = {
+        "command": "infer",
+        "mode": session.mode.value,
+        "name": args.name,
+        "type": type_str(inferred),
+    }
+    _print_result(args, doc, doc["type"])
     return 0
 
 
-def _context_of_tree_arg(args: argparse.Namespace, env: Env | None) -> Context:
+def cmd_tree(args: argparse.Namespace) -> int:
+    env: Env = _load(args.file)[1] if args.file else {}
+    if not args.context and not (args.file and args.name):
+        print("tree: need FILE NAME or --context LITERAL", file=sys.stderr)
+        return 2
     if args.context:
         ctx = Context()
         for v, src_ty in parse_telescope(args.context):
             ctx = ctx.extend(v, elaborate_type(src_ty, ctx, {}))
-        return ctx
-    assert env is not None and args.name
-    return _resolve(env, args.name).ctx
-
-
-@bounded
-def cmd_tree(args: argparse.Namespace) -> int:
-    env: Env | None = None
-    if args.file:
-        _, env = _load(args.file)
-    if not args.context and not (args.file and args.name):
-        print("tree: need FILE NAME or --context LITERAL", file=sys.stderr)
-        return 2
-    ctx = _context_of_tree_arg(args, env)
+    else:
+        ctx = _resolve(env, args.name).ctx
     t = ctx_to_tree(ctx)
     if args.insert:
-        if env is None or not args.inner:
+        if not args.file or not args.inner:
             print("tree --insert needs FILE, NAME and --inner", file=sys.stderr)
             return 2
         inner_ctx = _resolve(env, args.inner).ctx
         problem = InsertionProblem(ctx, args.insert, inner_ctx, unbiased_type(inner_ctx))
         result = insert_ctx(problem)
-        out_tree = ctx_to_tree(result.inserted)
-        if args.json:
-            print(
-                json.dumps(
-                    {
-                        "command": "tree",
-                        "outer": tree_to_bracket(t),
-                        "inner": tree_to_bracket(ctx_to_tree(inner_ctx)),
-                        "at": args.insert,
-                        "inserted": tree_to_bracket(out_tree),
-                    },
-                    indent=2,
-                )
-            )
-        else:
-            print(tree_to_bracket(out_tree))
+        doc = {
+            "command": "tree",
+            "outer": tree_to_bracket(t),
+            "inner": tree_to_bracket(ctx_to_tree(inner_ctx)),
+            "at": args.insert,
+            "inserted": tree_to_bracket(ctx_to_tree(result.inserted)),
+        }
+        _print_result(args, doc, doc["inserted"])
         return 0
-    if args.json:
-        print(json.dumps({"command": "tree", "tree": tree_to_bracket(t)}, indent=2))
-    else:
-        print(tree_to_bracket(t))
+    doc = {"command": "tree", "tree": tree_to_bracket(t)}
+    _print_result(args, doc, doc["tree"])
     return 0
 
 
@@ -520,7 +479,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        # one depth guard: a RecursionError anywhere ends as TooDeep below
+        return bounded(args.func)(args)
     except SurfaceSyntaxError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import (
+    DimensionError,
     DuplicateVariable,
     HeadMismatch,
     LinearHeightTooSmall,
@@ -128,7 +129,8 @@ def type_linear_height(ty: Type) -> int:
 
 
 def insert_ctx(problem: InsertionProblem) -> InsertionResult:
-    """Insert the inner pasting context in place of a locally maximal cell.
+    """Insert the inner pasting context in place of a locally maximal cell
+    x, which needs an inner type with enough linear height and x's dimension.
 
     Each inner label in turn is freshened: primes are appended until no
     outer label and no earlier inner image has the name.  Only the labels
@@ -146,6 +148,10 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
             f"inner type has linear height {type_linear_height(inner_type)}, "
             f"need at least {len(path) - 1}"
         )
+    external, ty = list(identity_sub(outer).entries), outer.lookup(x)
+    dx = dim_type(ty)
+    if (di := dim_type(inner_type)) != dx:
+        raise DimensionError(f"inner coherence has dimension {di}, '{x}' has dimension {dx}")
     outer_at = dict(zip(outer.vars, count()))
     ren: dict[VarName, VarName] = {}
     images: set[VarName] = set()
@@ -161,8 +167,6 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
 
     internal = Substitution(tuple(zip(inner.vars, map(Var, map(ren.get, inner.vars, inner.vars)))))
     inner_coh: Term = Coh(inner, inner_type, internal)
-    external, ty = list(identity_sub(outer).entries), outer.lookup(x)
-    dx = dim_type(ty)
     erased = [(type_boundary(ty, m, sign).name, m, sign) for m in range(dx) for sign in (NEG, POS)]
     for y, m, sign in erased + [(x, dx, NEG)]:
         external[outer_at[y]] = (y, term_boundary(inserted, inner_coh, m, sign))

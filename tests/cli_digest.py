@@ -4,12 +4,12 @@
 
 runs cattsa.cli.main in-process on every source text of the test modules
 (helpers.catt_texts) and of the benchmark at seed 101
-(helpers.bench_catt_texts): check (plain and --json), and for each
-declaration infer, normalize (plain, --trace, --json) and tree, and eq on
-each declaration with the next one, and tree --insert VAR --inner NEXT
-for each declaration, each locally maximal variable VAR of its telescope
-(one that no arrow type there names as an endpoint) and the next
-declaration NEXT, all in both modes, with and without
+(helpers.bench_catt_texts): check, and for each declaration infer,
+normalize and tree, and eq on each declaration with the next one, and
+tree --insert VAR --inner NEXT for each declaration, each locally maximal
+variable VAR of its telescope (one that no arrow type there names as an
+endpoint) and the next declaration NEXT; each of these plain and with
+--json, normalize also with --trace, all in both modes, with and without
 --no-disc-insertion.  Each line is the run's key and a hash of its
 stdout, stderr and exit code (or of the exception that escaped).  SRC is the
 directory the cattsa package is imported from, by default the src/ of
@@ -61,15 +61,19 @@ def _runs(decls):
     yield ["check", "--json"]
     for name in names:
         yield ["infer", name]
+        yield ["infer", name, "--json"]
         yield ["normalize", name]
         yield ["normalize", name, "--trace"]
         yield ["normalize", name, "--json"]
         yield ["tree", name]
+        yield ["tree", name, "--json"]
     for first, second in zip(names, names[1:]):
         yield ["eq", first, second]
+        yield ["eq", first, second, "--json"]
     for decl, inner in zip(decls, names[1:]):
         for var in _locally_maximal(decl):
             yield ["tree", decl.name, "--insert", var, "--inner", inner]
+            yield ["tree", decl.name, "--insert", var, "--inner", inner, "--json"]
 
 
 def main(src: str) -> None:

@@ -155,16 +155,57 @@ def test_tree_insert(assoc_file, capsys):
 
 
 def test_json_output(assoc_file, capsys):
-    assert cli.main(["eq", assoc_file, "left", "right", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    def run(*argv: str) -> dict:
+        assert cli.main([*argv, "--json"]) == 0
+        return json.loads(capsys.readouterr().out)
+
+    doc = run("eq", assoc_file, "left", "right")
+    assert list(doc) == ["command", "mode", "names", "equal"]
     assert doc["equal"] is True and doc["mode"] == "sa"
-    assert cli.main(["check", assoc_file, "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    doc = run("check", assoc_file)
+    assert list(doc) == ["command", "mode", "ok", "results"]
     assert doc["ok"] is True and len(doc["results"]) == 5
-    assert cli.main(["normalize", assoc_file, "right", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    assert all(list(r) == ["name", "ok", "line", "col", "message"] for r in doc["results"])
+    doc = run("normalize", assoc_file, "right")
+    assert list(doc) == ["command", "mode", "name", "normal_form", "trace"]
     assert doc["normal_form"].startswith("coh {")
     assert len(doc["trace"]) == 1 and "insertion at head" in doc["trace"][0]
+    doc = run("infer", assoc_file, "left")
+    assert doc == {"command": "infer", "mode": "sa", "name": "left", "type": "x -> w"}
+    assert list(doc) == ["command", "mode", "name", "type"]
+    doc = run("tree", assoc_file, "comp3")
+    assert doc == {"command": "tree", "tree": "[x [f] y [g] z [h] w]"}
+    assert list(doc) == ["command", "tree"]
+    doc = run("tree", assoc_file, "comp", "--insert", "g", "--inner", "comp")
+    assert doc == {
+        "command": "tree",
+        "outer": "[x [f] y [g] z]",
+        "inner": "[x [f] y [g] z]",
+        "at": "g",
+        "inserted": "[x [f] x' [f'] y' [g'] z']",
+    }
+    assert list(doc) == ["command", "outer", "inner", "at", "inserted"]
+
+
+DIMENSIONS = HEADER + """
+coh vid (x : *) (y : *) (f : x -> y) (g : x -> y) (a : f -> g) : a -> a
+"""
+
+
+@pytest.mark.parametrize(
+    "outer, var, inner, dims",
+    [("comp", "f", "vid", (2, 1)), ("vid", "a", "comp", (1, 2))],
+    ids=["2-cell-at-a-1-cell", "1-cell-at-a-2-cell"],
+)
+def test_tree_insert_needs_an_inner_coherence_of_the_variables_dimension(
+    tmp_path, capsys, outer, var, inner, dims
+):
+    p = tmp_path / "dims.catt"
+    p.write_text(DIMENSIONS)
+    message = f"error: inner coherence has dimension {dims[0]}, '{var}' has dimension {dims[1]}\n"
+    for extra in ([], ["--json"]):
+        assert cli.main(["tree", str(p), outer, "--insert", var, "--inner", inner, *extra]) == 1
+        assert capsys.readouterr() == ("", message)
 
 
 def test_eq_compares_coherences_with_defs(assoc_file, capsys):
@@ -355,6 +396,26 @@ def test_commands_check_the_telescope_first(tmp_path, capsys, mode):
         assert capsys.readouterr() == ("", err + "\n")
 
 
+def test_check_decl_makes_each_judgement_only_once_the_one_before_passed():
+    env = cli.elaborate_file(parse(ASSOC + BAD_TELESCOPES.removeprefix(HEADER)))
+    session = Session(Mode.CATT_SA)
+    calls: list[str] = []
+
+    def spy(name, judge):
+        return lambda *args: calls.append(name) or judge(*args)
+
+    for name in ("check_ctx", "check_type", "check_term", "infer_report"):
+        setattr(session, name, spy(name, getattr(session, name)))
+    for decl, ok, judged in (
+        ("bad", False, ["check_ctx"]),  # its telescope fails: type and term are not judged
+        ("left", True, ["check_ctx", "check_type", "check_term"]),
+        ("comp", True, ["check_ctx", "infer_report"]),
+    ):
+        calls.clear()
+        assert cli._check_decl(env[decl], session)[0] is ok
+        assert calls == judged
+
+
 def test_cli_verdicts_agree_with_kernel(assoc_file):
     env = cli.elaborate_file(parse(ASSOC))
     left, right = env["left"], env["right"]
@@ -467,7 +528,7 @@ def test_eq_renames_only_when_the_telescopes_bind_other_names(tmp_path, capsys):
     # copy that argument once per occurrence; both sides bind the same names
     path = _deep_def_file(tmp_path, 200, "def c (x : *) (f : x -> x) : x -> x := b [b [f]]\n")
     env = cli._load(path)[1]
-    assert cli._comparable_values(env, "c", "c")[2] is env["c"].value()
+    assert cli._comparable_values(env["c"], env["c"])[2] is env["c"].value()
     assert cli.main(["eq", path, "c", "c"]) == 1
     out, err = capsys.readouterr()
     assert (out, err) == ("", "error: a term is nested too deeply for the kernel\n")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cattsa.errors import (
+    DimensionError,
     DuplicateVariable,
     HeadMismatch,
     LinearHeightTooSmall,
@@ -196,6 +197,18 @@ def test_insert_ctx_linear_height_guard():
     assert branching_path(ctx_to_tree(deep_outer), "gamma") == (0, 0, 0)
     with pytest.raises(LinearHeightTooSmall):
         insert_ctx(InsertionProblem(deep_outer, "gamma", DELTA, unbiased_type(DELTA)))
+
+
+def test_insert_ctx_rejects_an_inner_type_of_another_dimension():
+    # in a well-typed redex the argument at x has x's dimension: the 1-cell
+    # composite over a chain cannot fill the 2-cell alpha, nor the 2-cell
+    # composite over Theta the 1-cell k
+    for x, inner, dims in (("alpha", CHAIN2, (1, 2)), ("k", THETA, (2, 1))):
+        with pytest.raises(DimensionError) as err:
+            insert_ctx(InsertionProblem(DELTA, x, inner, unbiased_type(inner)))
+        assert str(err.value) == (
+            f"inner coherence has dimension {dims[0]}, '{x}' has dimension {dims[1]}"
+        )
 
 
 def test_insert_ctx_variable_bookkeeping():
