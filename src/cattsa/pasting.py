@@ -44,17 +44,18 @@ class Shape(NamedTuple):
     unbiased: Type
 
 
-def shape(ctx: Context) -> Optional[Shape]:
-    """The shape of ctx, or None if it is not pasting; memoised on ctx."""
-    return ctx.derived("_pasting_shape", _new_shape)
+def shape(ctx: Context, unbiased: Optional[Type] = None) -> Optional[Shape]:
+    """The shape of ctx, or None if it is not pasting; memoised on ctx.  A
+    caller that knows the unbiased type of ctx passes it, to memoise it."""
+    return ctx.derived("_pasting_shape", _new_shape, unbiased)
 
 
-def _new_shape(ctx: Context) -> Optional[Shape]:
+def _new_shape(ctx: Context, unbiased: Optional[Type] = None) -> Optional[Shape]:
     try:
         tree = ctx_to_tree(ctx)
     except NotPasting:
         return None
-    return Shape(tree, leaf_labels(tree), _unbiased_type(tree))
+    return Shape(tree, leaf_labels(tree), unbiased or _unbiased_type(tree))
 
 
 # ---------------------------------------------------------------------------

@@ -195,9 +195,12 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
     nf = _rebuilt(item, [h[1] for h in done]) if any(h[1] is not h[0] for h in done) else item
     steps = _merged([(c[:2], h[2]) for c, h in zip(children, done) if h[2]]) if traced else None
     while isinstance(nf, Coh) and (x := next(_eligible_heads(nf, allow), None)) is not None:
+        unbiased = nf.ty == shape(nf.ctx).unbiased
         nf = _insert_at(nf, x)
         # the reduct's arguments are normal arguments: only its type may reduce
         _, ty, inner = _nf(nf.ty, memo, allow, traced)
+        if unbiased:  # then so is the reduct: ty is its context's unbiased type
+            shape(nf.ctx, ty)
         if traced:
             steps.append(((), nf))
             steps += [((("type", 0),) + pos, new) for pos, new in inner]

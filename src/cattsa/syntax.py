@@ -128,13 +128,13 @@ class _Memo(Frozen):
 
     __slots__ = ()
 
-    def derived(self, key: str, compute: Callable[..., _T]) -> _T:
-        """The memo entry key, set to compute(self) on first use and never
-        changed; racing threads compute equal values and the first is kept."""
+    def derived(self, key: str, compute: Callable[..., _T], *args) -> _T:
+        """The memo entry key, set to compute(self, *args) on first use and
+        never changed; racing threads compute equal values, the first kept."""
         memo = self.__dict__
         if key in memo:
             return memo[key]
-        return memo.setdefault(key, compute(self))
+        return memo.setdefault(key, compute(self, *args))
 
 
 class _Table(_Memo):

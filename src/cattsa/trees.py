@@ -90,27 +90,21 @@ def leaf_labels(t: BataninTree) -> tuple[VarName, ...]:
         return t.labels
     out: list[VarName] = []
     for br in t.branches:
-        out.extend(leaf_labels(br))
+        out.extend(leaf_labels(br) if br.branches else br.labels)
     return tuple(out)
 
 
 def tree_depth(t: BataninTree) -> int:
-    if not t.branches:
-        return 0
-    return 1 + max(tree_depth(br) for br in t.branches)
+    return 1 + max(tree_depth(br) for br in t.branches) if t.branches else 0
 
 
 def linear_height(t: BataninTree) -> int:
     """Height of the tree before any branching occurs."""
-    if len(t.branches) == 1:
-        return 1 + linear_height(t.branches[0])
-    return 0
+    return 1 + linear_height(t.branches[0]) if len(t.branches) == 1 else 0
 
 
 def is_linear(t: BataninTree) -> bool:
-    if not t.branches:
-        return True
-    return len(t.branches) == 1 and is_linear(t.branches[0])
+    return not t.branches or len(t.branches) == 1 and is_linear(t.branches[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ variable VAR of its telescope (one that no arrow type there names as an
 endpoint) and the next declaration NEXT; each of these plain and with
 --json, normalize also with --trace, all in both modes, with and without
 --no-disc-insertion.  Each line is the run's key and a hash of its
-stdout, stderr and exit code (or of the exception that escaped).  SRC is the
-directory the cattsa package is imported from, by default the src/ of
+stdout, stderr and exit code (or of the exception that escaped).  Each
+file is named by a short hash of its text, so no key changes when a test
+module gains or loses a string, and a text met twice is run once.  SRC is
+the directory the cattsa package is imported from, by default the src/ of
 this checkout; the texts always come from this checkout, so two kernels
 give the same keys and `diff` of their digests lists the runs whose
 output differs.  pytest does not collect this file.
@@ -36,6 +38,10 @@ SETTINGS = [
 ]
 
 
+def _short_hash(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8", "surrogatepass")).hexdigest()[:12]
+
+
 def _digest(main, argv: list[str]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -43,8 +49,7 @@ def _digest(main, argv: list[str]) -> str:
             code = repr(main(argv))
         except Exception as exc:  # a crash is output too
             code = f"raised {type(exc).__name__}: {exc}"
-    blob = "\0".join((out.getvalue(), err.getvalue(), code))
-    return hashlib.sha256(blob.encode("utf-8", "surrogatepass")).hexdigest()[:16]
+    return _short_hash("\0".join((out.getvalue(), err.getvalue(), code)))
 
 
 def _locally_maximal(decl) -> list[str]:
@@ -82,12 +87,13 @@ def main(src: str) -> None:
     from cattsa.parser import parse
     from helpers import bench_catt_texts, catt_texts
 
-    texts = [("test", t) for t in catt_texts()] + [("bench", t) for t in bench_catt_texts()]
+    texts = dict.fromkeys([("test", t) for t in catt_texts()]
+                          + [("bench", t) for t in bench_catt_texts()])
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # relative file names, so no output names the directory
-        for i, (where, text) in enumerate(texts):
-            path = f"{where}{i:03d}.catt"
+        for where, text in texts:
+            path = f"{where}-{_short_hash(text)}.catt"
             Path(path).write_text(text, encoding="utf-8")
             for run in _runs(parse(text).decls):
                 for setting in SETTINGS:

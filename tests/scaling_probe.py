@@ -1,20 +1,22 @@
-"""Print how normalisation scales, for the targets of ROADMAP item 2.
+"""Print how normalisation scales, for the scaling targets of ROADMAP.md.
 
     python3 tests/scaling_probe.py [SRC]
 
 prints, for a left-nested n-fold composite of arrows at n = 8, 16, 32,
-64, 96 and 128, the best of five times of one normalize call on a freshly
-elaborated copy (so no memo on a context is warm), then the log-log slope
-of those times against n (a least-squares fit), then the untraced
-normalize time of c in the nested-def file (c := b [b [b [f]]], b a
-d-fold left-nested endo-composite, so c unfolds to (d + 1)^3 arrows) at
-d = 6 and 10, then the time of one insert_ctx call that inserts a chain of
-k arrows into a chain of k arrows at k = 64, 256 and 1024 when the first
-half of the inner labels are the outer names v0, v1, ... and the second
-half the same names primed, so that every rename pushes a later inner
-label into a collision.  Elaboration is not timed.  SRC is the directory the cattsa
-package is imported from, by default the src/ of this checkout, so the
-same probe times two kernels.  pytest does not collect this file.
+64, 96, 128, 192 and 256 (the parser nests at most 300 applications, so
+n = 512 cannot be written), the best of five times of one normalize call
+on a freshly elaborated copy (so no memo on a context is warm), then the
+log-log slope of those times against n (a least-squares fit), then the
+untraced normalize time of c in the nested-def file (c := b [b [b [f]]],
+b a d-fold left-nested endo-composite, so c unfolds to (d + 1)^3 arrows)
+at d = 6 and 10, then the time of one insert_ctx call that inserts a
+chain of k arrows into a chain of k arrows at k = 64, 256 and 1024 when
+the first half of the inner labels are the outer names v0, v1, ... and
+the second half the same names primed, so that every rename pushes a
+later inner label into a collision.  Elaboration is not timed.  SRC is
+the directory the cattsa package is imported from, by default the src/
+of this checkout, so the same probe times two kernels.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import sys
 import time
 from pathlib import Path
 
-SIZES = (8, 16, 32, 64, 96, 128)
+SIZES = (8, 16, 32, 64, 96, 128, 192, 256)
 DEPTHS = (6, 10)
 CHAINS = (64, 256, 1024)
 REPEATS = 5

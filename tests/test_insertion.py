@@ -30,6 +30,7 @@ from cattsa.syntax import (
     apply_sub_type,
     compose_sub,
     dim_term,
+    dim_type,
     identity_sub,
     var_sub,
 )
@@ -197,6 +198,21 @@ def test_insert_ctx_linear_height_guard():
     assert branching_path(ctx_to_tree(deep_outer), "gamma") == (0, 0, 0)
     with pytest.raises(LinearHeightTooSmall):
         insert_ctx(InsertionProblem(deep_outer, "gamma", DELTA, unbiased_type(DELTA)))
+
+
+def test_insert_ctx_linear_height_guard_at_the_right_dimension():
+    # the guard alone: a composite over a 3-dimensional tree that branches
+    # at the root has gamma's dimension but a composite 1-boundary, so its
+    # type has linear height 1 (a tree linear at the root would give 2)
+    outer = tree_to_ctx(
+        L(["x", "y"], [L(["f", "g"], [L(["m", "n", "o"], [L(["gamma"]), L(["delta"])])])])
+    )
+    inner = tree_to_ctx(L(["a", "b", "c"], [L(["p", "q"], [L(["s", "t"], [L(["u"])])]), L(["r"])]))
+    inner_type = unbiased_type(inner)
+    assert dim_type(inner_type) == dim_term(outer, Var("gamma")) == 3
+    assert type_linear_height(inner_type) == 1
+    with pytest.raises(LinearHeightTooSmall, match="linear height 1, need at least 2"):
+        insert_ctx(InsertionProblem(outer, "gamma", inner, inner_type))
 
 
 def test_insert_ctx_rejects_an_inner_type_of_another_dimension():

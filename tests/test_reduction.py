@@ -7,8 +7,9 @@ import math
 
 import pytest
 
-from cattsa import reduction
+from cattsa import pasting, reduction
 from cattsa.errors import TooDeep
+from cattsa.insertion import InsertionProblem, insert_ctx
 from cattsa.pasting import unbiased_type
 from cattsa.reduction import def_eq, normalize
 from cattsa.syntax import (
@@ -20,9 +21,19 @@ from cattsa.syntax import (
     Var,
     alpha_eq,
     apply_sub_term,
+    apply_sub_type,
+    dim_type,
     free_vars,
     identity_sub,
     support,
+)
+from cattsa.trees import (
+    branching_height,
+    is_linear,
+    leaf_labels,
+    linear_height,
+    tree_depth,
+    tree_to_ctx,
 )
 from cattsa.typecheck import Mode, Session
 from helpers import (
@@ -36,6 +47,7 @@ from helpers import (
     comp2,
     ctx_of_bracket,
     curated_corpus,
+    enumerate_trees,
     random_corpus,
     reduction_graph,
     unbiased_apply,
@@ -544,3 +556,53 @@ def test_each_step_of_the_curated_corpus_inserts_once(monkeypatch):
             steps += len(trace)
     assert steps > 0
 
+
+# ---------------------------------------------------------------------------
+# The reduct of an unbiased composite is one: its shape is recorded
+# ---------------------------------------------------------------------------
+
+
+def test_an_unbiased_insertion_normalises_to_the_unbiased_type():
+    """For unbiased composites over S and T, inserted at a leaf x of S that
+    T fills, the normal form of S's unbiased type carried to the inserted
+    context is that context's unbiased type: the property by which the
+    normaliser records a reduct's shape instead of computing it.  With
+    disc insertion off a linear T is never inserted, and there the
+    property fails for some discs of dimension 1, 2 and 3."""
+    trees = enumerate_trees(11)
+    checked = 0
+    for s in trees:
+        outer = tree_to_ctx(s)
+        outer_type = unbiased_type(outer)
+        for t in trees:
+            inner = tree_to_ctx(t)
+            for x in leaf_labels(s):
+                if branching_height(s, x) > linear_height(t):
+                    continue
+                if dim_type(outer.lookup(x)) != tree_depth(t):
+                    continue
+                r = insert_ctx(InsertionProblem(outer, x, inner, unbiased_type(inner)))
+                checked += 1
+                expected = unbiased_type(Context(r.inserted.entries))  # a cold context
+                carried = apply_sub_type(outer_type, r.external)
+                for allow in (True, False) if not is_linear(t) else (True,):
+                    assert normalize(r.inserted, carried, allow_disc_insertion=allow) == expected
+    assert checked == 1480
+
+
+def test_every_recorded_reduct_shape_is_the_computed_one(monkeypatch):
+    recorded = []
+
+    def spy(ctx, unbiased=None):
+        if unbiased is not None:
+            recorded.append(ctx)
+        return pasting.shape(ctx, unbiased)
+
+    monkeypatch.setattr(reduction, "shape", spy)
+    cases = curated_corpus() + random_corpus(400, seed=77)
+    for allow in (True, False):
+        for context, t in cases:
+            normalize(context, t, allow_disc_insertion=allow)
+    assert recorded
+    for ctx in recorded:
+        assert pasting.shape(ctx) == pasting._new_shape(Context(ctx.entries))
