@@ -5,8 +5,7 @@ result and the combined argument substitution of an insertion redex.
 
 from __future__ import annotations
 
-from itertools import chain, count
-from operator import attrgetter
+from itertools import chain, repeat
 from typing import NamedTuple
 
 from .errors import (
@@ -27,9 +26,8 @@ from .syntax import (
     Type,
     Var,
     VarName,
+    apply_sub_term,
     dim_type,
-    identity_sub,
-    term_boundary,
     type_boundary,
 )
 from .trees import (
@@ -72,17 +70,14 @@ def insert_tree(s: BataninTree, path: TreePath, t: BataninTree) -> BataninTree:
     """
     if not path:
         raise PathInvalid("empty path")
-    if linear_height(t) < len(path) - 1:
-        raise LinearHeightTooSmall(
-            f"linear height {linear_height(t)} < path length {len(path)} - 1"
-        )
-    overlap = set(all_labels(s)) & set(all_labels(t))
-    if overlap:
+    if overlap := set(all_labels(s)) & set(all_labels(t)):
         raise DuplicateVariable(sorted(overlap)[0], "tree insertion")
     return _splice(s, path, t)
 
 
 def _splice(s: BataninTree, path: TreePath, t: BataninTree) -> BataninTree:
+    if (height := linear_height(t)) < len(path) - 1:  # t's sole branch at each step of path
+        raise LinearHeightTooSmall(f"linear height {height} < path length {len(path)} - 1")
     n = path[0]
     if len(path) == 1:
         if len(s.labels) == 1:
@@ -97,8 +92,6 @@ def _splice(s: BataninTree, path: TreePath, t: BataninTree) -> BataninTree:
         )
     if n >= len(s.branches):
         raise PathInvalid(f"path head {n} out of range")
-    if len(t.branches) != 1:  # t is not linearly high enough
-        raise LinearHeightTooSmall(f"linear height 0 < path length {len(path)} - 1")
     inner = _splice(s.branches[n], path[1:], t.branches[0])
     return BataninTree(
         s.labels[:n] + t.labels + s.labels[n + 2 :],
@@ -130,7 +123,8 @@ def type_linear_height(ty: Type) -> int:
 
 def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     """Insert the inner pasting context in place of a locally maximal cell
-    x, which needs an inner type with enough linear height and x's dimension.
+    x, which needs an inner type and tree with enough linear height, and an
+    inner type of x's dimension.
 
     Each inner label in turn is freshened: primes are appended until no
     outer label and no earlier inner image has the name.  Only the labels
@@ -138,39 +132,48 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     nodes that hold one.  The internal substitution maps each inner
     variable to its image; the external one keeps the surviving outer
     variables and sends x and its boundary, erased by the splice, to the
-    inner coherence and its boundary.
+    inner coherence and its boundary; both are built when first read.
     """
     outer, x, inner, inner_type = problem
     s, t = ctx_to_tree(outer), ctx_to_tree(inner)
     path = branching_path(s, x)  # raises NotLocallyMaximal
-    if type_linear_height(inner_type) < len(path) - 1:
-        raise LinearHeightTooSmall(
-            f"inner type has linear height {type_linear_height(inner_type)}, "
-            f"need at least {len(path) - 1}"
-        )
-    external, ty = list(identity_sub(outer).entries), outer.lookup(x)
-    dx = dim_type(ty)
-    if (di := dim_type(inner_type)) != dx:
+    if (height := type_linear_height(inner_type)) < (need := len(path) - 1):
+        raise LinearHeightTooSmall(f"inner type has linear height {height}, need at least {need}")
+    node, erased = s, {}  # x's boundary cells, from the labels beside the way down to x
+    for m, n in enumerate(chain(path, repeat(0))):  # the path, then x's linear branch
+        if not node.branches:
+            break
+        erased[node.labels[n]], erased[node.labels[n + 1]] = (m, NEG), (m, POS)
+        node = node.branches[n]
+    if (di := dim_type(inner_type)) != (dx := len(erased) // 2):
         raise DimensionError(f"inner coherence has dimension {di}, '{x}' has dimension {dx}")
-    outer_at = dict(zip(outer.vars, count()))
-    ren: dict[VarName, VarName] = {}
-    images: set[VarName] = set()
+    taken, ren = set(outer.vars), {}
     for v in inner.vars:
         w = v
-        while w in outer_at or w in images:
+        while w in taken:
             w += "'"
-        images.add(w)
+        taken.add(w)
         if w != v:
             ren[v] = w
-    tree = _splice(s, path, relabel_tree(t, ren))
-    inserted = tree_to_ctx(tree)  # raises DuplicateVariable on a clash
+    inserted = tree_to_ctx(_splice(s, path, relabel_tree(t, ren)))  # raises DuplicateVariable
+    renamed = lambda i: tuple((v, Var(ren.get(v, v))) for v in i.domain)  # noqa: E731
+    internal = Substitution.deferred(inner.vars, renamed, _ren=ren)
 
-    internal = Substitution(tuple(zip(inner.vars, map(Var, map(ren.get, inner.vars, inner.vars)))))
-    inner_coh: Term = Coh(inner, inner_type, internal)
-    erased = [(type_boundary(ty, m, sign).name, m, sign) for m in range(dx) for sign in (NEG, POS)]
-    for y, m, sign in erased + [(x, dx, NEG)]:
-        external[outer_at[y]] = (y, term_boundary(inserted, inner_coh, m, sign))
-    return InsertionResult(problem, inserted, internal, Substitution(tuple(external)))
+    def image(y: VarName) -> Term:
+        if y not in erased:  # x, or a cell the splice keeps
+            return Coh(inner, inner_type, internal) if y == x else Var(y)
+        b = type_boundary(inner_type, *erased[y])  # a variable below the type's linear height
+        return Var(ren.get(b.name, b.name)) if isinstance(b, Var) else apply_sub_term(b, internal)
+
+    external = Substitution.deferred(outer.vars, lambda e: tuple((y, image(y)) for y in e.domain),
+                                     _image=image)
+    return InsertionResult(problem, inserted, internal, external)
+
+
+def external_on(result: InsertionResult, names) -> Substitution:
+    """result.external on names only; from insert_ctx, no other image is built."""
+    image = result.external.derived("_image", lambda e: e.lookup)
+    return Substitution(tuple((y, image(y)) for y in names))
 
 
 def insert_sub(
@@ -195,8 +198,8 @@ def insert_sub(
         if actual != expected:
             raise HeadMismatch(f"argument at '{x}' is not the inner coherence applied to tau")
     # tau's domain is the inner context's variables, in the order internal maps them
-    renamed = map(attrgetter("name"), result.internal.values)
-    table = dict(chain(sigma.entries, zip(renamed, tau.values)))
+    ren = result.internal.derived("_ren", lambda i: {v: w.name for v, w in i if v != w.name})
+    table = dict(chain(sigma.entries, zip(map(ren.get, tau.domain, tau.domain), tau.values)))
     names = result.inserted.vars
     try:
         return Substitution(tuple(zip(names, map(table.__getitem__, names))))

@@ -3,9 +3,9 @@
 A term is a variable or a coherence ``Coh(ctx, ty, sub)``; a type is the
 base type ``*`` or an arrow between two terms over a lower-dimensional
 type.  Contexts and substitutions are ordered association sequences with
-pairwise-distinct names, indexed by name when built.  Every value is
-immutable, so all operations in this module are pure functions and safe
-to call from any thread.
+pairwise-distinct names, indexed by name when built; a deferred one (such
+as a context emitted from a tree) builds its entries and index on first read.
+Every value is immutable, so each operation here is a pure function, safe in any thread.
 
 The variables a coherence binds are positions in a pasting diagram, so
 == and hash on Coh ignore their names, and alpha equality is plain ==.
@@ -21,6 +21,7 @@ either result is correct; no lock is needed.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Iterator, Literal, TypeVar, Union
 
 from .errors import (
@@ -151,6 +152,19 @@ class _Table(_Memo):
             dup = next(v for i, v in enumerate(names) if v in names[:i])
             raise DuplicateVariable(dup, self._where)
         self.__dict__.update(entries=entries, _table=table, _names=tuple(table))
+
+    @classmethod
+    def deferred(cls, names: tuple[VarName, ...], build: Callable, **memo) -> "_Table":
+        """A table over distinct names whose entries build(table) makes on first read."""
+        table = cls.__new__(cls)
+        table.__dict__.update(_names=names, _build=build, **memo)
+        return table
+
+    @cached_property
+    def entries(self) -> tuple:  # a deferred table's, built on first read
+        return self.derived("entries", self._build)
+
+    _table = cached_property(lambda self: dict(self.entries))  # the index by name
 
     def __eq__(self, other: object) -> bool:
         return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented

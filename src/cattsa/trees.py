@@ -78,9 +78,9 @@ def _distinct(t: BataninTree) -> BataninTree:
 def all_labels(t: BataninTree) -> tuple[VarName, ...]:
     """Every label of the tree, in pasting-context emission order."""
     out: list[VarName] = [t.labels[0]]
-    for i, br in enumerate(t.branches):
-        out.append(t.labels[i + 1])
-        out.extend(all_labels(br))
+    for hi, br in zip(t.labels[1:], t.branches):
+        out.append(hi)
+        out.extend(all_labels(br) if br.branches else br.labels)
     return tuple(out)
 
 
@@ -113,21 +113,22 @@ def is_linear(t: BataninTree) -> bool:
 
 
 def tree_to_ctx(t: BataninTree) -> Context:
-    entries = [(t.labels[0], STAR)]
-    _emit(t, STAR, entries)
-    ctx = Context(tuple(entries))
-    ctx.derived(_TREE, lambda _: t)
-    return ctx
+    """The emission of t, whose entries are emitted when first read."""
+    names = all_labels(t)
+    if len(set(names)) != len(names):
+        Context(tuple((v, STAR) for v in names))  # raises DuplicateVariable on the first repeat
+    return Context.deferred(names, lambda _: tuple(_emit(t, STAR, [(names[0], STAR)])), **{_TREE: t})
 
 
-def _emit(t: BataninTree, base: Type, out: list[tuple[VarName, Type]]) -> None:
-    """Append to out the entries of t over base after its first label: each
-    later label, then the branch before it."""
+def _emit(t: BataninTree, base: Type, out: list[tuple[VarName, Type]]) -> list:
+    """out, with the entries of t over base after its first label appended:
+    each later label, then the branch before it."""
     for lo, hi, br in zip(t.labels, t.labels[1:], t.branches):
         sub_base = Arr(Var(lo), base, Var(hi))
         out += ((hi, base), (br.labels[0], sub_base))
         if br.branches:
             _emit(br, sub_base, out)
+    return out
 
 
 def ctx_to_tree(ctx: Context) -> BataninTree:

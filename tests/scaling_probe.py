@@ -6,39 +6,83 @@ prints, for a left-nested n-fold composite of arrows at n = 8, 16, 32,
 64, 96, 128, 192 and 256 (the parser nests at most 300 applications, so
 n = 512 cannot be written), the best of five times of one normalize call
 on a freshly elaborated copy (so no memo on a context is warm), then the
-log-log slope of those times against n (a least-squares fit), then the
-untraced normalize time of c in the nested-def file (c := b [b [b [f]]],
-b a d-fold left-nested endo-composite, so c unfolds to (d + 1)^3 arrows)
-at d = 6 and 10, then the time of one insert_ctx call that inserts a
-chain of k arrows into a chain of k arrows at k = 64, 256 and 1024 when
-the first half of the inner labels are the outer names v0, v1, ... and
-the second half the same names primed, so that every rename pushes a
-later inner label into a collision.  Elaboration is not timed.  SRC is
-the directory the cattsa package is imported from, by default the src/
-of this checkout, so the same probe times two kernels.  pytest does not
-collect this file.
+log-log slope of those times against n (a least-squares fit); the same
+series and slope for a seeded random bracketing of the n arrows (the
+shape of the benchmark's def_eq operand) at n = 32, 48, 64, 96 and 128,
+and for the left-nested vertical composite of n 2-cells whiskered on the
+right by an arrow at n = 4, 8, 16, 24 and 32; then the untraced normalize
+time of c in the nested-def file (c := b [b [b [f]]], b a d-fold
+left-nested endo-composite, so c unfolds to (d + 1)^3 arrows) at d = 6
+and 10, then the time of one insert_ctx call that inserts a chain of k
+arrows into a chain of k arrows at k = 64, 256 and 1024 when the first
+half of the inner labels are the outer names v0, v1, ... and the second
+half the same names primed, so that every rename pushes a later inner
+label into a collision.  Elaboration is not timed.  SRC is the directory
+the cattsa package is imported from, by default the src/ of this
+checkout, so the same probe times two kernels.  pytest does not collect
+this file.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import sys
 import time
 from pathlib import Path
 
 SIZES = (8, 16, 32, 64, 96, 128, 192, 256)
+RANDOM_SIZES = (32, 48, 64, 96, 128)
+COLUMN_SIZES = (4, 8, 16, 24, 32)
+SEED = 101
 DEPTHS = (6, 10)
 CHAINS = (64, 256, 1024)
 REPEATS = 5
 COMP = "coh comp (x : *) (y : *) (f : x -> y) (z : *) (g : y -> z) : x -> z\n"
+VERT = "coh vert (x : *) (y : *) (f : x -> y) (g : x -> y) (a : f -> g) (h : x -> y) (b : g -> h) : f -> h\n"
+WHISK = (
+    "coh whisk (x : *) (y : *) (f : x -> y) (g : x -> y) (a : f -> g) (z : *) (h : y -> z)"
+    " : comp [f, h] -> comp [g, h]\n"
+)
+
+
+def chain_def(n: int, body: str) -> str:
+    tele = " ".join(["(x0 : *)"] + [f"(x{i} : *) (a{i} : x{i - 1} -> x{i})" for i in range(1, n + 1)])
+    return f"{COMP}def t {tele} : x0 -> x{n} := {body}\n"
 
 
 def left_nested(n: int) -> str:
-    tele = " ".join(["(x0 : *)"] + [f"(x{i} : *) (a{i} : x{i - 1} -> x{i})" for i in range(1, n + 1)])
     body = "a1"
     for i in range(2, n + 1):
         body = f"comp [{body}, a{i}]"
-    return f"{COMP}def t {tele} : x0 -> x{n} := {body}\n"
+    return chain_def(n, body)
+
+
+def random_bracketing(n: int, seed: int = SEED) -> str:
+    """The arrows a1 ... an composed in a bracketing whose split points are
+    drawn uniformly from a generator seeded with seed."""
+    rng = random.Random(seed)
+
+    def composite(lo: int, hi: int) -> str:
+        if lo == hi:
+            return f"a{lo}"
+        k = rng.randint(lo, hi - 1)
+        return f"comp [{composite(lo, k)}, {composite(k + 1, hi)}]"
+
+    return chain_def(n, composite(1, n))
+
+
+def whiskered_column(n: int) -> str:
+    """The left-nested vertical composite of the 2-cells a1 ... an between
+    parallel arrows f0 ... fn from x to y, whiskered by h : y -> z."""
+    cells = " ".join(f"(f{i} : x -> y) (a{i} : f{i - 1} -> f{i})" for i in range(1, n + 1))
+    body = "a1"
+    for i in range(2, n + 1):
+        body = f"vert [{body}, a{i}]"
+    return (
+        f"{COMP}{VERT}{WHISK}def t (x : *) (y : *) (f0 : x -> y) {cells} (z : *) (h : y -> z)"
+        f" : comp [f0, h] -> comp [f{n}, h] := whisk [{body}, h]\n"
+    )
 
 
 def nested_defs(d: int) -> str:
@@ -97,13 +141,21 @@ def slope(xs: list[float], ys: list[float]) -> float:
     return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum((a - mx) ** 2 for a in lx)
 
 
+def series(label: str, sizes: tuple[int, ...], text) -> None:
+    """Print the best-of-five normalize time of t in text(n) for each n in
+    sizes, then the log-log slope of the series."""
+    times = []
+    for n in sizes:
+        times.append(best_time(text(n), "t", REPEATS))
+        print(f"{label} n = {n:3d}: {times[-1] * 1e3:8.2f} ms", flush=True)
+    print(f"{label} log-log slope: {slope(list(sizes), times):.2f}")
+
+
 def main(src: str) -> None:
     sys.path.insert(0, src)
-    times = []
-    for n in SIZES:
-        times.append(best_time(left_nested(n), "t", REPEATS))
-        print(f"left-nested n = {n:3d}: {times[-1] * 1e3:8.2f} ms", flush=True)
-    print(f"log-log slope: {slope(list(SIZES), times):.2f}")
+    series("left-nested", SIZES, left_nested)
+    series(f"random bracketing (seed {SEED})", RANDOM_SIZES, random_bracketing)
+    series("whiskered column", COLUMN_SIZES, whiskered_column)
     for d in DEPTHS:
         took = best_time(nested_defs(d), "c", 1)
         print(f"nested-def c, d = {d:2d} ({(d + 1) ** 3} arrows): {took:.3f} s", flush=True)

@@ -208,6 +208,24 @@ def test_tree_insert_needs_an_inner_coherence_of_the_variables_dimension(
         assert capsys.readouterr() == ("", message)
 
 
+SHALLOW_TREE = """
+coh g3 (x : *) (y : *) (f : x -> y) (g : x -> y) (al : f -> g) (be : f -> g) (gamma : al -> be) (ep : f -> g) (de : be -> ep) : al -> ep
+coh vc (a : *) (b : *) (p : a -> b) (q : a -> b) (s : p -> q) (r : a -> b) (v : q -> r) : p -> r
+coh u3 (a : *) (b : *) (p : a -> b) (q : a -> b) (s : p -> q) (t : p -> q) (u : s -> t) (r : a -> b) (v : q -> r) (w : q -> r) (z : v -> w) : vc [s, v] -> vc [t, w]
+"""
+
+
+def test_tree_insert_needs_an_inner_tree_as_linearly_high_as_the_path(tmp_path, capsys):
+    # gamma has branching height 2; the inner type of u3 has linear height 2
+    # and its dimension, but its tree [a [p [s [u] t] q [v [z] w] r] b] has 1
+    p = tmp_path / "shallow.catt"
+    p.write_text(SHALLOW_TREE)
+    message = "error: linear height 1 < path length 3 - 1\n"
+    for extra in ([], ["--json"]):
+        assert cli.main(["tree", str(p), "g3", "--insert", "gamma", "--inner", "u3", *extra]) == 1
+        assert capsys.readouterr() == ("", message)
+
+
 def test_eq_compares_coherences_with_defs(assoc_file, capsys):
     # a coh declaration and a def expanding it are interchangeable
     assert cli.main(["eq", assoc_file, "comp3", "flat"]) == 0

@@ -4,12 +4,30 @@ reference_insert_sub), and the error contract of insert_sub."""
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from cattsa.errors import HeadMismatch, MalformedSyntax, SubstitutionUndefined
-from cattsa.insertion import InsertionProblem, insert_ctx, insert_sub, type_linear_height
+from cattsa.insertion import (
+    InsertionProblem,
+    external_on,
+    insert_ctx,
+    insert_sub,
+    type_linear_height,
+)
 from cattsa.pasting import unbiased_type
-from cattsa.syntax import Coh, Substitution, Var, dim_term, identity_sub
+from cattsa.reduction import _eligible_heads, _insert_at
+from cattsa.syntax import (
+    Coh,
+    Substitution,
+    Var,
+    apply_sub_type,
+    dim_term,
+    free_vars,
+    identity_sub,
+    term_str,
+)
 from cattsa.trees import (
     all_labels,
     branching_height,
@@ -126,6 +144,54 @@ def test_sharing_insertion_agrees_with_the_reference():
         lengths[length] = lengths.get(length, 0) + 1
     assert set(lengths) == {1, 2, 3}
     assert min(lengths.values()) >= 20
+
+
+def _redexes():
+    """Each outer tree over TREES with its unbiased composite, a locally
+    maximal cell x and an unbiased inner composite at x, over the
+    canonical names that every tree shares, and each disc setting under
+    which the normaliser inserts there."""
+    for s in TREES:
+        outer = tree_to_ctx(s)
+        for x in leaf_labels(s):
+            for t in (t for t in TREES if tree_depth(t) == dim_term(outer, Var(x))):
+                inner = tree_to_ctx(t)
+                tau = Substitution(tuple((v, Var(v + "_i")) for v in inner.vars))
+                arg = Coh(inner, unbiased_type(inner), tau)
+                sigma = Substitution(tuple(
+                    (v, arg if v == x else Var(v + "_o")) for v in outer.vars
+                ))
+                head = Coh(outer, unbiased_type(outer), sigma)
+                for allow in (True, False):
+                    if x in _eligible_heads(head, allow):
+                        yield head, x, allow
+
+
+def test_the_lazily_built_reduct_is_the_eager_one():
+    settings, count = set(), 0
+    for head, x, allow in _redexes():
+        arg = head.sub.lookup(x)
+        problem = InsertionProblem(head.ctx, x, arg.ctx, arg.ty)
+        want = reference_insert_ctx(problem)
+        eager = Coh(
+            want.inserted,
+            apply_sub_type(head.ty, want.external),
+            reference_insert_sub(head.sub, x, arg.sub, want),
+        )
+        got = _insert_at(head, x)
+        assert got == eager and term_str(got) == term_str(eager)
+        lazy = insert_ctx(problem)
+        assert all("entries" not in c.__dict__ for c in lazy[1:])  # built on first read
+        free = tuple(free_vars(head.ty))
+        restricted = Substitution(tuple((v, want.external.lookup(v)) for v in free))
+        assert external_on(lazy, free) == restricted
+        assert "entries" not in lazy.external.__dict__
+        assert lazy.internal == want.internal and lazy.external == want.external
+        assert lazy == want and repr(lazy) == repr(want)
+        assert pickle.loads(pickle.dumps(lazy)) == want
+        settings.add(allow)
+        count += 1
+    assert settings == {True, False} and count == 432
 
 
 def test_only_colliding_labels_are_renamed():

@@ -215,6 +215,25 @@ def test_insert_ctx_linear_height_guard_at_the_right_dimension():
         insert_ctx(InsertionProblem(outer, "gamma", inner, inner_type))
 
 
+def test_insert_ctx_guards_the_linear_height_of_the_inner_tree():
+    # the composite over a tree of linear height 1 whose type, of gamma's
+    # dimension 3, has linear height 2: the type passes the guard at
+    # gamma's branching height 2, the tree does not
+    outer = tree_to_ctx(
+        L(["x", "y"], [L(["f", "g"], [L(["al", "be", "ep"], [L(["gamma"]), L(["de"])])])])
+    )
+    inner = tree_to_ctx(L(["a", "b"], [L(["p", "q", "r"], [
+        L(["s", "t"], [L(["u"])]), L(["v", "w"], [L(["z"])]),
+    ])]))
+    inner_type = unbiased_type(inner)
+    assert branching_height(ctx_to_tree(outer), "gamma") == 2
+    assert linear_height(ctx_to_tree(inner)) == 1 and type_linear_height(inner_type) == 2
+    assert dim_type(inner_type) == dim_term(outer, Var("gamma")) == 3
+    with pytest.raises(LinearHeightTooSmall) as err:
+        insert_ctx(InsertionProblem(outer, "gamma", inner, inner_type))
+    assert str(err.value) == "linear height 1 < path length 3 - 1"  # the tree's, at height 2
+
+
 def test_insert_ctx_rejects_an_inner_type_of_another_dimension():
     # in a well-typed redex the argument at x has x's dimension: the 1-cell
     # composite over a chain cannot fill the 2-cell alpha, nor the 2-cell

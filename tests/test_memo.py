@@ -5,6 +5,8 @@ computation and stays invisible to ==, hash, repr and pickling."""
 from __future__ import annotations
 
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -49,6 +51,58 @@ def test_memo_agrees_with_a_fresh_parse_and_is_invisible():
         assert loaded == fresh and hash(loaded) == hash(fresh)
         assert _cold(loaded)
         assert ctx_to_tree(loaded) == t
+
+
+# each read of a context c, given an equal context built from entries
+READS = {
+    "entries": lambda c, built: c.entries,
+    "==": lambda c, built: (c == built, built == c, c != built),
+    "hash": lambda c, built: hash(c),
+    "str": lambda c, built: str(c),
+    "repr": lambda c, built: repr(c),
+    "pickle": lambda c, built: (pickle.loads(pickle.dumps(c)) == built, pickle.dumps(c)),
+    "ctx_to_tree": lambda c, built: ctx_to_tree(c),
+    "lookup": lambda c, built: ([c.lookup(v) for v in c.vars], [c.has(v) for v in c.vars], len(c)),
+}
+
+
+@pytest.mark.parametrize("read", READS)
+def test_an_emitted_context_reads_as_one_built_from_entries(read):
+    for t in enumerate_trees(11):
+        built = Context(tree_to_ctx(t).entries)
+        emitted = tree_to_ctx(t)
+        assert "entries" not in emitted.__dict__ and emitted.vars == built.vars
+        want = READS[read](built, Context(built.entries))
+        assert READS[read](emitted, built) == want  # the first read
+        assert ("entries" in emitted.__dict__) == (read != "ctx_to_tree")  # the tree is kept
+        assert READS[read](emitted, built) == want  # and a later one
+
+
+def test_threads_reading_a_fresh_context_share_one_emission():
+    # more threads than cores, switching often: every reader gets the
+    # entries the first writer stored, and an index built from them
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in enumerate_trees(11):
+            emitted, seen = tree_to_ctx(t), []
+            gate = threading.Barrier(4, timeout=10)
+
+            def read() -> None:
+                gate.wait()
+                seen.append((emitted.entries, [emitted.lookup(v) for v in emitted.vars]))
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+            assert not any(th.is_alive() for th in threads) and len(seen) == 4
+            assert all(entries is emitted.entries for entries, _ in seen)
+            assert all(types == [ty for _, ty in emitted.entries] for _, types in seen)
+            assert emitted.entries == Context(emitted.entries).entries
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_non_pasting_context_raises_on_every_call():
