@@ -70,14 +70,14 @@ def insert_tree(s: BataninTree, path: TreePath, t: BataninTree) -> BataninTree:
     """
     if not path:
         raise PathInvalid("empty path")
+    if (height := linear_height(t)) < len(path) - 1:  # t's sole branch at each step of path
+        raise LinearHeightTooSmall(f"linear height {height} < path length {len(path)} - 1")
     if overlap := set(all_labels(s)) & set(all_labels(t)):
         raise DuplicateVariable(sorted(overlap)[0], "tree insertion")
     return _splice(s, path, t)
 
 
 def _splice(s: BataninTree, path: TreePath, t: BataninTree) -> BataninTree:
-    if (height := linear_height(t)) < len(path) - 1:  # t's sole branch at each step of path
-        raise LinearHeightTooSmall(f"linear height {height} < path length {len(path)} - 1")
     n = path[0]
     if len(path) == 1:
         if len(s.labels) == 1:
@@ -132,7 +132,8 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     nodes that hold one.  The internal substitution maps each inner
     variable to its image; the external one keeps the surviving outer
     variables and sends x and its boundary, erased by the splice, to the
-    inner coherence and its boundary; both are built when first read.
+    inner coherence and its boundary; both are built when first read, and
+    an inner type not over inner raises SubstitutionUndefined only then.
     """
     outer, x, inner, inner_type = problem
     s, t = ctx_to_tree(outer), ctx_to_tree(inner)
@@ -155,6 +156,8 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
         taken.add(w)
         if w != v:
             ren[v] = w
+    if (height := linear_height(t)) < need:
+        raise LinearHeightTooSmall(f"linear height {height} < path length {len(path)} - 1")
     inserted = tree_to_ctx(_splice(s, path, relabel_tree(t, ren)))  # raises DuplicateVariable
     renamed = lambda i: tuple((v, Var(ren.get(v, v))) for v in i.domain)  # noqa: E731
     internal = Substitution.deferred(inner.vars, renamed, _ren=ren)
@@ -163,7 +166,9 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
         if y not in erased:  # x, or a cell the splice keeps
             return Coh(inner, inner_type, internal) if y == x else Var(y)
         b = type_boundary(inner_type, *erased[y])  # a variable below the type's linear height
-        return Var(ren.get(b.name, b.name)) if isinstance(b, Var) else apply_sub_term(b, internal)
+        if isinstance(b, Var) and b.name in inner.vars:
+            return Var(ren.get(b.name, b.name))
+        return apply_sub_term(b, internal)  # raises SubstitutionUndefined on a name not in inner
 
     external = Substitution.deferred(outer.vars, lambda e: tuple((y, image(y)) for y in e.domain),
                                      _image=image)
@@ -172,7 +177,7 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
 
 def external_on(result: InsertionResult, names) -> Substitution:
     """result.external on names only; from insert_ctx, no other image is built."""
-    image = result.external.derived("_image", lambda e: e.lookup)
+    image = result.external._image
     return Substitution(tuple((y, image(y)) for y in names))
 
 

@@ -21,7 +21,6 @@ either result is correct; no lock is needed.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable, Iterator, Literal, TypeVar, Union
 
 from .errors import (
@@ -138,6 +137,18 @@ class _Memo(Frozen):
         return memo.setdefault(key, compute(self, *args))
 
 
+class _OnFirstRead:
+    """A field of a deferred table, computed into its memo on first read and
+    then found in __dict__.  It takes no lock, unlike cached_property before
+    Python 3.12, whose one lock per field every instance shares."""
+
+    def __init__(self, name: str, compute: Callable) -> None:
+        self.name, self.compute = name, compute
+
+    def __get__(self, obj: _Memo | None, owner: type) -> object:
+        return self if obj is None else obj.derived(self.name, self.compute)
+
+
 class _Table(_Memo):
     """Ordered (name, value) pairs with pairwise-distinct names, indexed by
     name in __dict__ when built."""
@@ -160,11 +171,8 @@ class _Table(_Memo):
         table.__dict__.update(_names=names, _build=build, **memo)
         return table
 
-    @cached_property
-    def entries(self) -> tuple:  # a deferred table's, built on first read
-        return self.derived("entries", self._build)
-
-    _table = cached_property(lambda self: dict(self.entries))  # the index by name
+    entries = _OnFirstRead("entries", lambda t: t._build(t))  # a deferred table's
+    _table = _OnFirstRead("_table", lambda t: dict(t.entries))  # the index by name
 
     def __eq__(self, other: object) -> bool:
         return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented

@@ -10,9 +10,11 @@ from cattsa.errors import (
     HeadMismatch,
     LinearHeightTooSmall,
     PathInvalid,
+    SubstitutionUndefined,
 )
 from cattsa.insertion import (
     InsertionProblem,
+    external_on,
     insert_ctx,
     insert_sub,
     insert_tree,
@@ -21,6 +23,7 @@ from cattsa.insertion import (
 from cattsa.pasting import shape, unbiased_type
 from cattsa.reduction import def_eq
 from cattsa.syntax import (
+    STAR,
     Arr,
     Coh,
     Context,
@@ -56,7 +59,7 @@ from helpers import (
     sub,
     unbiased_term,
 )
-from oracles import check_pushout, check_well_formed_sub, disc_context
+from oracles import check_pushout, check_well_formed_sub, disc_context, reference_insert_ctx
 
 L = tree  # shorthand for small literal trees
 
@@ -105,6 +108,13 @@ def test_insert_tree_path_errors():
         insert_tree(s, (0, 0), L(["a", "b", "c"], [L(["d"]), L(["e"])]))
     with pytest.raises(DuplicateVariable):
         insert_tree(s, (0,), L(["x", "b"], [L(["c"])]))
+
+
+def test_insert_tree_checks_the_linear_height_before_the_labels():
+    # too shallow for the path and sharing the label x with s: the height is reported
+    s = L(["x", "y", "z"], [L(["f"]), L(["g"])])
+    with pytest.raises(LinearHeightTooSmall, match=r"^linear height 0 < path length 2 - 1$"):
+        insert_tree(s, (0, 0), L(["x", "b", "c"], [L(["d"]), L(["e"])]))
 
 
 def test_type_linear_height():
@@ -232,6 +242,34 @@ def test_insert_ctx_guards_the_linear_height_of_the_inner_tree():
     with pytest.raises(LinearHeightTooSmall) as err:
         insert_ctx(InsertionProblem(outer, "gamma", inner, inner_type))
     assert str(err.value) == "linear height 1 < path length 3 - 1"  # the tree's, at height 2
+
+
+WHISKER = L(["a", "b", "c"], [L(["p", "q"], [L(["s"])]), L(["r"])])
+
+
+@pytest.mark.parametrize("boundary", ["variable", "coherence"])
+def test_insert_ctx_rejects_an_inner_type_over_another_context(boundary):
+    # x's boundary goes to the inner type's, which names rr, not a variable
+    # of the inner context: the eager reference raises at once, insert_ctx
+    # when the image of x's boundary is first read
+    if boundary == "variable":  # f's target goes to rr
+        outer, x, y = tree_to_ctx(L(["x", "y"], [L(["f"])])), "f", "y"
+        inner = tree_to_ctx(L(["a", "b", "c"], [L(["p"]), L(["q"])]))
+        inner_type = Arr(Var("a"), STAR, Var("rr"))
+    else:  # al's 1-boundaries go to composites of p and q with rr
+        outer, x, y = tree_to_ctx(L(["x", "y"], [L(["f", "g"], [L(["al"])])])), "al", "f"
+        inner = tree_to_ctx(WHISKER)
+        inner_type = unbiased_type(tree_to_ctx(L(["a", "b", "c"], [
+            L(["p", "q"], [L(["s"])]), L(["rr"]),
+        ])))
+    problem = InsertionProblem(outer, x, inner, inner_type)
+    with pytest.raises(SubstitutionUndefined, match="'rr'"):
+        reference_insert_ctx(problem)
+    result = insert_ctx(problem)
+    for read in (lambda: result.external.entries, lambda: external_on(result, (y,))):
+        with pytest.raises(SubstitutionUndefined) as err:
+            read()
+        assert err.value.name == "rr"
 
 
 def test_insert_ctx_rejects_an_inner_type_of_another_dimension():

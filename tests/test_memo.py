@@ -17,9 +17,11 @@ from cattsa.errors import (
     SubstitutionUndefined,
     UnknownVariable,
 )
+from cattsa.insertion import InsertionProblem, insert_ctx
 from cattsa.syntax import STAR, Context, Substitution, Var
-from cattsa.trees import ctx_to_tree, tree_to_ctx
+from cattsa.trees import ctx_to_tree, tree, tree_to_ctx
 from helpers import arr, enumerate_trees
+from oracles import reference_insert_ctx
 
 MEMO_KEYS = ("_tree", "_pasting_shape")
 
@@ -101,6 +103,47 @@ def test_threads_reading_a_fresh_context_share_one_emission():
             assert all(entries is emitted.entries for entries, _ in seen)
             assert all(types == [ty for _, ty in emitted.entries] for _, types in seen)
             assert emitted.entries == Context(emitted.entries).entries
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_threads_reading_insertion_maps_and_fresh_contexts_take_no_lock():
+    # the external map of a whiskered insertion sends al's 1-boundary to
+    # composites, so building it reads the internal map's index; a lookup on
+    # a fresh context reads its index, then its entries.  The two build their
+    # fields in opposite orders, which deadlocks when a field holds a lock
+    # (with one lock per field, about once in a hundred rounds); the chain
+    # before al widens the window
+    chain = [tree([f"h{i}"]) for i in range(20)]
+    outer = tree_to_ctx(tree([f"x{i}" for i in range(21)] + ["y"], chain + [
+        tree(["f", "g"], [tree(["al"])]),
+    ]))
+    inner = tree_to_ctx(tree(["a", "b", "c"], [tree(["p", "q"], [tree(["s"])]), tree(["r"])]))
+    problem = InsertionProblem(outer, "al", inner, pasting.unbiased_type(inner))
+    want = reference_insert_ctx(problem).external
+    trees = [t for t in enumerate_trees(9) if len(t.labels) > 1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in trees * 50:
+            result, fresh, seen = insert_ctx(problem), tree_to_ctx(t), []
+            gate = threading.Barrier(4, timeout=10)
+
+            def read_external() -> None:
+                gate.wait()
+                seen.append(result.external.entries == want.entries)
+
+            def look_up() -> None:
+                gate.wait()
+                types = [fresh.lookup(v) for v in fresh.vars]
+                seen.append(types == [ty for _, ty in fresh.entries])
+
+            threads = [threading.Thread(target=f, daemon=True) for f in (read_external, look_up) * 2]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+            assert not any(th.is_alive() for th in threads) and seen == [True] * 4
     finally:
         sys.setswitchinterval(interval)
 
