@@ -19,6 +19,7 @@ from .errors import (
 from .syntax import (
     NEG,
     POS,
+    Arr,
     Coh,
     Context,
     Substitution,
@@ -36,9 +37,9 @@ from .trees import (
     all_labels,
     branching_path,
     ctx_to_tree,
+    emission,
     linear_height,
     relabel_tree,
-    tree_to_ctx,
 )
 
 
@@ -79,24 +80,16 @@ def insert_tree(s: BataninTree, path: TreePath, t: BataninTree) -> BataninTree:
 
 def _splice(s: BataninTree, path: TreePath, t: BataninTree) -> BataninTree:
     n = path[0]
-    if len(path) == 1:
-        if len(s.labels) == 1:
-            if n != 0:
-                raise PathInvalid(f"path head {n} in a branchless tree")
-            return t
-        if n > len(s.labels) - 2:
-            raise PathInvalid(f"path head {n} out of range")
-        return BataninTree(
-            s.labels[:n] + t.labels + s.labels[n + 2 :],
-            s.branches[:n] + t.branches + s.branches[n + 1 :],
-        )
+    if len(path) == 1 and len(s.labels) == 1:
+        if n != 0:
+            raise PathInvalid(f"path head {n} in a branchless tree")
+        return t
     if n >= len(s.branches):
         raise PathInvalid(f"path head {n} out of range")
-    inner = _splice(s.branches[n], path[1:], t.branches[0])
-    return BataninTree(
-        s.labels[:n] + t.labels + s.labels[n + 2 :],
-        s.branches[:n] + (inner,) + s.branches[n + 1 :],
-    )
+    # the last step puts t's branches in place of branch n, an earlier one its splice
+    branches = t.branches if len(path) == 1 else (_splice(s.branches[n], path[1:], t.branches[0]),)
+    return BataninTree(s.labels[:n] + t.labels + s.labels[n + 2 :],
+                       s.branches[:n] + branches + s.branches[n + 1 :])
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +100,11 @@ def _splice(s: BataninTree, path: TreePath, t: BataninTree) -> BataninTree:
 def type_linear_height(ty: Type) -> int:
     """Largest n such that every boundary endpoint of dimension below n is
     a variable; a type with only variable endpoints has its own dimension."""
-    n = dim_type(ty)
-    for m in range(n):
-        if not isinstance(type_boundary(ty, m, NEG), Var):
-            return m
-        if not isinstance(type_boundary(ty, m, POS), Var):
-            return m
-    return n
+    ends = []  # whether both endpoints are variables, from the top dimension down
+    while isinstance(ty, Arr):
+        ends.append(isinstance(ty.src, Var) and isinstance(ty.tgt, Var))
+        ty = ty.base
+    return (ends[::-1] + [False]).index(False)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +120,8 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     Each inner label in turn is freshened: primes are appended until no
     outer label and no earlier inner image has the name.  Only the labels
     whose name changed are recorded, and relabel_tree rebuilds only the
-    nodes that hold one.  The internal substitution maps each inner
+    nodes that hold one.  So the splice repeats no label, and its emission
+    is not checked for one.  The internal substitution maps each inner
     variable to its image; the external one keeps the surviving outer
     variables and sends x and its boundary, erased by the splice, to the
     inner coherence and its boundary; both are built when first read, and
@@ -158,9 +150,9 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
             ren[v] = w
     if (height := linear_height(t)) < need:
         raise LinearHeightTooSmall(f"linear height {height} < path length {len(path)} - 1")
-    inserted = tree_to_ctx(_splice(s, path, relabel_tree(t, ren)))  # raises DuplicateVariable
+    inserted = emission(_splice(s, path, relabel_tree(t, ren)))
     renamed = lambda i: tuple((v, Var(ren.get(v, v))) for v in i.domain)  # noqa: E731
-    internal = Substitution.deferred(inner.vars, renamed, _ren=ren)
+    internal = Substitution.deferred(inner.vars, _build=renamed, _ren=ren)
 
     def image(y: VarName) -> Term:
         if y not in erased:  # x, or a cell the splice keeps
@@ -170,15 +162,15 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
             return Var(ren.get(b.name, b.name))
         return apply_sub_term(b, internal)  # raises SubstitutionUndefined on a name not in inner
 
-    external = Substitution.deferred(outer.vars, lambda e: tuple((y, image(y)) for y in e.domain),
-                                     _image=image)
+    external = Substitution.deferred(outer.vars, _build=lambda e: tuple(zip(e.domain, map(
+        image, e.domain))), _image=image)
     return InsertionResult(problem, inserted, internal, external)
 
 
 def external_on(result: InsertionResult, names) -> Substitution:
     """result.external on names only; from insert_ctx, no other image is built."""
-    image = result.external._image
-    return Substitution(tuple((y, image(y)) for y in names))
+    image, names = result.external._image, tuple(names)
+    return Substitution.deferred(names, _table=dict(zip(names, map(image, names))))
 
 
 def insert_sub(
@@ -204,9 +196,9 @@ def insert_sub(
             raise HeadMismatch(f"argument at '{x}' is not the inner coherence applied to tau")
     # tau's domain is the inner context's variables, in the order internal maps them
     ren = result.internal.derived("_ren", lambda i: {v: w.name for v, w in i if v != w.name})
-    table = dict(chain(sigma.entries, zip(map(ren.get, tau.domain, tau.domain), tau.values)))
+    table = dict(chain(sigma._table.items(), zip(map(ren.get, tau.domain, tau.domain), tau.values)))
     names = result.inserted.vars
     try:
-        return Substitution(tuple(zip(names, map(table.__getitem__, names))))
+        return Substitution.deferred(names, _table=dict(zip(names, map(table.__getitem__, names))))
     except KeyError as exc:
         raise SubstitutionUndefined(exc.args[0]) from None

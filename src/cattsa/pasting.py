@@ -15,6 +15,7 @@ from .errors import NotPasting
 from .syntax import (
     NEG,
     POS,
+    STAR,
     Arr,
     Coh,
     Context,
@@ -91,8 +92,11 @@ def unbiased_type(ctx: Context) -> Type:
 
 def _unbiased_type(t: BataninTree) -> Type:
     """The unbiased type over the emission of t."""
-    if is_linear(t):  # a disc: the type of its top cell, emitted last
-        return tree_to_ctx(t).entries[-1][1]
+    if is_linear(t):  # a disc: the type of its top cell, built down the trunk
+        ty = STAR
+        while t.branches:
+            ty, t = Arr(Var(t.labels[0]), ty, Var(t.labels[1])), t.branches[0]
+        return ty
     k = tree_depth(t) - 1
     src = tree_boundary(t, k, NEG)
     tgt = tree_boundary(t, k, POS)

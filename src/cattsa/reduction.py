@@ -17,6 +17,7 @@ detected incidentally.
 
 from __future__ import annotations
 
+from operator import is_
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import IllTyped, bounded
@@ -53,12 +54,7 @@ class Redex(NamedTuple):
     position: Position
 
     def position_str(self) -> str:
-        if not self.position:
-            return "head"
-        parts = []
-        for kind, index in self.position:
-            parts.append(f"{kind}[{index}]" if kind in ("arg", "entry") else kind)
-        return ".".join(parts)
+        return ".".join(f"{k}[{i}]" if k in ("arg", "entry") else k for k, i in self.position) or "head"
 
 
 # ---------------------------------------------------------------------------
@@ -76,31 +72,33 @@ def _kind_of(item: Item) -> str:
     raise IllTyped(f"cannot reduce {item!r}")
 
 
-def _children(item: Item) -> list[tuple[str, int, Item]]:
-    """The immediate subitems as (kind, index, child), in traversal order:
-    substitution entries left to right, then the type of a coherence, then
-    the source, base and target of an arrow."""
+def _kids(item: Item) -> tuple[Item, ...]:
+    """The immediate subitems, in traversal order: substitution entries left
+    to right, then the type of a coherence, then the source, base and
+    target of an arrow."""
     if isinstance(item, Coh):
-        out: list[tuple[str, int, Item]] = [
-            ("arg", i, arg) for i, (_, arg) in enumerate(item.sub.entries)
-        ]
-        out.append(("type", 0, item.ty))
-        return out
+        return (*item.sub.values, item.ty)
     if isinstance(item, Arr):
-        return [("src", 0, item.src), ("base", 0, item.base), ("tgt", 0, item.tgt)]
-    if isinstance(item, Substitution):
-        return [("entry", i, arg) for i, (_, arg) in enumerate(item.entries)]
-    return []
+        return (item.src, item.base, item.tgt)
+    return item.values if isinstance(item, Substitution) else ()
+
+
+def _children(item: Item) -> list[tuple[str, int, Item]]:
+    """The immediate subitems as (kind, index, child), in _kids order."""
+    kids = _kids(item)
+    if isinstance(item, Arr):
+        return list(zip(("src", "base", "tgt"), (0, 0, 0), kids))
+    out = [("arg" if isinstance(item, Coh) else "entry", i, kid) for i, kid in enumerate(kids)]
+    return out[:-1] + [("type", 0, item.ty)] if isinstance(item, Coh) else out
 
 
 def _rebuilt(item: Item, kids: list[Item]) -> Item:
     """item with its children, in _children order, replaced by kids."""
     if isinstance(item, Coh):
-        # zip stops at the last argument; the type comes after it
-        return Coh(item.ctx, kids[-1], Substitution(tuple(zip(item.sub.domain, kids))))
+        return Coh(item.ctx, kids[-1], _rebuilt(item.sub, kids))  # the type comes last
     if isinstance(item, Arr):
         return Arr(*kids)
-    return Substitution(tuple(zip(item.domain, kids)))
+    return Substitution.deferred(item.domain, _table=dict(zip(item.domain, kids)))
 
 
 def _with_child(item: Item, kind: str, index: int, new: Item) -> Item:
@@ -110,14 +108,10 @@ def _with_child(item: Item, kind: str, index: int, new: Item) -> Item:
 
 def _with_rule(kind: str, pos: Position) -> Redex:
     if not pos:
-        rule = RULE_INSERTION
-    elif kind == "term":
-        rule = RULE_ARG if pos[0][0] == "arg" else RULE_CELL
-    elif kind == "type":
-        rule = RULE_TYPE
-    else:
-        rule = RULE_SUB
-    return Redex(rule, pos)
+        return Redex(RULE_INSERTION, pos)
+    if kind == "term":
+        return Redex(RULE_ARG if pos[0][0] == "arg" else RULE_CELL, pos)
+    return Redex(RULE_TYPE if kind == "type" else RULE_SUB, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -126,19 +120,22 @@ def _with_rule(kind: str, pos: Position) -> Redex:
 # ---------------------------------------------------------------------------
 
 
-def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
-    """Locally maximal cells of t's context that carry an insertion redex,
-    in context order.
+def _eligible_heads(t: Coh, allow: bool, cells: Optional[list] = None) -> Iterator[VarName]:
+    """Locally maximal cells of t's context, or those among cells, that
+    carry an insertion redex, in context order.
 
     The argument at the cell must be an unbiased composite (its type is the
     unbiased type of its pasting context, up to alpha) whose tree is at
     least as linearly high as the cell's branching height; disc-shaped
-    arguments qualify only when allow is set.
+    arguments qualify only when allow is set.  A reduct's cells that carry
+    one are among its head's after the cell inserted at: the arguments of
+    the inner coherence were normal in it, the outer's others are kept, and
+    the splice gives no node fewer branches, so no branching height falls.
     """
     outer = shape(t.ctx)
     if outer is None:
         return
-    for x in outer.maximal:
+    for x in outer.maximal if cells is None else cells:
         arg = t.sub.lookup(x)
         if not isinstance(arg, Coh):
             continue
@@ -172,34 +169,32 @@ def _insert_at(t: Coh, x: VarName) -> Term:
 
 
 def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
-    """The entry (item, normal form, steps) of item; the steps, a list
-    only when traced, pair a position relative to item with the subitem
-    that replaces the redex there.  Only a normal item is stored in the
-    memo, under id(item): a subitem that reduces is normalised again at
-    each position it occupies, so every step fires its own insertion.
+    """The normal form of item and its steps, a list only when traced, which
+    pair a position relative to item with the subitem that replaces the
+    redex there.  Only a normal item is stored in the memo, under id(item):
+    a subitem that reduces is normalised again at each position it
+    occupies, so every step fires its own insertion.
 
     The children are normalised first (arguments, then the type), the node
     is rebuilt only if one changed, then its head insertions fire.  A
     subterm's steps do not depend on its siblings and a head fires only
     once its children are normal, so item's innermost-leftmost steps are
-    its children's, merged by _merged, then its head's.  The memo lookups
-    are inline, so a level of nesting takes one frame; each stored entry
-    keeps its item alive, so no id is reused while it is a key."""
-    children = _children(item)
-    done = []
-    for _, _, child in children:
-        hit = memo.get(id(child))
-        if hit is None:  # a variable or * is normal and needs no memo entry
-            leaf = isinstance(child, (Var, Star))
-            hit = (child, child, None) if leaf else _nf(child, memo, allow, traced)
-        done.append(hit)
-    nf = _rebuilt(item, [h[1] for h in done]) if any(h[1] is not h[0] for h in done) else item
-    steps = _merged([(c[:2], h[2]) for c, h in zip(children, done) if h[2]]) if traced else None
-    while isinstance(nf, Coh) and (x := next(_eligible_heads(nf, allow), None)) is not None:
+    its children's, merged by _merged, then its head's.  The memo test is
+    inline, so a level of nesting takes one frame; each stored item is
+    kept alive by its entry, so no id is reused while it is a key."""
+    kids = _kids(item)
+    done = [(kid, None) if isinstance(kid, (Var, Star)) or id(kid) in memo  # normal
+            else _nf(kid, memo, allow, traced) for kid in kids]
+    nfs = [nf for nf, _ in done]
+    nf = item if all(map(is_, nfs, kids)) else _rebuilt(item, nfs)
+    steps = _merged([(c[:2], s) for c, (_, s) in zip(_children(item), done) if s]) if traced else None
+    heads = list(_eligible_heads(nf, allow)) if isinstance(nf, Coh) else []
+    while heads:
+        x, *rest = heads
         unbiased = nf.ty == shape(nf.ctx).unbiased
         nf = _insert_at(nf, x)
         # the reduct's arguments are normal arguments: only its type may reduce
-        _, ty, inner = _nf(nf.ty, memo, allow, traced)
+        ty, inner = _nf(nf.ty, memo, allow, traced)
         if unbiased:  # then so is the reduct: ty is its context's unbiased type
             shape(nf.ctx, ty)
         if traced:
@@ -207,7 +202,10 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
             steps += [((("type", 0),) + pos, new) for pos, new in inner]
         if ty is not nf.ty:
             nf = Coh(nf.ctx, ty, nf.sub)
-    return memo.setdefault(id(item), (item, nf, steps)) if nf is item else (item, nf, steps)
+        heads = list(_eligible_heads(nf, allow, rest)) if rest else []
+    if nf is item:
+        memo[id(item)] = item
+    return nf, steps
 
 
 def _merged(lists: list[tuple[tuple[str, int], list]]) -> list:
@@ -236,7 +234,7 @@ def normalize(
     substitution.  Appends one line per step to trace when given, rendered
     by replaying the steps the normalising pass recorded."""
     kind = _kind_of(item)
-    _, nf, steps = _nf(item, {}, allow_disc_insertion, trace is not None)
+    nf, steps = _nf(item, {}, allow_disc_insertion, trace is not None)
     cur, shown = item, ""
     for position, new in steps or ():
         spine, node = [], cur  # replace the subitem at position, without recursion

@@ -165,13 +165,14 @@ class _Table(_Memo):
         self.__dict__.update(entries=entries, _table=table, _names=tuple(table))
 
     @classmethod
-    def deferred(cls, names: tuple[VarName, ...], build: Callable, **memo) -> "_Table":
-        """A table over distinct names whose entries build(table) makes on first read."""
-        table = cls.__new__(cls)
-        table.__dict__.update(_names=names, _build=build, **memo)
+    def deferred(cls, names: tuple[VarName, ...], **memo) -> "_Table":
+        """A table over distinct names, its entries made from memo on first read."""
+        table, memo["_names"] = object.__new__(cls), names
+        _set(table, "__dict__", memo)  # the memo, a fresh dict, is the instance's
         return table
 
-    entries = _OnFirstRead("entries", lambda t: t._build(t))  # a deferred table's
+    _build = staticmethod(lambda t: tuple(t._table.items()))  # a deferred table's,
+    entries = _OnFirstRead("entries", lambda t: t._build(t))  # unless it has its own
     _table = _OnFirstRead("_table", lambda t: dict(t.entries))  # the index by name
 
     def __eq__(self, other: object) -> bool:

@@ -62,7 +62,7 @@ def tree(labels: list[VarName] | tuple[VarName, ...], branches=()) -> BataninTre
     return _distinct(BataninTree(tuple(labels), tuple(branches)))
 
 
-def _distinct(t: BataninTree) -> BataninTree:
+def _distinct(t: BataninTree, where: str = "tree") -> BataninTree:
     """t, once its labels are checked pairwise distinct: a parse of a
     context, a boundary, a relabelling to names that no other label has
     and a splice of disjoint trees keep them so, and a check in the
@@ -70,7 +70,7 @@ def _distinct(t: BataninTree) -> BataninTree:
     seen: set[VarName] = set()
     for name in all_labels(t):
         if name in seen:
-            raise DuplicateVariable(name, "tree")
+            raise DuplicateVariable(name, where)
         seen.add(name)
     return t
 
@@ -113,11 +113,15 @@ def is_linear(t: BataninTree) -> bool:
 
 
 def tree_to_ctx(t: BataninTree) -> Context:
-    """The emission of t, whose entries are emitted when first read."""
-    names = all_labels(t)
-    if len(set(names)) != len(names):
-        Context(tuple((v, STAR) for v in names))  # raises DuplicateVariable on the first repeat
-    return Context.deferred(names, lambda _: tuple(_emit(t, STAR, [(names[0], STAR)])), **{_TREE: t})
+    """The emission of t; a repeated label raises DuplicateVariable (in context)."""
+    return emission(_distinct(t, "context"))
+
+
+def emission(t: BataninTree) -> Context:
+    """The emission of t, its entries emitted when first read; for a tree
+    known to repeat no label, as it checks for none."""
+    build = lambda _: tuple(_emit(t, STAR, [(t.labels[0], STAR)]))  # noqa: E731
+    return Context.deferred(all_labels(t), _build=build, **{_TREE: t})
 
 
 def _emit(t: BataninTree, base: Type, out: list[tuple[VarName, Type]]) -> list:
@@ -216,11 +220,12 @@ def branching_height(t: BataninTree, x: VarName) -> int:
 def relabel_tree(t: BataninTree, mapping: dict[VarName, VarName]) -> BataninTree:
     """t with its labels renamed by mapping, in one walk that rebuilds only
     the nodes where a label or a branch changed and returns every other
-    subtree as the same object (a leaf that keeps its name without a call)."""
+    subtree as the same object (a leaf, renamed or not, without a call)."""
     if not mapping:
         return t
     labels = tuple(map(mapping.get, t.labels, t.labels))
-    branches = tuple(relabel_tree(br, mapping) if br.branches or br.labels[0] in mapping
+    branches = tuple(relabel_tree(br, mapping) if br.branches
+                     else BataninTree((mapping[br.labels[0]],), ()) if br.labels[0] in mapping
                      else br for br in t.branches)
     if labels == t.labels and all(map(is_, branches, t.branches)):
         return t

@@ -5,8 +5,10 @@
 prints, for a left-nested n-fold composite of arrows at n = 8, 16, 32,
 64, 96, 128, 192 and 256 (the parser nests at most 300 applications, so
 n = 512 cannot be written), the best of five times of one normalize call
-on a freshly elaborated copy (so no memo on a context is warm), then the
-log-log slope of those times against n (a least-squares fit); the same
+on a freshly elaborated copy (so no memo on a context is warm) and that
+time per insertion step (the n - 2 steps of its n - 1 composites, the
+innermost of which is normal), then the log-log slope of those times
+against n (a least-squares fit); the same
 series and slope for a seeded random bracketing of the n arrows (the
 shape of the benchmark's def_eq operand) at n = 32, 48, 64, 96 and 128,
 and for the left-nested vertical composite of n 2-cells whiskered on the
@@ -141,19 +143,21 @@ def slope(xs: list[float], ys: list[float]) -> float:
     return sum((a - mx) * (b - my) for a, b in zip(lx, ly)) / sum((a - mx) ** 2 for a in lx)
 
 
-def series(label: str, sizes: tuple[int, ...], text) -> None:
+def series(label: str, sizes: tuple[int, ...], text, steps=None) -> None:
     """Print the best-of-five normalize time of t in text(n) for each n in
-    sizes, then the log-log slope of the series."""
+    sizes, and per step when steps(n) counts them, then the log-log slope
+    of the series."""
     times = []
     for n in sizes:
         times.append(best_time(text(n), "t", REPEATS))
-        print(f"{label} n = {n:3d}: {times[-1] * 1e3:8.2f} ms", flush=True)
+        per_step = f" ({times[-1] / steps(n) * 1e6:6.1f} us per step)" if steps else ""
+        print(f"{label} n = {n:3d}: {times[-1] * 1e3:8.2f} ms{per_step}", flush=True)
     print(f"{label} log-log slope: {slope(list(sizes), times):.2f}")
 
 
 def main(src: str) -> None:
     sys.path.insert(0, src)
-    series("left-nested", SIZES, left_nested)
+    series("left-nested", SIZES, left_nested, lambda n: n - 2)
     series(f"random bracketing (seed {SEED})", RANDOM_SIZES, random_bracketing)
     series("whiskered column", COLUMN_SIZES, whiskered_column)
     for d in DEPTHS:

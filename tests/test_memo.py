@@ -18,7 +18,7 @@ from cattsa.errors import (
     UnknownVariable,
 )
 from cattsa.insertion import InsertionProblem, insert_ctx
-from cattsa.syntax import STAR, Context, Substitution, Var
+from cattsa.syntax import STAR, Coh, Context, Substitution, Var, identity_sub
 from cattsa.trees import ctx_to_tree, tree, tree_to_ctx
 from helpers import arr, enumerate_trees
 from oracles import reference_insert_ctx
@@ -103,6 +103,71 @@ def test_threads_reading_a_fresh_context_share_one_emission():
             assert all(entries is emitted.entries for entries, _ in seen)
             assert all(types == [ty for _, ty in emitted.entries] for _, types in seen)
             assert emitted.entries == Context(emitted.entries).entries
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _arguments(t) -> tuple:
+    """Arguments over the emission of t: each variable primed, and the last
+    one the unbiased composite of the context."""
+    c = tree_to_ctx(t)
+    composite = Coh(c, pasting.unbiased_type(c), identity_sub(c))
+    return tuple((v, Var(v + "'")) for v in c.vars[:-1]) + ((c.vars[-1], composite),)
+
+
+def _indexed(entries: tuple) -> Substitution:
+    """The substitution of entries, given as its index, as insertion builds one."""
+    index = dict(entries)
+    return Substitution.deferred(tuple(index), _table=index)
+
+
+# each read of a substitution s, given an equal one built from entries
+SUB_READS = {
+    "entries": lambda s, built: s.entries,
+    "==": lambda s, built: (s == built, built == s, s != built),
+    "hash": lambda s, built: hash(s),
+    "str": lambda s, built: str(s),
+    "repr": lambda s, built: repr(s),
+    "pickle": lambda s, built: (pickle.loads(pickle.dumps(s)) == built, pickle.dumps(s)),
+    "lookup": lambda s, built: [s.lookup(v) for v in s.domain],
+    "has": lambda s, built: ([s.has(v) for v in s.domain], s.has("%0")),
+    "values": lambda s, built: (s.values, len(s)),
+}
+
+
+@pytest.mark.parametrize("read", SUB_READS)
+def test_a_substitution_built_from_its_index_reads_as_one_built_from_entries(read):
+    for t in enumerate_trees(11):
+        entries = _arguments(t)
+        built, indexed = Substitution(entries), _indexed(entries)
+        assert "entries" not in indexed.__dict__ and indexed.domain == built.domain
+        want = SUB_READS[read](built, Substitution(entries))
+        assert SUB_READS[read](indexed, built) == want  # the first read
+        assert SUB_READS[read](indexed, built) == want  # and a later one
+
+
+def test_threads_reading_a_fresh_indexed_substitution_share_one_entries():
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in enumerate_trees(11):
+            entries = _arguments(t)
+            indexed, seen = _indexed(entries), []
+            gate = threading.Barrier(4, timeout=10)
+
+            def read() -> None:
+                gate.wait()
+                seen.append((indexed.entries, [indexed.lookup(v) for v in indexed.domain]))
+
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=10)
+            assert not any(th.is_alive() for th in threads) and len(seen) == 4
+            assert all(got is indexed.entries for got, _ in seen)
+            assert all(values == [term for _, term in entries] for _, values in seen)
+            assert indexed.entries == entries
     finally:
         sys.setswitchinterval(interval)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cattsa.errors import DimensionError, NotPasting
-from cattsa.pasting import maximal_vars, shape, unbiased_type
+from cattsa.pasting import _unbiased_type, maximal_vars, shape, unbiased_type
 from cattsa.reduction import normalize
 from cattsa.syntax import (
     NEG,
@@ -205,6 +205,13 @@ def test_maximal_vars_reads_no_context():
     # elaboration lets a telescope name an unbound arrow target
     tele = ctx(("x", star), ("f", arr("x", star, "q")))
     assert maximal_vars(tele) == ("f",)
+
+
+def test_a_discs_unbiased_type_is_its_top_cells_type():
+    discs = [t for t in enumerate_trees(11) if is_linear(t)]
+    assert len(discs) == 6
+    for t in discs:
+        assert _unbiased_type(t) == tree_to_ctx(t).entries[-1][1]
 
 
 def test_every_disc_has_one_maximal_cell():

@@ -51,6 +51,14 @@ def test_tree_invariants_enforced():
         tree(["x", "x"], [tree(["f"])])
 
 
+def test_tree_to_ctx_rejects_a_raw_tree_that_repeats_a_label():
+    # the constructor checks no labels, so the emission's check reports it
+    raw = BataninTree(("x", "y", "x"), (BataninTree(("f",), ()), BataninTree(("g",), ())))
+    with pytest.raises(DuplicateVariable) as exc:
+        tree_to_ctx(raw)
+    assert str(exc.value) == "duplicate variable 'x' in context"
+
+
 def test_singleton_tree_to_ctx():
     assert tree_to_ctx(LEAF) == ctx(("x", star))
 
