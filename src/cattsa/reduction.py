@@ -120,22 +120,23 @@ def _with_rule(kind: str, pos: Position) -> Redex:
 # ---------------------------------------------------------------------------
 
 
-def _eligible_heads(t: Coh, allow: bool, cells: Optional[list] = None) -> Iterator[VarName]:
-    """Locally maximal cells of t's context, or those among cells, that
-    carry an insertion redex, in context order.
+def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
+    """Locally maximal cells of t's context that carry an insertion redex,
+    in context order.
 
     The argument at the cell must be an unbiased composite (its type is the
     unbiased type of its pasting context, up to alpha) whose tree is at
     least as linearly high as the cell's branching height; disc-shaped
-    arguments qualify only when allow is set.  A reduct's cells that carry
-    one are among its head's after the cell inserted at: the arguments of
-    the inner coherence were normal in it, the outer's others are kept, and
-    the splice gives no node fewer branches, so no branching height falls.
+    arguments qualify only when allow is set.  The cells of a reduct that
+    carry one are its head's after the cell inserted at: the inner
+    coherence's arguments were normal in it, and the splice keeps the other
+    arguments and their cells' branching heights, and raises none of the
+    inner cells'.
     """
     outer = shape(t.ctx)
     if outer is None:
         return
-    for x in outer.maximal if cells is None else cells:
+    for x in outer.maximal:
         arg = t.sub.lookup(x)
         if not isinstance(arg, Coh):
             continue
@@ -188,9 +189,7 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
     nfs = [nf for nf, _ in done]
     nf = item if all(map(is_, nfs, kids)) else _rebuilt(item, nfs)
     steps = _merged([(c[:2], s) for c, (_, s) in zip(_children(item), done) if s]) if traced else None
-    heads = list(_eligible_heads(nf, allow)) if isinstance(nf, Coh) else []
-    while heads:
-        x, *rest = heads
+    for x in _eligible_heads(nf, allow) if isinstance(nf, Coh) else ():  # the head's, in turn
         unbiased = nf.ty == shape(nf.ctx).unbiased
         nf = _insert_at(nf, x)
         # the reduct's arguments are normal arguments: only its type may reduce
@@ -202,7 +201,6 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
             steps += [((("type", 0),) + pos, new) for pos, new in inner]
         if ty is not nf.ty:
             nf = Coh(nf.ctx, ty, nf.sub)
-        heads = list(_eligible_heads(nf, allow, rest)) if rest else []
     if nf is item:
         memo[id(item)] = item
     return nf, steps

@@ -4,7 +4,8 @@ A term is a variable or a coherence ``Coh(ctx, ty, sub)``; a type is the
 base type ``*`` or an arrow between two terms over a lower-dimensional
 type.  Contexts and substitutions are ordered association sequences with
 pairwise-distinct names, indexed by name when built; a deferred one (such
-as a context emitted from a tree) builds its entries and index on first read.
+as a context emitted from a tree) builds on first read its entries, and its
+index unless given it (as insertion's argument substitutions are).
 Every value is immutable, so each operation here is a pure function, safe in any thread.
 
 The variables a coherence binds are positions in a pasting diagram, so
@@ -166,13 +167,14 @@ class _Table(_Memo):
 
     @classmethod
     def deferred(cls, names: tuple[VarName, ...], **memo) -> "_Table":
-        """A table over distinct names, its entries made from memo on first read."""
+        """A table over distinct names with the memo given: its entries are made on
+        first read by memo's _build(table), or else from its index _table."""
         table, memo["_names"] = object.__new__(cls), names
         _set(table, "__dict__", memo)  # the memo, a fresh dict, is the instance's
         return table
 
-    _build = staticmethod(lambda t: tuple(t._table.items()))  # a deferred table's,
-    entries = _OnFirstRead("entries", lambda t: t._build(t))  # unless it has its own
+    _build = staticmethod(lambda t: tuple(t._table.items()))  # unless it has its own
+    entries = _OnFirstRead("entries", lambda t: t._build(t))
     _table = _OnFirstRead("_table", lambda t: dict(t.entries))  # the index by name
 
     def __eq__(self, other: object) -> bool:

@@ -227,18 +227,17 @@ def _loaded_heads():
             yield Coh(outer, unbiased_type(outer), sigma)
 
 
-def test_a_reducts_redexes_are_among_its_heads_later_ones():
-    # what lets the normaliser test only the head's later cells after a
-    # step: a scan of every cell of the reduct finds the same ones
+def test_a_reducts_redexes_are_its_heads_later_ones():
+    # what lets the normaliser fire its head's redexes in turn without
+    # looking for more: a scan of every cell of each reduct finds the rest
     steps, later = 0, 0
     for head in _loaded_heads():
         for allow in (True, False):
             t, cells = head, list(_eligible_heads(head, allow))
             while cells:
-                x, *rest = cells
+                x, *cells = cells
                 t = _insert_at(t, x)
-                cells = list(_eligible_heads(t, allow))
-                assert cells == list(_eligible_heads(t, allow, rest))
+                assert list(_eligible_heads(t, allow)) == cells
                 steps, later = steps + 1, later + bool(cells)
     assert steps == 116 and later == 61
 
