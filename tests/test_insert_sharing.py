@@ -200,9 +200,10 @@ def test_a_reducts_names_need_no_check():
     for head, x, _ in _redexes():
         arg = head.sub.lookup(x)
         want = reference_insert_ctx(InsertionProblem(head.ctx, x, arg.ctx, arg.ty))
-        names = _insert_at(head, x).ctx.vars
+        got = _insert_at(head, x).ctx
+        names = got.vars
         assert len(set(names)) == len(names)
-        assert names == all_labels(ctx_to_tree(_insert_at(head, x).ctx))
+        assert names == all_labels(ctx_to_tree(got))
         assert names == all_labels(ctx_to_tree(want.inserted)) == want.inserted.vars
 
 
