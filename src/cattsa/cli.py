@@ -341,8 +341,8 @@ def cmd_eq(args: argparse.Namespace) -> int:
     decls = (_resolve(env, args.name1), _resolve(env, args.name2))
     if any(_failed(session.check_ctx(d.ctx), f"{d.name}: ") for d in decls):
         return 1
-    ctx, t1, t2 = _comparable_values(*decls)
-    if any(_failed(session.infer_report(ctx, t), f"{d.name}: ") for d, t in zip(decls, (t1, t2))):
+    ctx, t1, t2 = _comparable_values(*decls)  # t2 in d1's names; typed below as written
+    if any(_failed(session.infer_report(d.ctx, d.value()), f"{d.name}: ") for d in decls):
         return 1
     same = session.equal(ctx, t1, t2)
     doc = {

@@ -168,8 +168,9 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
 
 
 def external_on(result: InsertionResult, names) -> Substitution:
-    """result.external on names only; from insert_ctx, no other image is built."""
-    image, names = result.external._image, tuple(names)
+    """result.external on names only; from insert_ctx, no other image is
+    built, and a copy of the result reads its built table."""
+    image, names = result.external.derived("_image", lambda e: e.lookup), tuple(names)
     return Substitution.deferred(names, _table=dict(zip(names, map(image, names))))
 
 

@@ -12,6 +12,9 @@ The variables a coherence binds are positions in a pasting diagram, so
 == and hash on Coh ignore their names, and alpha equality is plain ==.
 Names are still stored and printed.
 
+Every value prints in the surface syntax through item_str (also named
+term_str and type_str), which str calls and which alone guards the depth.
+
 Values are plain classes derived from Frozen.  Contexts and coherences
 carry a write-once memo of data derived from them (a context's Batanin
 tree and pasting shape, a coherence's positional shape), kept in the
@@ -69,11 +72,17 @@ class Term(Frozen):
 
     __slots__ = ()
 
+    def __str__(self) -> str:
+        return item_str(self)
+
 
 class Type(Frozen):
     """Abstract base for types; instances are Star or Arr."""
 
     __slots__ = ()
+
+    def __str__(self) -> str:
+        return item_str(self)
 
 
 class Var(Term):
@@ -88,9 +97,6 @@ class Var(Term):
     def __hash__(self) -> int:
         return hash((self.name,))
 
-    def __str__(self) -> str:
-        return self.name
-
 
 class Star(Type):
     __slots__ = ()
@@ -100,9 +106,6 @@ class Star(Type):
 
     def __hash__(self) -> int:
         return hash(())
-
-    def __str__(self) -> str:
-        return "*"
 
 
 class Arr(Type):
@@ -119,9 +122,6 @@ class Arr(Type):
 
     def __hash__(self) -> int:
         return hash((self.src, self.base, self.tgt))
-
-    def __str__(self) -> str:
-        return f"{self.src} -> {self.tgt}"
 
 
 class _Memo(Frozen):
@@ -192,6 +192,9 @@ class _Table(_Memo):
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.entries)
 
+    def __str__(self) -> str:
+        return item_str(self)
+
 
 class Context(_Table):
     """Ordered sequence of (variable, type) declarations."""
@@ -210,10 +213,6 @@ class Context(_Table):
 
     def extend(self, name: VarName, ty: Type) -> "Context":
         return Context(self.entries + ((name, ty),))
-
-    @bounded
-    def __str__(self) -> str:
-        return _ctx_str(self)
 
 
 class Substitution(_Table):
@@ -240,9 +239,6 @@ class Substitution(_Table):
         entries[index] = (entries[index][0], term)
         return Substitution(tuple(entries))
 
-    def __str__(self) -> str:
-        return "<" + ", ".join(f"{v} := {term_str(t)}" for v, t in self.entries) + ">"
-
 
 class Coh(Term, _Memo):
     _fields = ("ctx", "ty", "sub")
@@ -268,9 +264,6 @@ class Coh(Term, _Memo):
 
     def __hash__(self) -> int:
         return hash((self.sub.values, _shape(self)))
-
-    def __str__(self) -> str:
-        return term_str(self)
 
 
 Item = Union[Term, Type, Substitution]
@@ -475,42 +468,28 @@ def alpha_eq(a: Item | Context, b: Item | Context) -> bool:
 
 
 @bounded
-def term_str(t: Term) -> str:
-    """The surface rendering of a term; raises TooDeep on a term nested
-    too deeply to print."""
-    return _term_str(t)
-
-
-@bounded
-def type_str(ty: Type) -> str:
-    """The surface rendering of a type; raises TooDeep on a type nested
-    too deeply to print."""
-    return _type_str(ty)
-
-
 def item_str(item: Item | Context) -> str:
-    """The surface rendering of a term or type, and str of anything else."""
-    if isinstance(item, Term):
-        return term_str(item)
-    if isinstance(item, Type):
-        return type_str(item)
-    return str(item)
+    """The surface rendering of a term, type, context or substitution, and
+    str of anything else; raises TooDeep on a value too deep to print.  The
+    rendering below this one guard recurses unguarded."""
+    return _render(item)
 
 
-def _term_str(t: Term) -> str:
-    if isinstance(t, Var):
-        return t.name
-    assert isinstance(t, Coh)
-    args = ", ".join(_term_str(u) for u in t.sub.values)
-    return f"coh {{ {_ctx_str(t.ctx)} : {_type_str(t.ty)} }} [{args}]"
+term_str = type_str = item_str
 
 
-def _ctx_str(ctx: Context) -> str:
-    return " ".join(f"({v} : {_type_str(ty)})" for v, ty in ctx.entries)
-
-
-def _type_str(ty: Type) -> str:
-    if isinstance(ty, Star):
+def _render(x: object) -> str:
+    if isinstance(x, Var):
+        return x.name
+    if isinstance(x, Arr):
+        return f"{_render(x.src)} -> {_render(x.tgt)}"
+    if isinstance(x, Star):
         return "*"
-    assert isinstance(ty, Arr)
-    return f"{_term_str(ty.src)} -> {_term_str(ty.tgt)}"
+    if isinstance(x, Coh):
+        args = ", ".join(_render(u) for u in x.sub.values)  # map would move TooDeep's depth
+        return f"coh {{ {_render(x.ctx)} : {_render(x.ty)} }} [{args}]"
+    if isinstance(x, Context):
+        return " ".join(f"({v} : {_render(ty)})" for v, ty in x.entries)
+    if isinstance(x, Substitution):
+        return "<" + ", ".join(f"{v} := {_render(t)}" for v, t in x.entries) + ">"
+    return str(x)

@@ -12,7 +12,10 @@ against n (a least-squares fit); the same
 series and slope for a seeded random bracketing of the n arrows (the
 shape of the benchmark's def_eq operand) at n = 32, 48, 64, 96 and 128,
 and for the left-nested vertical composite of n 2-cells whiskered on the
-right by an arrow at n = 4, 8, 16, 24 and 32; then the untraced normalize
+right by an arrow at n = 4, 8, 16, 24 and 32; then the best of five
+traced normalize calls (trace=[], so every step renders its whole term
+through the printer) of the left-nested composite at n = 16, 32 and 48,
+with the trace's total characters; then the untraced normalize
 time of c in the nested-def file (c := b [b [b [f]]], b a d-fold
 left-nested endo-composite, so c unfolds to (d + 1)^3 arrows) at d = 6
 and 10, then the time of one insert_ctx call that inserts a chain of k
@@ -36,6 +39,7 @@ from pathlib import Path
 SIZES = (8, 16, 32, 64, 96, 128, 192, 256)
 RANDOM_SIZES = (32, 48, 64, 96, 128)
 COLUMN_SIZES = (4, 8, 16, 24, 32)
+TRACED_SIZES = (16, 32, 48)
 SEED = 101
 DEPTHS = (6, 10)
 CHAINS = (64, 256, 1024)
@@ -97,9 +101,10 @@ def nested_defs(d: int) -> str:
     )
 
 
-def best_time(text: str, name: str, repeats: int) -> float:
+def best_time(text: str, name: str, repeats: int, trace: list | None = None) -> float:
     """The least time of one normalize call on the body of name, each run on
-    a freshly elaborated copy of text."""
+    a freshly elaborated copy of text; a list given as trace is cleared and
+    handed to each call, so it ends with the last call's trace."""
     from cattsa.cli import elaborate_file
     from cattsa.parser import parse
     from cattsa.reduction import normalize
@@ -107,8 +112,10 @@ def best_time(text: str, name: str, repeats: int) -> float:
     best = math.inf
     for _ in range(repeats):
         decl = elaborate_file(parse(text))[name]
+        if trace is not None:
+            trace.clear()
         start = time.perf_counter()
-        normalize(decl.ctx, decl.body)
+        normalize(decl.ctx, decl.body, trace=trace)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -160,6 +167,12 @@ def main(src: str) -> None:
     series("left-nested", SIZES, left_nested, lambda n: n - 2)
     series(f"random bracketing (seed {SEED})", RANDOM_SIZES, random_bracketing)
     series("whiskered column", COLUMN_SIZES, whiskered_column)
+    for n in TRACED_SIZES:
+        trace: list[str] = []
+        took = best_time(left_nested(n), "t", REPEATS, trace)
+        chars = sum(map(len, trace))
+        print(f"traced left-nested n = {n:3d}: {took * 1e3:8.2f} ms ({chars} trace characters)",
+              flush=True)
     for d in DEPTHS:
         took = best_time(nested_defs(d), "c", 1)
         print(f"nested-def c, d = {d:2d} ({(d + 1) ** 3} arrows): {took:.3f} s", flush=True)

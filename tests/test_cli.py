@@ -387,6 +387,25 @@ def two (x : *) (y : *) (a : x -> y) (z : *) (b : y -> z) : x -> z := comp [a, b
     assert cli.main(["eq", str(p), "one", "two"]) == 1
 
 
+CAPTURE = """coh id (x : *) : x -> x
+def p (a : *) : a -> a := id [a]
+def q (b : *) : b -> b := id [a]
+"""
+
+
+@pytest.mark.parametrize("mode", ["sa", "catt"])
+@pytest.mark.parametrize("names", [["p", "q"], ["q", "p"]])
+def test_eq_types_each_value_over_its_own_telescope(tmp_path, capsys, mode, names):
+    # renamed into p's names, q's free a would be p's bound a
+    p = tmp_path / "capture.catt"
+    p.write_text(CAPTURE)
+    message = "term coh { (x : *) : x -> x } [a]: unknown variable 'a' in context"
+    assert cli.main(["check", str(p), "--mode", mode]) == 1
+    assert f"3:1: {message}" in capsys.readouterr().out.splitlines()
+    assert cli.main(["eq", str(p), *names, "--mode", mode]) == 1
+    assert capsys.readouterr() == ("", f"q: {message}\n")
+
+
 BAD_TELESCOPES = HEADER + """
 def bad (x : *) (f : x -> q) : x -> q := f
 def bad2 (y : *) (g : y -> q) : y -> q := g

@@ -5,6 +5,7 @@ reference_insert_sub), and the error contract of insert_sub."""
 from __future__ import annotations
 
 import pickle
+from copy import deepcopy
 
 import pytest
 
@@ -192,6 +193,23 @@ def test_the_lazily_built_reduct_is_the_eager_one():
         settings.add(allow)
         count += 1
     assert settings == {True, False} and count == 432
+
+
+def test_a_copied_result_restricts_and_combines_as_the_original():
+    # a pickled or deep-copied result holds built substitutions, with no
+    # memo of insert_ctx's: external_on reads their lookup instead
+    count = 0
+    for head, x, _ in _redexes():
+        arg = head.sub.lookup(x)
+        result = insert_ctx(InsertionProblem(head.ctx, x, arg.ctx, arg.ty))
+        combined = insert_sub(head.sub, x, arg.sub, result)
+        for copy in (pickle.loads(pickle.dumps(result)), deepcopy(result)):
+            assert copy == result and "_image" not in copy.external.__dict__
+            for names in (tuple(free_vars(head.ty)), head.ctx.vars):
+                assert external_on(copy, names) == external_on(result, names)
+            assert insert_sub(head.sub, x, arg.sub, copy) == combined
+        count += 1
+    assert count == 432
 
 
 def test_a_reducts_names_need_no_check():

@@ -23,6 +23,7 @@ from cattsa.syntax import (
     Arr,
     Coh,
     Context,
+    Star,
     Substitution,
     Var,
     alpha_eq,
@@ -33,6 +34,7 @@ from cattsa.syntax import (
     dim_type,
     free_vars,
     identity_sub,
+    item_str,
     support,
     term_boundary,
     term_str,
@@ -40,7 +42,20 @@ from cattsa.syntax import (
     type_str,
     var_sub,
 )
-from helpers import CHAIN2, DELTA, PATTERNS, arr, chain, comp2, ctx, dim_ctx, star, sub
+from cattsa.typecheck import Mode, Session
+from helpers import (
+    CHAIN2,
+    DELTA,
+    PATTERNS,
+    arr,
+    chain,
+    comp2,
+    ctx,
+    curated_corpus,
+    dim_ctx,
+    star,
+    sub,
+)
 
 SEEDS = settings(derandomize=True, deadline=None, max_examples=25)
 
@@ -301,16 +316,29 @@ def test_support_monotone_randomised():
 
 def test_printers_raise_too_deep():
     # a left-nested composite of 1501 endo-arrows nests coherences 1500
-    # deep, past what the recursive printers can traverse
+    # deep, past what the recursive printer can traverse
     loop = ctx(("x", star), ("f", arr("x", star, "x")))
     t = Var("f")
     for _ in range(1500):
         t = comp2(loop, t, Var("f"))
-    with pytest.raises(TooDeep):
-        term_str(t)
-    with pytest.raises(TooDeep):
-        type_str(Arr(t, arr("x", star, "x"), t))
+    deep_arr = Arr(t, arr("x", star, "x"), t)
+    for render, x in ((term_str, t), (type_str, deep_arr), (str, deep_arr),
+                      (str, Substitution((("x", Var("x")), ("f", t))))):
+        with pytest.raises(TooDeep):
+            render(x)
     assert term_str(comp2(loop, Var("f"), Var("f"))).endswith("[x, x, f, x, f]")
+
+
+def test_str_is_the_printer_on_every_kind():
+    # the curated terms, their types, their contexts (with the entry types
+    # in them) and their argument substitutions (with the arguments in them)
+    items = []
+    for ambient, t in curated_corpus():
+        items += [t, Session(Mode.CATT).infer_term(ambient, t), ambient, t.ctx, t.sub]
+        items += [ty for _, ty in ambient] + list(t.sub.values)
+    assert {type(x) for x in items} == {Var, Coh, Star, Arr, Context, Substitution}
+    assert all(str(x) == item_str(x) for x in items)
+    assert (term_str, type_str) == (item_str, item_str)
 
 
 def test_printing_a_coherence_renders_its_context_unguarded(monkeypatch):
