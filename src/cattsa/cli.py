@@ -307,7 +307,7 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     term = decl.value()
     if _failed(session.check_ctx(decl.ctx)) or _failed(session.infer_report(decl.ctx, term)):
         return 1
-    # each step renders the whole term twice: collect only a trace that is shown
+    # each step renders the whole term once: collect only a trace that is shown
     trace: Optional[list[str]] = [] if args.trace or args.json else None
     normal = reduction.normalize(
         decl.ctx, term, allow_disc_insertion=session.allow_disc_insertion, trace=trace

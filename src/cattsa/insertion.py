@@ -124,8 +124,10 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     is not checked for one.  The internal substitution maps each inner
     variable to its image; the external one keeps the surviving outer
     variables and sends x and its boundary, erased by the splice, to the
-    inner coherence and its boundary; both are built when first read, and
-    an inner type not over inner raises SubstitutionUndefined only then.
+    inner coherence and its boundary.  The external map's lookup is image,
+    which raises SubstitutionUndefined on a name outside the outer context;
+    both tables are built when first read, and an inner type not over inner
+    raises SubstitutionUndefined only then.
     """
     outer, x, inner, inner_type = problem
     s, t = ctx_to_tree(outer), ctx_to_tree(inner)
@@ -140,12 +142,12 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
         node = node.branches[n]
     if (di := dim_type(inner_type)) != (dx := len(erased) // 2):
         raise DimensionError(f"inner coherence has dimension {di}, '{x}' has dimension {dx}")
-    taken, ren = set(outer.vars), {}
+    taken, ren = dict.fromkeys(outer.vars, True), {}  # whether each name taken is outer
     for v in inner.vars:
         w = v
         while w in taken:
             w += "'"
-        taken.add(w)
+        taken[w] = False
         if w != v:
             ren[v] = w
     if (height := linear_height(t)) < need:
@@ -155,7 +157,9 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     internal = Substitution.deferred(inner.vars, _build=renamed, _ren=ren)
 
     def image(y: VarName) -> Term:
-        if y not in erased:  # x, or a cell the splice keeps
+        if y not in erased:  # x, a cell the splice keeps, or no outer name
+            if not taken.get(y):
+                raise SubstitutionUndefined(y)
             return Coh(inner, inner_type, internal) if y == x else Var(y)
         b = type_boundary(inner_type, *erased[y])  # a variable below the type's linear height
         if isinstance(b, Var) and b.name in inner.vars:
@@ -163,15 +167,8 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
         return apply_sub_term(b, internal)  # raises SubstitutionUndefined on a name not in inner
 
     external = Substitution.deferred(outer.vars, _build=lambda e: tuple(zip(e.domain, map(
-        image, e.domain))), _image=image)
+        image, e.domain))), lookup=image)
     return InsertionResult(problem, inserted, internal, external)
-
-
-def external_on(result: InsertionResult, names) -> Substitution:
-    """result.external on names only; from insert_ctx, no other image is
-    built, and a copy of the result reads its built table."""
-    image, names = result.external.derived("_image", lambda e: e.lookup), tuple(names)
-    return Substitution.deferred(names, _table=dict(zip(names, map(image, names))))
 
 
 def insert_sub(

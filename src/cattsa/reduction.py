@@ -21,7 +21,7 @@ from operator import is_
 from typing import Iterator, NamedTuple, Optional
 
 from .errors import IllTyped, bounded
-from .insertion import InsertionProblem, external_on, insert_ctx, insert_sub
+from .insertion import InsertionProblem, insert_ctx, insert_sub
 from .pasting import shape
 from .syntax import (
     Arr,
@@ -35,7 +35,6 @@ from .syntax import (
     Var,
     VarName,
     apply_sub_type,
-    free_vars,
     item_str,
 )
 from .trees import branching_height, is_linear, linear_height
@@ -159,7 +158,7 @@ def _insert_at(t: Coh, x: VarName) -> Term:
     result = insert_ctx(InsertionProblem(t.ctx, x, arg.ctx, arg.ty))
     return Coh(
         result.inserted,
-        apply_sub_type(t.ty, external_on(result, free_vars(t.ty))),
+        apply_sub_type(t.ty, result.external),
         insert_sub(t.sub, x, arg.sub, result),
     )
 

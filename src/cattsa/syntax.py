@@ -5,7 +5,8 @@ base type ``*`` or an arrow between two terms over a lower-dimensional
 type.  Contexts and substitutions are ordered association sequences with
 pairwise-distinct names, indexed by name when built; a deferred one (such
 as a context emitted from a tree) builds on first read its entries, and its
-index unless given it (as insertion's argument substitutions are).
+index unless given it (as insertion's argument substitutions are), and
+may be given its lookup, which its entries tabulate (as insertion's external map is).
 Every value is immutable, so each operation here is a pure function, safe in any thread.
 
 The variables a coherence binds are positions in a pasting diagram, so
@@ -25,7 +26,7 @@ either result is correct; no lock is needed.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Literal, TypeVar, Union
+from typing import Callable, Iterable, Iterator, Literal, TypeVar, Union
 
 from .errors import (
     DimensionError,
@@ -157,7 +158,8 @@ class _Table(_Memo):
     _fields = ("entries",)
     _where = ""
 
-    def __init__(self, entries: tuple = ()) -> None:
+    def __init__(self, entries: Iterable[tuple] = ()) -> None:
+        entries = tuple(entries)  # == and hash compare entries as tuples
         table = dict(entries)
         if len(table) != len(entries):
             names = [name for name, _ in entries]
@@ -168,7 +170,8 @@ class _Table(_Memo):
     @classmethod
     def deferred(cls, names: tuple[VarName, ...], **memo) -> "_Table":
         """A table over distinct names with the memo given: its entries are made on
-        first read by memo's _build(table), or else from its index _table."""
+        first read by memo's _build(table), or else from its index _table.  A
+        lookup in memo shadows the method, and _build must tabulate it."""
         table, memo["_names"] = object.__new__(cls), names
         _set(table, "__dict__", memo)  # the memo, a fresh dict, is the instance's
         return table

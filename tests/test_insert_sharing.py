@@ -12,14 +12,15 @@ import pytest
 from cattsa.errors import HeadMismatch, MalformedSyntax, SubstitutionUndefined
 from cattsa.insertion import (
     InsertionProblem,
-    external_on,
     insert_ctx,
     insert_sub,
     type_linear_height,
 )
 from cattsa.pasting import unbiased_type
-from cattsa.reduction import _eligible_heads, _insert_at
+from cattsa.reduction import _eligible_heads, _insert_at, normalize
 from cattsa.syntax import (
+    STAR,
+    Arr,
     Coh,
     Substitution,
     Var,
@@ -39,7 +40,7 @@ from cattsa.trees import (
     tree_depth,
     tree_to_ctx,
 )
-from helpers import chain, enumerate_trees
+from helpers import CHAIN2, chain, enumerate_trees
 from oracles import reference_insert_ctx, reference_insert_sub, relabel_whole
 
 TREES = enumerate_trees(9)
@@ -183,10 +184,10 @@ def test_the_lazily_built_reduct_is_the_eager_one():
         assert got == eager and term_str(got) == term_str(eager)
         lazy = insert_ctx(problem)
         assert all("entries" not in c.__dict__ for c in lazy[1:])  # built on first read
-        free = tuple(free_vars(head.ty))
-        restricted = Substitution(tuple((v, want.external.lookup(v)) for v in free))
-        assert external_on(lazy, free) == restricted
-        assert "entries" not in lazy.external.__dict__
+        for v in free_vars(head.ty):
+            assert lazy.external.lookup(v) == want.external.lookup(v)
+        assert "entries" not in lazy.external.__dict__  # lookup builds no table
+        assert "_table" not in lazy.external.__dict__
         assert lazy.internal == want.internal and lazy.external == want.external
         assert lazy == want and repr(lazy) == repr(want)
         assert pickle.loads(pickle.dumps(lazy)) == want
@@ -197,19 +198,39 @@ def test_the_lazily_built_reduct_is_the_eager_one():
 
 def test_a_copied_result_restricts_and_combines_as_the_original():
     # a pickled or deep-copied result holds built substitutions, with no
-    # memo of insert_ctx's: external_on reads their lookup instead
+    # lookup of insert_ctx's: its external map's lookup reads the table
     count = 0
     for head, x, _ in _redexes():
         arg = head.sub.lookup(x)
         result = insert_ctx(InsertionProblem(head.ctx, x, arg.ctx, arg.ty))
         combined = insert_sub(head.sub, x, arg.sub, result)
-        for copy in (pickle.loads(pickle.dumps(result)), deepcopy(result)):
-            assert copy == result and "_image" not in copy.external.__dict__
-            for names in (tuple(free_vars(head.ty)), head.ctx.vars):
-                assert external_on(copy, names) == external_on(result, names)
+        copies = (pickle.loads(pickle.dumps(result)), deepcopy(result))
+        for external in (result.external, *(copy.external for copy in copies)):
+            with pytest.raises(SubstitutionUndefined) as err:
+                external.lookup("nope")  # a name outside the outer context
+            assert err.value.name == "nope"
+        for copy in copies:
+            assert copy == result and "lookup" not in copy.external.__dict__
+            for names in (free_vars(head.ty), head.ctx.vars):
+                for v in names:
+                    assert copy.external.lookup(v) == result.external.lookup(v)
             assert insert_sub(head.sub, x, arg.sub, copy) == combined
         count += 1
     assert count == 432
+
+
+def test_a_head_type_outside_its_context_does_not_reduce():
+    # the head type names nope, which is not in chain(2): the external map
+    # is undefined there, so normalize raises rather than carry nope into
+    # the reduct's type
+    comp = Coh(CHAIN2, unbiased_type(CHAIN2), identity_sub(CHAIN2))
+    args = (Var("x0"), Var("x1"), comp, Var("x2"), Var("a2"))
+    head = Coh(CHAIN2, Arr(Var("x0"), STAR, Var("nope")),
+               Substitution(tuple(zip(CHAIN2.vars, args))))
+    assert term_str(head) == f"coh {{ {CHAIN2} : x0 -> nope }} [x0, x1, {comp}, x2, a2]"
+    with pytest.raises(SubstitutionUndefined) as err:
+        normalize(CHAIN2, head)
+    assert err.value.name == "nope"
 
 
 def test_a_reducts_names_need_no_check():

@@ -14,7 +14,6 @@ from cattsa.errors import (
 )
 from cattsa.insertion import (
     InsertionProblem,
-    external_on,
     insert_ctx,
     insert_sub,
     insert_tree,
@@ -266,7 +265,7 @@ def test_insert_ctx_rejects_an_inner_type_over_another_context(boundary):
     with pytest.raises(SubstitutionUndefined, match="'rr'"):
         reference_insert_ctx(problem)
     result = insert_ctx(problem)
-    for read in (lambda: result.external.entries, lambda: external_on(result, (y,))):
+    for read in (lambda: result.external.entries, lambda: result.external.lookup(y)):
         with pytest.raises(SubstitutionUndefined) as err:
             read()
         assert err.value.name == "rr"

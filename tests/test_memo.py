@@ -192,23 +192,29 @@ def test_threads_reading_insertion_maps_and_fresh_contexts_take_no_lock():
     try:
         for t in trees * 50:
             result, fresh, seen = insert_ctx(problem), tree_to_ctx(t), []
-            gate = threading.Barrier(4, timeout=10)
+            gate = threading.Barrier(5, timeout=10)
 
             def read_external() -> None:
                 gate.wait()
                 seen.append(result.external.entries == want.entries)
+
+            def look_up_external() -> None:  # reads the internal map's index, not external's
+                gate.wait()
+                images = [result.external.lookup(v) for v in outer.vars]
+                seen.append(images == [term for _, term in want.entries])
 
             def look_up() -> None:
                 gate.wait()
                 types = [fresh.lookup(v) for v in fresh.vars]
                 seen.append(types == [ty for _, ty in fresh.entries])
 
-            threads = [threading.Thread(target=f, daemon=True) for f in (read_external, look_up) * 2]
+            readers = (read_external, look_up) * 2 + (look_up_external,)
+            threads = [threading.Thread(target=f, daemon=True) for f in readers]
             for th in threads:
                 th.start()
             for th in threads:
                 th.join(timeout=10)
-            assert not any(th.is_alive() for th in threads) and seen == [True] * 4
+            assert not any(th.is_alive() for th in threads) and seen == [True] * 5
     finally:
         sys.setswitchinterval(interval)
 
@@ -243,6 +249,22 @@ def test_index_lookup_and_membership():
     assert str(exc2.value) == "substitution has no entry for 'z'"
     assert s.replace(0, Var("c")).lookup("x") == Var("c")
     assert c.extend("g", arr("x", STAR, "y")).lookup("g") == arr("x", STAR, "y")
+
+
+def test_a_table_built_from_any_iterable_is_the_one_built_from_a_tuple():
+    entries = (("x", STAR), ("y", STAR), ("f", arr("x", STAR, "y")))
+    args = (("x", Var("a")), ("y", Var("b")), ("f", Var("p")))
+    for cls, pairs in ((Context, entries), (Substitution, args)):
+        want = cls(pairs)
+        for got in (cls(list(pairs)), cls(iter(pairs)), cls(p for p in pairs)):
+            assert got == want and hash(got) == hash(want) and len(got) == len(want)
+            assert got.entries == pairs and type(got.entries) is tuple
+    ctx = Context(entries)
+    ty = arr("x", STAR, "y")
+    want = Coh(ctx, ty, Substitution(args))
+    for got in (Coh(Context(list(entries)), ty, Substitution(list(args))),
+                Coh(ctx, ty, Substitution(iter(args)))):
+        assert got == want and hash(got) == hash(want)
 
 
 def test_duplicates_name_the_first_repeated_entry():
