@@ -130,7 +130,7 @@ def apply_decl(decl: Decl, args: tuple[Term, ...], ambient: Context, span: Span)
     recomputed from the given arguments.
     """
     tele = decl.ctx
-    maximal = maximal_vars(tele)
+    maximal = tele.derived("_maximal", maximal_vars)  # computed once per telescope
     if len(args) == len(tele.vars):
         assignment = dict(zip(tele.vars, args))
     elif len(args) == len(maximal):

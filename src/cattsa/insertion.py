@@ -5,7 +5,7 @@ result and the combined argument substitution of an insertion redex.
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
@@ -13,12 +13,11 @@ from .errors import (
     DuplicateVariable,
     HeadMismatch,
     LinearHeightTooSmall,
+    NotLocallyMaximal,
     PathInvalid,
     SubstitutionUndefined,
 )
 from .syntax import (
-    NEG,
-    POS,
     Arr,
     Coh,
     Context,
@@ -35,7 +34,7 @@ from .trees import (
     BataninTree,
     TreePath,
     all_labels,
-    branching_path,
+    cell_table,
     ctx_to_tree,
     emission,
     linear_height,
@@ -115,7 +114,7 @@ def type_linear_height(ty: Type) -> int:
 def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     """Insert the inner pasting context in place of a locally maximal cell
     x, which needs an inner type and tree with enough linear height, and an
-    inner type of x's dimension.
+    inner type of x's dimension; x's path and boundary are read off cell_table.
 
     Each inner label in turn is freshened: primes are appended until no
     outer label and no earlier inner image has the name.  Only the labels
@@ -131,15 +130,11 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     """
     outer, x, inner, inner_type = problem
     s, t = ctx_to_tree(outer), ctx_to_tree(inner)
-    path = branching_path(s, x)  # raises NotLocallyMaximal
+    if (cell := cell_table(outer).get(x)) is None:
+        raise NotLocallyMaximal(x)
+    path, erased = cell  # x's boundary cells: the labels beside the way down to x
     if (height := type_linear_height(inner_type)) < (need := len(path) - 1):
         raise LinearHeightTooSmall(f"inner type has linear height {height}, need at least {need}")
-    node, erased = s, {}  # x's boundary cells, from the labels beside the way down to x
-    for m, n in enumerate(chain(path, repeat(0))):  # the path, then x's linear branch
-        if not node.branches:
-            break
-        erased[node.labels[n]], erased[node.labels[n + 1]] = (m, NEG), (m, POS)
-        node = node.branches[n]
     if (di := dim_type(inner_type)) != (dx := len(erased) // 2):
         raise DimensionError(f"inner coherence has dimension {di}, '{x}' has dimension {dx}")
     taken, ren = dict.fromkeys(outer.vars, True), {}  # whether each name taken is outer

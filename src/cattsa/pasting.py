@@ -2,9 +2,9 @@
 
 The pasting judgement is the tree parse trees.ctx_to_tree: a context is
 pasting exactly when it is the emission of a Batanin tree.  The shape of
-a context (its tree, locally maximal cells and unbiased type, or None
-when it is not pasting) is memoised on the context; the unbiased type
-and the normaliser's redex test read it.
+a context (its tree and unbiased type, or None when it is not pasting) is
+memoised on the context; the unbiased type and the normaliser's redex
+test read it, and the redex test reads a head's cells off trees.cell_table.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class Shape(NamedTuple):
     """What the kernel reads off a pasting context."""
 
     tree: BataninTree
-    maximal: tuple[VarName, ...]  # locally maximal cells, in context order
     unbiased: Type
 
 
@@ -56,7 +55,7 @@ def _new_shape(ctx: Context, unbiased: Optional[Type] = None) -> Optional[Shape]
         tree = ctx_to_tree(ctx)
     except NotPasting:
         return None
-    return Shape(tree, leaf_labels(tree), unbiased or _unbiased_type(tree))
+    return Shape(tree, unbiased or _unbiased_type(tree))
 
 
 # ---------------------------------------------------------------------------

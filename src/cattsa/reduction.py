@@ -37,7 +37,7 @@ from .syntax import (
     apply_sub_type,
     item_str,
 )
-from .trees import branching_height, is_linear, linear_height
+from .trees import cell_table, is_linear, linear_height
 
 RULE_INSERTION = "insertion"
 RULE_CELL = "cell-reduction"
@@ -132,10 +132,9 @@ def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
     arguments and their cells' branching heights, and raises none of the
     inner cells'.
     """
-    outer = shape(t.ctx)
-    if outer is None:
+    if shape(t.ctx) is None:
         return
-    for x in outer.maximal:
+    for x, (path, _) in cell_table(t.ctx).items():
         arg = t.sub.lookup(x)
         if not isinstance(arg, Coh):
             continue
@@ -146,7 +145,7 @@ def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
             continue
         if not allow and is_linear(inner.tree):
             continue
-        if branching_height(outer.tree, x) > linear_height(inner.tree):
+        if len(path) - 1 > linear_height(inner.tree):
             continue
         yield x
 

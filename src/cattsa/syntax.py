@@ -10,15 +10,16 @@ may be given its lookup, which its entries tabulate (as insertion's external map
 Every value is immutable, so each operation here is a pure function, safe in any thread.
 
 The variables a coherence binds are positions in a pasting diagram, so
-== and hash on Coh ignore their names, and alpha equality is plain ==.
-Names are still stored and printed.
+== and hash on Coh ignore their names (they read the context's tree
+without labels and the head type by positions), and alpha equality is
+plain ==.  Names are still stored and printed.
 
 Every value prints in the surface syntax through item_str (also named
 term_str and type_str), which str calls and which alone guards the depth.
 
 Values are plain classes derived from Frozen.  Contexts and coherences
 carry a write-once memo of data derived from them (a context's Batanin
-tree and pasting shape, a coherence's positional shape), kept in the
+tree, pasting shape and cell table, a coherence's key for ==), kept in the
 instance __dict__ beside the fields: ==, hash, repr and pickling read
 only the fields.  An entry is a function of the fields alone, so two threads that race to fill it compute equal values and
 either result is correct; no lock is needed.
@@ -32,6 +33,7 @@ from .errors import (
     DimensionError,
     DuplicateVariable,
     MalformedSyntax,
+    NotPasting,
     SubstitutionUndefined,
     UnknownVariable,
     bounded,
@@ -117,9 +119,10 @@ class Arr(Type):
         _set(self, "base", base)
         _set(self, "tgt", tgt)
 
-    def __eq__(self, other: object) -> bool:
-        return ((self.src, self.base, self.tgt) == (other.src, other.base, other.tgt)
-                if other.__class__ is Arr else NotImplemented)
+    def __eq__(self, other: object) -> bool:  # a type is often compared with itself
+        return self is other or (
+            (self.src, self.base, self.tgt) == (other.src, other.base, other.tgt)
+            if other.__class__ is Arr else NotImplemented)
 
     def __hash__(self) -> int:
         return hash((self.src, self.base, self.tgt))
@@ -353,6 +356,8 @@ def apply_sub(item: Term | Type, sigma: Substitution) -> Term | Type:
     Coherences substitute only their argument substitution:
     ``Coh(G, A, tau)[sigma] = Coh(G, A, tau o sigma)``.
     """
+    if isinstance(item, Var):
+        return sigma.lookup(item.name)
     if isinstance(item, Star):
         return item
     if isinstance(item, Arr):
@@ -361,8 +366,6 @@ def apply_sub(item: Term | Type, sigma: Substitution) -> Term | Type:
             apply_sub(item.base, sigma),
             apply_sub(item.tgt, sigma),
         )
-    if isinstance(item, Var):
-        return sigma.lookup(item.name)
     if isinstance(item, Coh):
         return Coh(item.ctx, item.ty, compose_sub(item.sub, sigma))
     raise MalformedSyntax(f"cannot substitute into {item!r}")
@@ -438,20 +441,25 @@ def term_boundary(ctx: Context, t: Term, n: int, sign: Sign) -> Term:
 
 
 def _positional(ctx: Context, *types: Type) -> tuple[Type, ...]:
-    """The entry types of ctx, then types, with the variables of ctx
-    renamed to their positions."""
-    types = (*ctx._table.values(), *types)
+    """types with the variables of ctx renamed to their positions."""
     sigma = var_sub({v: f"%{i}" for i, v in enumerate(ctx.vars)}, *types)
     return tuple(apply_sub_type(ty, sigma) for ty in types)
 
 
-def _shape(t: Coh) -> tuple[Type, ...]:
-    """The positional context entry types and head type of t; memoised."""
+def _shape(t: Coh) -> tuple:
+    """What == and hash compare of t beside its arguments; memoised."""
     return t.derived("_shape", _new_shape)
 
 
-def _new_shape(t: Coh) -> tuple[Type, ...]:
-    return _positional(t.ctx, t.ty)
+def _new_shape(t: Coh) -> tuple:
+    """The label-free tree of a pasting context, else its entry types, then
+    the head type, all read by positions; a tree is a tuple, not a type."""
+    from .trees import ctx_to_tree, label_free  # trees imports this module
+    try:
+        tree = ctx_to_tree(t.ctx)
+    except NotPasting:
+        return _positional(t.ctx, *t.ctx._table.values(), t.ty)
+    return label_free(tree), *_positional(t.ctx, t.ty)
 
 
 def alpha_eq(a: Item | Context, b: Item | Context) -> bool:
@@ -461,7 +469,7 @@ def alpha_eq(a: Item | Context, b: Item | Context) -> bool:
     alpha equal when their entry types agree with variables read as
     positions."""
     if isinstance(a, Context) and isinstance(b, Context):
-        return a == b or _positional(a) == _positional(b)
+        return a == b or _positional(a, *a._table.values()) == _positional(b, *b._table.values())
     return a == b
 
 

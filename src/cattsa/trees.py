@@ -12,7 +12,8 @@ one more label than branches; the builders from given labels, tree and
 bracket_to_tree, also check that the labels are pairwise distinct.
 tree_to_ctx records the tree in the memo of the context it emits
 (syntax.Context.derived), and ctx_to_tree parses a context at most once,
-so a context built by insertion is never re-parsed.
+so a context built by insertion is never re-parsed; cell_table walks the
+tree once for the branching path and boundary of every maximal cell.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     NotPasting,
     SurfaceSyntaxError,
 )
-from .syntax import NEG, STAR, Arr, Context, Frozen, Sign, Type, Var, VarName
+from .syntax import NEG, POS, STAR, Arr, Context, Frozen, Sign, Type, Var, VarName
 
 TreePath = tuple[int, ...]
 
@@ -92,6 +93,11 @@ def leaf_labels(t: BataninTree) -> tuple[VarName, ...]:
     for br in t.branches:
         out.extend(leaf_labels(br) if br.branches else br.labels)
     return tuple(out)
+
+
+def label_free(t: BataninTree) -> tuple:
+    """t without its labels: the tuple of its branches without theirs."""
+    return tuple(map(label_free, t.branches))
 
 
 def tree_depth(t: BataninTree) -> int:
@@ -215,6 +221,24 @@ def _leaf_search(t: BataninTree, x: VarName) -> Optional[tuple[TreePath, bool]]:
 
 def branching_height(t: BataninTree, x: VarName) -> int:
     return len(branching_path(t, x)) - 1
+
+
+def cell_table(ctx: Context) -> dict[VarName, tuple[TreePath, dict[VarName, tuple[int, Sign]]]]:
+    """Each locally maximal cell of the pasting context ctx, in context order,
+    with its branching path and its boundary cells (the labels beside the way
+    down to it, with dimension and sign): one walk of the tree, memoised on ctx."""
+    return ctx.derived("_cells", lambda c: _cells(ctx_to_tree(c), (), {}, 1, {}))
+
+
+def _cells(t: BataninTree, path: TreePath, boundary: dict, cut: int, out: dict) -> dict:
+    """out, with the cells of t added: path leads to t, boundary holds the
+    labels beside it, and path[:cut] ends at the last branching node above."""
+    if not t.branches:
+        out[t.labels[0]] = (path[:cut] or (0,), boundary)
+    m, cut = len(path), len(path) + 1 if len(t.branches) > 1 else cut
+    for n, (lo, hi, br) in enumerate(zip(t.labels, t.labels[1:], t.branches)):
+        _cells(br, path + (n,), {**boundary, lo: (m, NEG), hi: (m, POS)}, cut, out)
+    return out
 
 
 def relabel_tree(t: BataninTree, mapping: dict[VarName, VarName]) -> BataninTree:

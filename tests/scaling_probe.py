@@ -12,7 +12,11 @@ against n (a least-squares fit); the same
 series and slope for a seeded random bracketing of the n arrows (the
 shape of the benchmark's def_eq operand) at n = 32, 48, 64, 96 and 128,
 and for the left-nested vertical composite of n 2-cells whiskered on the
-right by an arrow at n = 4, 8, 16, 24 and 32; then the best of five
+right by an arrow at n = 4, 8, 16, 24 and 32; then, at n = 32, 64 and
+128, the best of five def_eq calls of the left-nested composite against
+the random bracketing (the benchmark's def_eq case), each on a freshly
+elaborated copy, beside the best of five times of def_eq's final == on
+the two normal forms alone; then the best of five
 traced normalize calls (trace=[], so every step renders its whole term
 through the printer) of the left-nested composite at n = 16, 32 and 48,
 with the trace's total characters; then the untraced normalize
@@ -41,6 +45,7 @@ RANDOM_SIZES = (32, 48, 64, 96, 128)
 COLUMN_SIZES = (4, 8, 16, 24, 32)
 TRACED_SIZES = (16, 32, 48)
 SEED = 101
+DEF_EQ_SIZES = (32, 64, 128)
 DEPTHS = (6, 10)
 CHAINS = (64, 256, 1024)
 REPEATS = 5
@@ -52,19 +57,19 @@ WHISK = (
 )
 
 
-def chain_def(n: int, body: str) -> str:
+def chain_def(n: int, body: str, name: str = "t") -> str:
     tele = " ".join(["(x0 : *)"] + [f"(x{i} : *) (a{i} : x{i - 1} -> x{i})" for i in range(1, n + 1)])
-    return f"{COMP}def t {tele} : x0 -> x{n} := {body}\n"
+    return f"def {name} {tele} : x0 -> x{n} := {body}\n"
 
 
-def left_nested(n: int) -> str:
+def left_nested_body(n: int) -> str:
     body = "a1"
     for i in range(2, n + 1):
         body = f"comp [{body}, a{i}]"
-    return chain_def(n, body)
+    return body
 
 
-def random_bracketing(n: int, seed: int = SEED) -> str:
+def random_body(n: int, seed: int = SEED) -> str:
     """The arrows a1 ... an composed in a bracketing whose split points are
     drawn uniformly from a generator seeded with seed."""
     rng = random.Random(seed)
@@ -75,7 +80,20 @@ def random_bracketing(n: int, seed: int = SEED) -> str:
         k = rng.randint(lo, hi - 1)
         return f"comp [{composite(lo, k)}, {composite(k + 1, hi)}]"
 
-    return chain_def(n, composite(1, n))
+    return composite(1, n)
+
+
+def left_nested(n: int) -> str:
+    return COMP + chain_def(n, left_nested_body(n))
+
+
+def random_bracketing(n: int) -> str:
+    return COMP + chain_def(n, random_body(n))
+
+
+def both_bracketings(n: int) -> str:
+    """t, the left-nested composite of n arrows, and u, their random bracketing."""
+    return COMP + chain_def(n, left_nested_body(n)) + chain_def(n, random_body(n), "u")
 
 
 def whiskered_column(n: int) -> str:
@@ -118,6 +136,30 @@ def best_time(text: str, name: str, repeats: int, trace: list | None = None) -> 
         normalize(decl.ctx, decl.body, trace=trace)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+def def_eq_times(n: int, repeats: int) -> tuple[float, float]:
+    """The least time of one def_eq call of t against u in both_bracketings(n),
+    each on a freshly elaborated copy, and the least time of the == that ends
+    def_eq, on the normal forms of one more normalize call of each."""
+    from cattsa.cli import elaborate_file
+    from cattsa.parser import parse
+    from cattsa.reduction import def_eq, normalize
+
+    best = best_eq = math.inf
+    for _ in range(repeats):
+        env = elaborate_file(parse(both_bracketings(n)))
+        t, u = env["t"], env["u"]
+        start = time.perf_counter()
+        same = def_eq(t.ctx, t.body, u.body)
+        best = min(best, time.perf_counter() - start)
+        nt, nu = normalize(t.ctx, t.body), normalize(t.ctx, u.body)
+        start = time.perf_counter()
+        same = (nt == nu) and same
+        best_eq = min(best_eq, time.perf_counter() - start)
+        if not same:
+            raise SystemExit(f"def_eq n = {n}: the two bracketings are not equal")
+    return best, best_eq
 
 
 def half_primed_insertion(k: int, repeats: int) -> float:
@@ -167,6 +209,10 @@ def main(src: str) -> None:
     series("left-nested", SIZES, left_nested, lambda n: n - 2)
     series(f"random bracketing (seed {SEED})", RANDOM_SIZES, random_bracketing)
     series("whiskered column", COLUMN_SIZES, whiskered_column)
+    for n in DEF_EQ_SIZES:
+        took, final = def_eq_times(n, REPEATS)
+        print(f"def_eq left-nested vs random n = {n:3d}: {took * 1e3:8.2f} ms"
+              f" (final ==: {final * 1e3:6.3f} ms, {final / took:5.1%})", flush=True)
     for n in TRACED_SIZES:
         trace: list[str] = []
         took = best_time(left_nested(n), "t", REPEATS, trace)

@@ -2,7 +2,9 @@
 
 The oracle is helpers.canonical_term, a positional key that builds no
 kernel objects.  Each hypothesis example renames every bound context of
-the corpus apart with its own seeded injective renaming.
+the corpus apart with its own seeded injective renaming.  Normal forms
+from normalize, whose trees and shapes the normaliser records, are
+compared with cold copies, whose contexts are parsed again.
 """
 
 from __future__ import annotations
@@ -15,8 +17,17 @@ import threading
 
 from hypothesis import given, settings, strategies as st
 
-from cattsa.syntax import Arr, Coh, Context, Star, Substitution, Var, term_str
-from helpers import all_bracketings, canonical_term, chain, curated_corpus, random_corpus
+from cattsa.reduction import normalize
+from cattsa.syntax import STAR, Arr, Coh, Context, Star, Substitution, Var, term_str
+from helpers import (
+    all_bracketings,
+    arr,
+    canonical_term,
+    chain,
+    ctx,
+    curated_corpus,
+    random_corpus,
+)
 from oracles import step_candidates
 
 SEEDS = settings(derandomize=True, deadline=None, max_examples=12)
@@ -140,3 +151,57 @@ def test_concurrent_equality_on_cold_memos():
         sys.setswitchinterval(old)
     assert not any(t.is_alive() for t in threads)
     assert results == [True] * 8
+
+
+@functools.lru_cache(maxsize=None)
+def normal_forms() -> tuple[Coh, ...]:
+    """The normal forms of the curated and random corpora, as normalize
+    builds them: each reduct's tree is recorded when it is emitted, and the
+    shape of an unbiased one by the normaliser."""
+    base = curated_corpus() + random_corpus(200, seed=41)
+    return tuple(normalize(context, t) for context, t in base)
+
+
+def told_apart_by_context() -> tuple[Coh, ...]:
+    """Coherences that only their contexts tell apart: the arguments of
+    those of one length are the same, and so are some head types read by
+    positions.  Some contexts are not pasting, and keep the positional key;
+    two pasting ones differ only in their trees."""
+    xy = arr("x", STAR, "y")
+    points = ctx(("x", STAR), ("y", STAR), ("z", STAR))
+    arrow = ctx(("x", STAR), ("y", STAR), ("f", xy))
+    parallel = ctx(("x", STAR), ("y", STAR), ("f", xy), ("g", xy))
+    backwards = ctx(("x", STAR), ("y", STAR), ("f", arr("y", STAR, "x")))
+    composable = ctx(("x", STAR), ("y", STAR), ("f", xy), ("z", STAR), ("g", arr("y", STAR, "z")))
+    disc = ctx(("x", STAR), ("y", STAR), ("f", xy), ("g", xy), ("a", arr("f", xy, "g")))
+    heads = [(points, xy), (points, arr("y", STAR, "x")), (arrow, xy), (backwards, xy),
+             (parallel, arr("f", xy, "g")), (parallel, arr("g", xy, "f")),
+             (composable, arr("x", STAR, "z")), (disc, arr("x", STAR, "g"))]
+    return tuple(Coh(c, ty, Substitution(tuple((v, Var(f"a{i}")) for i, v in enumerate(c.vars))))
+                 for c, ty in heads)
+
+
+@settings(SEEDS, max_examples=2)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_normal_forms_and_renamed_copies_compare_by_the_positional_key(seed):
+    rng = random.Random(seed)
+    terms = normal_forms() + told_apart_by_context()
+    copies = [rename_apart(t, rng) for t in terms]
+    keys = [canonical_term(t) for t in terms]
+    for a, ka in zip(terms, keys):
+        for b, b_apart, kb in zip(terms, copies, keys):
+            same = ka == kb
+            assert (a == b) == same and (b_apart == a) == same
+            if same:
+                assert hash(a) == hash(b) == hash(b_apart)
+
+
+def test_a_warm_normal_form_equals_its_pickled_cold_copy():
+    rng = random.Random(23)
+    for t in normal_forms() + told_apart_by_context():
+        hash(t)  # fills t's memo
+        back = pickle.loads(pickle.dumps(t))
+        assert "_shape" not in vars(back) and "_tree" not in vars(back.ctx)
+        assert back == t and t == back and hash(back) == hash(t)
+        apart = rename_apart(t, rng)
+        assert back == apart and hash(back) == hash(apart)

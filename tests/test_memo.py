@@ -19,7 +19,7 @@ from cattsa.errors import (
 )
 from cattsa.insertion import InsertionProblem, insert_ctx
 from cattsa.syntax import STAR, Coh, Context, Substitution, Var, identity_sub
-from cattsa.trees import ctx_to_tree, tree, tree_to_ctx
+from cattsa.trees import cell_table, ctx_to_tree, tree, tree_to_ctx
 from helpers import arr, enumerate_trees
 from oracles import reference_insert_ctx
 
@@ -82,7 +82,8 @@ def test_an_emitted_context_reads_as_one_built_from_entries(read):
 
 def test_threads_reading_a_fresh_context_share_one_emission():
     # more threads than cores, switching often: every reader gets the
-    # entries the first writer stored, and an index built from them
+    # entries the first writer stored, an index built from them, and the
+    # cell table the first writer stored
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -92,7 +93,8 @@ def test_threads_reading_a_fresh_context_share_one_emission():
 
             def read() -> None:
                 gate.wait()
-                seen.append((emitted.entries, [emitted.lookup(v) for v in emitted.vars]))
+                seen.append((emitted.entries, [emitted.lookup(v) for v in emitted.vars],
+                             cell_table(emitted)))
 
             threads = [threading.Thread(target=read) for _ in range(4)]
             for th in threads:
@@ -100,9 +102,11 @@ def test_threads_reading_a_fresh_context_share_one_emission():
             for th in threads:
                 th.join(timeout=10)
             assert not any(th.is_alive() for th in threads) and len(seen) == 4
-            assert all(entries is emitted.entries for entries, _ in seen)
-            assert all(types == [ty for _, ty in emitted.entries] for _, types in seen)
+            assert all(entries is emitted.entries for entries, _, _ in seen)
+            assert all(types == [ty for _, ty in emitted.entries] for _, types, _ in seen)
             assert emitted.entries == Context(emitted.entries).entries
+            assert all(cells is cell_table(emitted) for _, _, cells in seen)
+            assert cell_table(emitted) == cell_table(Context(emitted.entries))
     finally:
         sys.setswitchinterval(interval)
 

@@ -18,7 +18,7 @@ from cattsa.syntax import (
     identity_sub,
     support,
 )
-from cattsa.trees import ctx_to_tree, is_linear, tree, tree_to_ctx
+from cattsa.trees import cell_table, ctx_to_tree, is_linear, tree, tree_to_ctx
 from cattsa.typecheck import Mode, Session
 from helpers import (
     CHAIN2,
@@ -196,9 +196,9 @@ def test_unbiased_term_typechecks_in_both_modes():
 
 
 def test_locally_maximal():
-    assert shape(POINT).maximal == ("x",)
-    assert shape(CHAIN2).maximal == ("a1", "a2")
-    assert shape(DELTA).maximal == ("alpha", "beta", "k")
+    assert tuple(cell_table(POINT)) == ("x",)
+    assert tuple(cell_table(CHAIN2)) == ("a1", "a2")
+    assert tuple(cell_table(DELTA)) == ("alpha", "beta", "k")
 
 
 def test_maximal_vars_reads_no_context():
@@ -219,7 +219,7 @@ def test_every_disc_has_one_maximal_cell():
         d = disc_context(n)
         assert is_linear(ctx_to_tree(d.ctx))
         assert shape(d.ctx) is not None
-        assert len(shape(d.ctx).maximal) == 1
+        assert len(cell_table(d.ctx)) == 1
 
 
 def test_to_disc_sub_point():

@@ -225,10 +225,10 @@ def test_kernel_records():
     s = shape(CTX)
     assert repr(s) == (
         "Shape(tree=BataninTree(labels=('x', 'y'), branches=(BataninTree(labels=('f',)"
-        ", branches=()),)), maximal=('f',), unbiased=Arr(src=Var(name='x'), base=Star()"
+        ", branches=()),)), unbiased=Arr(src=Var(name='x'), base=Star()"
         ", tgt=Var(name='y')))"
     )
-    assert s == shape(Context(CTX.entries)) and hash(s) == hash((s.tree, s.maximal, s.unbiased))
+    assert s == shape(Context(CTX.entries)) and hash(s) == hash((s.tree, s.unbiased))
     with pytest.raises(AttributeError):
         s.tree = None
 

@@ -1,6 +1,9 @@
-"""Batanin trees: conversions, linear height, branching paths, brackets."""
+"""Batanin trees: conversions, linear height, branching paths, cell
+tables, brackets."""
 
 from __future__ import annotations
+
+from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,13 +15,16 @@ from cattsa.errors import (
     NotPasting,
     SurfaceSyntaxError,
 )
-from cattsa.syntax import Context, alpha_eq
+from cattsa.insertion import InsertionProblem, insert_ctx
+from cattsa.pasting import unbiased_type
+from cattsa.syntax import NEG, POS, STAR, Context, alpha_eq
 from cattsa.trees import (
     BataninTree,
     all_labels,
     bracket_to_tree,
     branching_height,
     branching_path,
+    cell_table,
     ctx_to_tree,
     is_linear,
     leaf_labels,
@@ -117,6 +123,47 @@ def test_branching_path_rejects_non_maximal():
         branching_path(DELTA_TREE, "f")
     with pytest.raises(NotLocallyMaximal):
         branching_path(DELTA_TREE, "missing")
+
+
+def _boundary_by_steps(t: BataninTree, path: tuple[int, ...]) -> dict:
+    """The boundary cells of the leaf at the end of path (then down its
+    linear branch), one step at a time, as insert_ctx found them before
+    the cell table: the oracle of its boundaries."""
+    node, erased = t, {}
+    for m, n in enumerate(chain(path, repeat(0))):  # the path, then x's linear branch
+        if not node.branches:
+            break
+        erased[node.labels[n]], erased[node.labels[n + 1]] = (m, NEG), (m, POS)
+        node = node.branches[n]
+    return erased
+
+
+def test_the_cell_table_agrees_with_the_tree_walks():
+    trees = enumerate_trees(11)
+    assert len(trees) == 65
+    for t in trees:
+        emitted = tree_to_ctx(t)
+        table = cell_table(emitted)
+        assert tuple(table) == leaf_labels(t)
+        for x, (path, boundary) in table.items():
+            assert path == branching_path(t, x)
+            assert list(boundary.items()) == list(_boundary_by_steps(t, path).items())
+        assert cell_table(emitted) is table
+        # a context with the same entries and no memo parses to the same table
+        assert cell_table(Context(emitted.entries)) == table
+
+
+def test_a_cell_not_in_the_table_is_not_locally_maximal():
+    inner = tree_to_ctx(tree(["a", "b"], [tree(["p"])]))
+    for x in ("f", "y", "missing"):  # a 1-cell, a 0-cell and no cell of DELTA
+        with pytest.raises(NotLocallyMaximal) as exc:
+            insert_ctx(InsertionProblem(DELTA, x, inner, unbiased_type(inner)))
+        assert str(exc.value) == f"variable '{x}' is not locally maximal"
+        with pytest.raises(NotLocallyMaximal) as walked:
+            branching_path(ctx_to_tree(DELTA), x)
+        assert str(walked.value) == str(exc.value)
+    with pytest.raises(NotPasting):
+        cell_table(Context((("x", STAR), ("y", STAR))))
 
 
 def test_tree_depth_matches_context_dimension():
