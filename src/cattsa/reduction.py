@@ -115,7 +115,7 @@ def _with_rule(kind: str, pos: Position) -> Redex:
 
 # ---------------------------------------------------------------------------
 # Head eligibility, shared by normalisation and the tests' redex enumerator;
-# the pasting shapes it reads are memoised on their contexts by pasting.shape
+# the shapes and cell tables it reads are memoised on their contexts
 # ---------------------------------------------------------------------------
 
 
