@@ -19,6 +19,7 @@ from . import reduction
 from .errors import CattError, ElaborationError, SurfaceSyntaxError, UnreadableFile, bounded
 from .insertion import InsertionProblem, insert_ctx
 from .parser import (
+    DUMMY_SPAN,
     SourceFile,
     SrcApp,
     SrcArrow,
@@ -200,14 +201,17 @@ def elaborate_file(src: SourceFile) -> Env:
     return env
 
 
-def elaborate_decl(d: SrcDecl, env: Env) -> Decl:
+def elaborate_telescope(telescope: tuple[tuple[str, SrcType], ...], env: Env, span: Span) -> Context:
     ctx = Context()
-    for v, src_ty in d.telescope:
+    for v, src_ty in telescope:
         if ctx.has(v):
-            raise ElaborationError(
-                f"duplicate telescope variable '{v}'", d.span.line, d.span.col
-            )
+            raise ElaborationError(f"duplicate telescope variable '{v}'", span.line, span.col)
         ctx = ctx.extend(v, elaborate_type(src_ty, ctx, env))
+    return ctx
+
+
+def elaborate_decl(d: SrcDecl, env: Env) -> Decl:
+    ctx = elaborate_telescope(d.telescope, env, d.span)
     ty = elaborate_type(d.ty, ctx, env)
     body = None
     if d.kind == "def":
@@ -386,9 +390,7 @@ def cmd_tree(args: argparse.Namespace) -> int:
         print("tree: need FILE NAME or --context LITERAL", file=sys.stderr)
         return 2
     if args.context:
-        ctx = Context()
-        for v, src_ty in parse_telescope(args.context):
-            ctx = ctx.extend(v, elaborate_type(src_ty, ctx, {}))
+        ctx = elaborate_telescope(parse_telescope(args.context), {}, DUMMY_SPAN)
     else:
         ctx = _resolve(env, args.name).ctx
     t = ctx_to_tree(ctx)

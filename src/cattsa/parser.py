@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 from .errors import SurfaceSyntaxError
 from .syntax import Frozen
 
-KEYWORDS = {"coh", "def"}
+KEYWORDS = frozenset({"coh", "def"})
 
 # Deepest nesting of applications a term may have.  The kernel's printers
 # and checkers recurse about twice per level, and 300 levels still fit in

@@ -30,7 +30,6 @@ from .trees import (
     BataninTree,
     ctx_to_tree,
     is_linear,
-    leaf_labels,
     tree_boundary,
     tree_depth,
     tree_to_ctx,
@@ -104,8 +103,10 @@ def _unbiased_type(t: BataninTree) -> Type:
 
 def _unbiased_term(t: BataninTree) -> Term:
     """The unbiased composite over the emission of t."""
-    if is_linear(t):
-        return Var(leaf_labels(t)[0])
+    if is_linear(t):  # a disc: its top cell, at the end of its trunk
+        while t.branches:
+            t = t.branches[0]
+        return Var(t.labels[0])
     ctx = tree_to_ctx(t)
     return Coh(ctx, _unbiased_type(t), identity_sub(ctx))
 

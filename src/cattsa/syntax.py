@@ -261,15 +261,15 @@ class Coh(Term, _Memo):
             return True
         if not isinstance(other, Coh):
             return NotImplemented
-        # Same bound names: compare the fields and build no shape.  Most
-        # comparisons take this path, and a shape is a renamed copy of the
-        # context and head type, whose nested coherences have shapes too.
+        # Same bound names: compare the fields and build no key.  Most
+        # comparisons take this path, and a key holds a renamed copy of the
+        # head type, whose nested coherences have keys too.
         if self.ctx.vars == other.ctx.vars:
             return (self.ctx, self.ty, self.sub) == (other.ctx, other.ty, other.sub)
-        return self.sub.values == other.sub.values and _shape(self) == _shape(other)
+        return self.sub.values == other.sub.values and _alpha_key(self) == _alpha_key(other)
 
     def __hash__(self) -> int:
-        return hash((self.sub.values, _shape(self)))
+        return hash((self.sub.values, _alpha_key(self)))
 
 
 Item = Union[Term, Type, Substitution]
@@ -446,12 +446,12 @@ def _positional(ctx: Context, *types: Type) -> tuple[Type, ...]:
     return tuple(apply_sub_type(ty, sigma) for ty in types)
 
 
-def _shape(t: Coh) -> tuple:
+def _alpha_key(t: Coh) -> tuple:
     """What == and hash compare of t beside its arguments; memoised."""
-    return t.derived("_shape", _new_shape)
+    return t.derived("_alpha_key", _new_alpha_key)
 
 
-def _new_shape(t: Coh) -> tuple:
+def _new_alpha_key(t: Coh) -> tuple:
     """The label-free tree of a pasting context, else its entry types, then
     the head type, all read by positions; a tree is a tuple, not a type."""
     from .trees import ctx_to_tree, label_free  # trees imports this module

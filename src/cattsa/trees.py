@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import re
 from operator import is_
-from typing import Optional
 
 from .errors import (
     DuplicateVariable,
@@ -82,16 +81,6 @@ def all_labels(t: BataninTree) -> tuple[VarName, ...]:
     for hi, br in zip(t.labels[1:], t.branches):
         out.append(hi)
         out.extend(all_labels(br) if br.branches else br.labels)
-    return tuple(out)
-
-
-def leaf_labels(t: BataninTree) -> tuple[VarName, ...]:
-    """Labels of branchless nodes: the locally maximal cells of the context."""
-    if not t.branches:
-        return t.labels
-    out: list[VarName] = []
-    for br in t.branches:
-        out.extend(leaf_labels(br) if br.branches else br.labels)
     return tuple(out)
 
 
@@ -195,28 +184,13 @@ def tree_boundary(t: BataninTree, k: int, sign: Sign) -> BataninTree:
 
 
 def branching_path(t: BataninTree, x: VarName) -> TreePath:
-    """Path to the last branching point above the locally maximal label x.
-
-    A branchless tree yields [0]; a label inside a linear branch yields the
-    branch index; otherwise the index is prepended to the recursive path.
-    """
-    found = _leaf_search(t, x)
-    if found is None:
+    """The branching path of the leaf x, as the cell table's walk records
+    it: the branch taken at each node down to the last node above x with
+    two or more branches, or only the root's if none has, or (0,) if t is
+    a leaf; a raw tree that repeats x answers for its first leaf."""
+    if (cell := _cells(t, (), {}, 1, {}).get(x)) is None:
         raise NotLocallyMaximal(x)
-    return found[0]
-
-
-def _leaf_search(t: BataninTree, x: VarName) -> Optional[tuple[TreePath, bool]]:
-    """The branching path of the leaf x in t and whether t is linear, in
-    one walk; None when x labels no leaf of t."""
-    if not t.branches:
-        return ((0,), True) if t.labels[0] == x else None
-    for n, br in enumerate(t.branches):
-        found = _leaf_search(br, x)
-        if found is not None:
-            path, linear = found
-            return ((n,) if linear else (n,) + path), linear and len(t.branches) == 1
-    return None
+    return cell[0]
 
 
 def branching_height(t: BataninTree, x: VarName) -> int:
@@ -234,7 +208,7 @@ def _cells(t: BataninTree, path: TreePath, boundary: dict, cut: int, out: dict) 
     """out, with the cells of t added: path leads to t, boundary holds the
     labels beside it, and path[:cut] ends at the last branching node above."""
     if not t.branches:
-        out[t.labels[0]] = (path[:cut] or (0,), boundary)
+        out.setdefault(t.labels[0], (path[:cut] or (0,), boundary))
     m, cut = len(path), len(path) + 1 if len(t.branches) > 1 else cut
     for n, (lo, hi, br) in enumerate(zip(t.labels, t.labels[1:], t.branches)):
         _cells(br, path + (n,), {**boundary, lo: (m, NEG), hi: (m, POS)}, cut, out)

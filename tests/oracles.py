@@ -4,6 +4,10 @@ Each piece here checks a claim of the paper or of the kernel from
 outside it:
 
 - disc contexts and the substitution out of a disc classifying a term;
+- leaf_labels and _leaf_search, walks of a tree of their own to its
+  locally maximal cells and to one cell's branching path: the
+  independent references for trees.cell_table, whose walk alone the
+  kernel reads cells and paths off;
 - step_candidates, every one-step reduct of an item, for the
   reduction-graph tests (it decides redexes with the normaliser's own
   eligibility predicate, so the enumerator and the locator agree on what
@@ -39,6 +43,7 @@ from cattsa.errors import (
     IllTyped,
     LinearHeightTooSmall,
     MalformedSyntax,
+    NotLocallyMaximal,
     NotPasting,
     SubstitutionUndefined,
     bounded,
@@ -90,11 +95,10 @@ from cattsa.syntax import (
 )
 from cattsa.trees import (
     BataninTree,
+    TreePath,
     branching_height,
-    branching_path,
     ctx_to_tree,
     is_linear,
-    leaf_labels,
     linear_height,
     tree_to_ctx,
 )
@@ -142,6 +146,35 @@ def to_disc_sub(ctx: Context, t: Term) -> Substitution:
         entries.append((disc_var(m, POS), term_boundary(ctx, t, m, POS)))
     entries.append((disc_var(n, NEG), t))
     return Substitution(tuple(entries))
+
+
+# ---------------------------------------------------------------------------
+# Leaves and branching paths, each by a walk of its own
+# ---------------------------------------------------------------------------
+
+
+def leaf_labels(t: BataninTree) -> tuple[VarName, ...]:
+    """Labels of branchless nodes: the locally maximal cells of the context."""
+    if not t.branches:
+        return t.labels
+    out: list[VarName] = []
+    for br in t.branches:
+        out.extend(leaf_labels(br) if br.branches else br.labels)
+    return tuple(out)
+
+
+def _leaf_search(t: BataninTree, x: VarName) -> Optional[tuple[TreePath, bool]]:
+    """The branching path of the leaf x in t and whether t is linear, in
+    one walk that stops at the first leaf labelled x; None when x labels
+    no leaf of t."""
+    if not t.branches:
+        return ((0,), True) if t.labels[0] == x else None
+    for n, br in enumerate(t.branches):
+        found = _leaf_search(br, x)
+        if found is not None:
+            path, linear = found
+            return ((n,) if linear else (n,) + path), linear and len(t.branches) == 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -551,11 +584,14 @@ def reference_insert_ctx(problem: InsertionProblem) -> InsertionResult:
     """insert_ctx computed from scratch: each inner label in turn freshened
     against the outer labels and the earlier images, the relabelled tree
     spliced by insert_tree and emitted whole, and the external substitution
-    read off every outer variable."""
+    read off every outer variable; x's branching path is _leaf_search's, not
+    the cell table's."""
     outer, x, inner, inner_type = problem
     s = ctx_to_tree(outer)
     t = ctx_to_tree(inner)
-    path = branching_path(s, x)
+    if (found := _leaf_search(s, x)) is None:
+        raise NotLocallyMaximal(x)
+    path = found[0]
     if type_linear_height(inner_type) < len(path) - 1:
         raise LinearHeightTooSmall("inner type too shallow")
     taken = set(outer.vars)

@@ -148,6 +148,16 @@ def test_tree_literal(capsys):
     assert capsys.readouterr().out.strip() == "[x [f [m] g] y]"
 
 
+def test_a_telescope_repeats_no_name_in_a_file_or_a_literal(tmp_path, capsys):
+    # one elaboration of telescopes: the literal gets the file's check, with no position
+    p = tmp_path / "dup.catt"
+    p.write_text("coh dup (x : *) (x : *) : x -> x\n")
+    assert cli.main(["tree", str(p), "dup"]) == 1
+    assert capsys.readouterr().err == "error: 1:1: duplicate telescope variable 'x'\n"
+    assert cli.main(["tree", "--context", "(x : *) (x : *)"]) == 1
+    assert capsys.readouterr().err == "error: duplicate telescope variable 'x'\n"
+
+
 def test_tree_insert(assoc_file, capsys):
     code = cli.main(["tree", assoc_file, "comp", "--insert", "g", "--inner", "comp"])
     assert code == 0

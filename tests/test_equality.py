@@ -201,7 +201,7 @@ def test_a_warm_normal_form_equals_its_pickled_cold_copy():
     for t in normal_forms() + told_apart_by_context():
         hash(t)  # fills t's memo
         back = pickle.loads(pickle.dumps(t))
-        assert "_shape" not in vars(back) and "_tree" not in vars(back.ctx)
+        assert "_alpha_key" not in vars(back) and "_tree" not in vars(back.ctx)
         assert back == t and t == back and hash(back) == hash(t)
         apart = rename_apart(t, rng)
         assert back == apart and hash(back) == hash(apart)

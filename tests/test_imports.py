@@ -1,5 +1,6 @@
-"""Every kernel module uses each name it imports, and every public name
-it defines is read in the package or is a documented entry point.
+"""Every kernel module uses each name it imports, every public name it
+defines is read in the package or is a documented entry point, and no
+module binds a list, dict or set at module level.
 
 No lint tool is a dependency, so this reads the modules with the
 standard library's ast: an import that nothing in its module reads is a
@@ -117,8 +118,8 @@ def test_every_public_kernel_name_is_read_or_exported():
     # exported but read nowhere in the package: the documented entry points
     # (insert_ctx splices without insert_tree's check that the labels are
     # disjoint, since it renames them apart itself, and the kernel reads a
-    # cell's branching height off its context's cell table, not by the walk
-    # of branching_height, which the benchmark's tracer names)
+    # cell's branching height off its context's cell table; branching_height,
+    # which the benchmark's tracer names, reads the table's walk for a tree)
     assert [n for n in unread if n.split(".")[1] in exported] == [
         "insertion.insert_tree", "trees.branching_height", "trees.bracket_to_tree",
     ]
@@ -139,3 +140,46 @@ def test_the_guard_sees_an_unread_definition():
     )
     other = ast.parse("import kernel\nkernel.used(2)\n")
     assert _unread_definitions({"kernel": kernel, "other": other}) == ["kernel.dead", "kernel.Dead"]
+
+
+_MUTABLE_VALUES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+
+
+def _module_level_mutables(tree: ast.Module) -> list[str]:
+    """Each name that a top-level assignment binds to a list, dict or set
+    (a display, a comprehension or a call of list, dict or set, alone or in
+    a tuple): process-global state that calls running at once would share."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Assign, ast.AnnAssign)) or node.value is None:
+            continue
+        values = node.value.elts if isinstance(node.value, ast.Tuple) else [node.value]
+        if any(isinstance(v, _MUTABLE_VALUES) or isinstance(v, ast.Call)
+               and isinstance(v.func, ast.Name) and v.func.id in ("list", "dict", "set")
+               for v in values):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return found
+
+
+def test_no_kernel_module_holds_mutable_state():
+    held = [
+        f"{module}.{name}" for module, tree in _kernel_modules().items()
+        for name in _module_level_mutables(tree)
+    ]
+    assert held == []
+
+
+def test_the_guard_sees_mutable_module_state():
+    tree = ast.parse(
+        "KEYWORDS = {'coh', 'def'}\n"
+        "FROZEN = frozenset({'coh'})\n"
+        "TABLE: dict = dict(a=1)\n"
+        "SEEN = [c for c in 'ab']\n"
+        "A, B = (), {}\n"
+        "Env = dict[str, int]\n"
+        "def f():\n"
+        "    local = []\n"
+        "    return local\n"
+    )
+    assert _module_level_mutables(tree) == ["KEYWORDS", "TABLE", "SEEN", "A", "B"]

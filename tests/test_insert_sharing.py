@@ -34,14 +34,13 @@ from cattsa.trees import (
     all_labels,
     branching_height,
     ctx_to_tree,
-    leaf_labels,
     linear_height,
     relabel_tree,
     tree_depth,
     tree_to_ctx,
 )
 from helpers import CHAIN2, chain, enumerate_trees
-from oracles import reference_insert_ctx, reference_insert_sub, relabel_whole
+from oracles import leaf_labels, reference_insert_ctx, reference_insert_sub, relabel_whole
 
 TREES = enumerate_trees(9)
 

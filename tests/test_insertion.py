@@ -40,7 +40,6 @@ from cattsa.trees import (
     branching_height,
     branching_path,
     ctx_to_tree,
-    leaf_labels,
     linear_height,
     tree,
     tree_to_ctx,
@@ -58,7 +57,13 @@ from helpers import (
     sub,
     unbiased_term,
 )
-from oracles import check_pushout, check_well_formed_sub, disc_context, reference_insert_ctx
+from oracles import (
+    check_pushout,
+    check_well_formed_sub,
+    disc_context,
+    leaf_labels,
+    reference_insert_ctx,
+)
 
 L = tree  # shorthand for small literal trees
 

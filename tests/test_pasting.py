@@ -36,7 +36,7 @@ from helpers import (
     sub,
     unbiased_term,
 )
-from oracles import disc_context, to_disc_sub
+from oracles import disc_context, leaf_labels, to_disc_sub
 
 POINT = ctx(("x", star))
 ARROW = ctx(("x", star), ("y", star), ("f", arr("x", star, "y")))
@@ -248,8 +248,6 @@ def test_disc_context_shape():
 
 
 def test_tree_leaves_are_locally_maximal():
-    from cattsa.trees import leaf_labels
-
     for t in enumerate_trees(7):
         context = tree_to_ctx(t)
         assert maximal_vars(context) == leaf_labels(t)

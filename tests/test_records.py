@@ -42,7 +42,7 @@ from cattsa.syntax import (
     Term,
     Type,
     Var,
-    _shape,
+    _alpha_key,
     identity_sub,
 )
 from cattsa.trees import BataninTree
@@ -159,7 +159,7 @@ def test_coherences_compare_and_hash_up_to_bound_names():
     other = Coh(renamed, Arr(Var("a"), STAR, Var("b")), Substitution(
         (("a", X), ("b", Y), ("g", Var("f")))))
     assert other == COH and hash(other) == hash(COH)
-    assert hash(COH) == hash((COH.sub.values, _shape(COH)))
+    assert hash(COH) == hash((COH.sub.values, _alpha_key(COH)))
     assert COH != (CTX, XY, SUB)
 
 

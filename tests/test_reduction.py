@@ -30,7 +30,6 @@ from cattsa.syntax import (
 from cattsa.trees import (
     branching_height,
     is_linear,
-    leaf_labels,
     linear_height,
     tree_depth,
     tree_to_ctx,
@@ -58,6 +57,7 @@ from oracles import (
     disc_context,
     eq_at_level,
     is_regular,
+    leaf_labels,
     ord_lt,
     regular_height,
     step_candidates,

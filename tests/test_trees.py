@@ -27,7 +27,6 @@ from cattsa.trees import (
     cell_table,
     ctx_to_tree,
     is_linear,
-    leaf_labels,
     linear_height,
     tree,
     tree_depth,
@@ -35,6 +34,7 @@ from cattsa.trees import (
     tree_to_ctx,
 )
 from helpers import DELTA, THETA, ctx, dim_ctx, enumerate_trees, star
+from oracles import _leaf_search, leaf_labels
 
 LEAF = tree(["x"])
 DELTA_TREE = tree(
@@ -139,6 +139,7 @@ def _boundary_by_steps(t: BataninTree, path: tuple[int, ...]) -> dict:
 
 
 def test_the_cell_table_agrees_with_the_tree_walks():
+    # the oracles walk the tree on their own; branching_path reads the table's walk
     trees = enumerate_trees(11)
     assert len(trees) == 65
     for t in trees:
@@ -146,11 +147,34 @@ def test_the_cell_table_agrees_with_the_tree_walks():
         table = cell_table(emitted)
         assert tuple(table) == leaf_labels(t)
         for x, (path, boundary) in table.items():
-            assert path == branching_path(t, x)
+            assert path == _leaf_search(t, x)[0] == branching_path(t, x)
+            assert branching_height(t, x) == len(path) - 1
             assert list(boundary.items()) == list(_boundary_by_steps(t, path).items())
+        for x in set(all_labels(t)) - set(table):
+            assert _leaf_search(t, x) is None
+            for walk in (branching_path, branching_height):
+                with pytest.raises(NotLocallyMaximal) as exc:
+                    walk(t, x)
+                assert str(exc.value) == f"variable '{x}' is not locally maximal"
         assert cell_table(emitted) is table
         # a context with the same entries and no memo parses to the same table
         assert cell_table(Context(emitted.entries)) == table
+
+
+def test_a_repeated_leaf_label_has_the_path_of_its_first_leaf():
+    # a raw tree, built without the builders, which reject a repeated label
+    a = BataninTree(("a",), ())
+    raw = BataninTree(("x", "y", "z"), (a, BataninTree(("b", "c"), (a,))))
+    assert str(raw) == "[x [a] y [b [a] c] z]"
+    assert _leaf_search(raw, "a") == ((0,), False)  # the second a's path is (1,)
+    assert branching_path(raw, "a") == (0,)
+    assert branching_height(raw, "a") == 0
+    for x in ("b", "missing"):  # a 1-cell and no cell
+        assert _leaf_search(raw, x) is None
+        for walk in (branching_path, branching_height):
+            with pytest.raises(NotLocallyMaximal) as exc:
+                walk(raw, x)
+            assert str(exc.value) == f"variable '{x}' is not locally maximal"
 
 
 def test_a_cell_not_in_the_table_is_not_locally_maximal():
