@@ -12,7 +12,7 @@ from .insertion import (
     type_linear_height,
 )
 from .pasting import unbiased_type
-from .reduction import Redex, def_eq, normalize
+from .reduction import def_eq, normalize
 from .syntax import (
     NEG,
     POS,
@@ -37,9 +37,6 @@ from .syntax import (
 )
 from .trees import (
     BataninTree,
-    branching_height,
-    branching_path,
-    bracket_to_tree,
     ctx_to_tree,
     linear_height,
     tree_to_bracket,

@@ -18,7 +18,7 @@ detected incidentally.
 from __future__ import annotations
 
 from operator import is_
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .errors import IllTyped, bounded
 from .insertion import InsertionProblem, insert_ctx, insert_sub
@@ -46,14 +46,6 @@ RULE_TYPE = "type-component"
 RULE_SUB = "sub-component"
 
 Position = tuple[tuple[str, int], ...]
-
-
-class Redex(NamedTuple):
-    rule: str
-    position: Position
-
-    def position_str(self) -> str:
-        return ".".join(f"{k}[{i}]" if k in ("arg", "entry") else k for k, i in self.position) or "head"
 
 
 # ---------------------------------------------------------------------------
@@ -105,12 +97,17 @@ def _with_child(item: Item, kind: str, index: int, new: Item) -> Item:
     return _rebuilt(item, [new if (k, i) == (kind, index) else c for k, i, c in _children(item)])
 
 
-def _with_rule(kind: str, pos: Position) -> Redex:
+def _with_rule(kind: str, pos: Position) -> str:
+    """The rule of the step at pos in an item of the given kind."""
     if not pos:
-        return Redex(RULE_INSERTION, pos)
+        return RULE_INSERTION
     if kind == "term":
-        return Redex(RULE_ARG if pos[0][0] == "arg" else RULE_CELL, pos)
-    return Redex(RULE_TYPE if kind == "type" else RULE_SUB, pos)
+        return RULE_ARG if pos[0][0] == "arg" else RULE_CELL
+    return RULE_TYPE if kind == "type" else RULE_SUB
+
+
+def _position_str(pos: Position) -> str:
+    return ".".join(f"{k}[{i}]" if k in ("arg", "entry") else k for k, i in pos) or "head"
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +236,10 @@ def normalize(
             node = next(c for k, i, c in _children(node) if (k, i) == step)
         for parent, step in reversed(spine):
             new = _with_child(parent, *step, new)
-        redex = _with_rule(kind, position)
+        rule = _with_rule(kind, position)
         # a step's left side is the last one's right side: render each once
         before, shown, cur = shown or item_str(item), item_str(new), new
-        trace.append(f"{redex.rule} at {redex.position_str()}: {before} ⇝ {shown}")
+        trace.append(f"{rule} at {_position_str(position)}: {before} ⇝ {shown}")
     return nf
 
 

@@ -8,9 +8,8 @@ A context is pasting exactly when it is the emission of a tree
 boundaries are read off the tree by tree_boundary.
 
 Trees are immutable values.  The constructor checks only that a node has
-one more label than branches; the builders from given labels, tree and
-bracket_to_tree, also check that the labels are pairwise distinct.
-tree_to_ctx records the tree in the memo of the context it emits
+one more label than branches; tree_to_ctx also checks that the labels are
+pairwise distinct, and records the tree in the memo of the context it emits
 (syntax.Context.derived), and ctx_to_tree parses a context at most once,
 so a context built by insertion is never re-parsed; cell_table walks the
 tree once for the branching path and boundary of every maximal cell.
@@ -18,16 +17,10 @@ tree once for the branching path and boundary of every maximal cell.
 
 from __future__ import annotations
 
-import re
 from operator import is_
+from typing import Iterable
 
-from .errors import (
-    DuplicateVariable,
-    MalformedSyntax,
-    NotLocallyMaximal,
-    NotPasting,
-    SurfaceSyntaxError,
-)
+from .errors import DuplicateVariable, MalformedSyntax, NotPasting
 from .syntax import NEG, POS, STAR, Arr, Context, Frozen, Sign, Type, Var, VarName
 
 TreePath = tuple[int, ...]
@@ -38,7 +31,8 @@ _TREE = "_tree"  # memo key of a context's Batanin tree
 class BataninTree(Frozen):
     __slots__ = _fields = ("labels", "branches")
 
-    def __init__(self, labels: tuple[VarName, ...], branches: tuple[BataninTree, ...]) -> None:
+    def __init__(self, labels: Iterable[VarName], branches: Iterable[BataninTree]) -> None:
+        labels, branches = tuple(labels), tuple(branches)
         if len(labels) != len(branches) + 1:
             raise MalformedSyntax(
                 f"tree needs |labels| = |branches| + 1, got {len(labels)} "
@@ -56,23 +50,6 @@ class BataninTree(Frozen):
 
     def __str__(self) -> str:
         return tree_to_bracket(self)
-
-
-def tree(labels: list[VarName] | tuple[VarName, ...], branches=()) -> BataninTree:
-    return _distinct(BataninTree(tuple(labels), tuple(branches)))
-
-
-def _distinct(t: BataninTree, where: str = "tree") -> BataninTree:
-    """t, once its labels are checked pairwise distinct: a parse of a
-    context, a boundary, a relabelling to names that no other label has
-    and a splice of disjoint trees keep them so, and a check in the
-    constructor would walk every subtree once per node above it."""
-    seen: set[VarName] = set()
-    for name in all_labels(t):
-        if name in seen:
-            raise DuplicateVariable(name, where)
-        seen.add(name)
-    return t
 
 
 def all_labels(t: BataninTree) -> tuple[VarName, ...]:
@@ -108,8 +85,17 @@ def is_linear(t: BataninTree) -> bool:
 
 
 def tree_to_ctx(t: BataninTree) -> Context:
-    """The emission of t; a repeated label raises DuplicateVariable (in context)."""
-    return emission(_distinct(t, "context"))
+    """The emission of t; a repeated label raises DuplicateVariable (in
+    context).  The check is here and not in the constructor: a parse of a
+    context, a boundary, a relabelling to names that no other label has
+    and a splice of disjoint trees keep the labels distinct, and a check
+    in the constructor would walk every subtree once per node above it."""
+    seen: set[VarName] = set()
+    for name in all_labels(t):
+        if name in seen:
+            raise DuplicateVariable(name, "context")
+        seen.add(name)
+    return emission(t)
 
 
 def emission(t: BataninTree) -> Context:
@@ -167,7 +153,7 @@ def _parse(
         br, i = _parse(entries, i, sub_base)
         labels.append(w)
         branches.append(br)
-    return BataninTree(tuple(labels), tuple(branches)), i
+    return BataninTree(labels, branches), i
 
 
 def tree_boundary(t: BataninTree, k: int, sign: Sign) -> BataninTree:
@@ -183,20 +169,6 @@ def tree_boundary(t: BataninTree, k: int, sign: Sign) -> BataninTree:
 # ---------------------------------------------------------------------------
 
 
-def branching_path(t: BataninTree, x: VarName) -> TreePath:
-    """The branching path of the leaf x, as the cell table's walk records
-    it: the branch taken at each node down to the last node above x with
-    two or more branches, or only the root's if none has, or (0,) if t is
-    a leaf; a raw tree that repeats x answers for its first leaf."""
-    if (cell := _cells(t, (), {}, 1, {}).get(x)) is None:
-        raise NotLocallyMaximal(x)
-    return cell[0]
-
-
-def branching_height(t: BataninTree, x: VarName) -> int:
-    return len(branching_path(t, x)) - 1
-
-
 def cell_table(ctx: Context) -> dict[VarName, tuple[TreePath, dict[VarName, tuple[int, Sign]]]]:
     """Each locally maximal cell of the pasting context ctx, in context order,
     with its branching path and its boundary cells (the labels beside the way
@@ -208,7 +180,7 @@ def _cells(t: BataninTree, path: TreePath, boundary: dict, cut: int, out: dict) 
     """out, with the cells of t added: path leads to t, boundary holds the
     labels beside it, and path[:cut] ends at the last branching node above."""
     if not t.branches:
-        out.setdefault(t.labels[0], (path[:cut] or (0,), boundary))
+        out[t.labels[0]] = path[:cut] or (0,), boundary
     m, cut = len(path), len(path) + 1 if len(t.branches) > 1 else cut
     for n, (lo, hi, br) in enumerate(zip(t.labels, t.labels[1:], t.branches)):
         _cells(br, path + (n,), {**boundary, lo: (m, NEG), hi: (m, POS)}, cut, out)
@@ -243,56 +215,3 @@ def tree_to_bracket(t: BataninTree) -> str:
         parts.append(t.labels[i + 1])
     return "[" + " ".join(parts) + "]"
 
-
-# a bracket, a label (its first letter is checked: not every \w is one) or an error
-_BRACKET_TOKEN = re.compile(r"\s*(?:([\[\]]|[^\W\d][\w']*)|(\S))")
-
-
-def bracket_to_tree(text: str) -> BataninTree:
-    tokens = _tokenize_brackets(text)
-    t, i = _parse_bracket(text, tokens, 0)
-    if tokens[i][0]:
-        raise SurfaceSyntaxError("trailing input after tree", *_at(text, tokens[i][1]))
-    return _distinct(t)
-
-
-def _at(text: str, offset: int) -> tuple[int, int]:
-    """The line and column of the character at offset in text."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-
-
-def _tokenize_brackets(text: str) -> list[tuple[str, int]]:
-    """Each bracket and label of text with its offset, then ("", len(text))."""
-    out: list[tuple[str, int]] = []
-    for m in _BRACKET_TOKEN.finditer(text):
-        tok, offset = m[m.lastindex], m.start(m.lastindex)
-        if m.lastindex == 2 or not (tok in "[]" or tok[0].isalpha() or tok[0] == "_"):
-            raise SurfaceSyntaxError(
-                f"unexpected character {tok[0]!r} in tree literal", *_at(text, offset)
-            )
-        out.append((tok, offset))
-    out.append(("", len(text)))
-    return out
-
-
-def _parse_bracket(text: str, tokens: list[tuple[str, int]], i: int) -> tuple[BataninTree, int]:
-    tok, offset = tokens[i]
-    if tok != "[":
-        raise SurfaceSyntaxError("expected '['", *_at(text, offset))
-    i += 1
-    labels: list[VarName] = []
-    branches: list[BataninTree] = []
-    while tokens[i][0] not in ("]", ""):
-        if tokens[i][0] == "[":
-            if not labels:
-                where = _at(text, tokens[i][1])
-                raise SurfaceSyntaxError("expected a label before a branch", *where)
-            br, i = _parse_bracket(text, tokens, i)
-            branches.append(br)
-        else:
-            labels.append(tokens[i][0])
-            i += 1
-    # |labels| = |branches| + 1 is enforced by the constructor
-    if not tokens[i][0]:
-        raise SurfaceSyntaxError("unclosed '['", *_at(text, offset))
-    return BataninTree(tuple(labels), tuple(branches)), i + 1

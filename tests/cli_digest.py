@@ -8,16 +8,19 @@ runs cattsa.cli.main in-process on every source text of the test modules
 normalize and tree, and eq on each declaration with the next one, and
 tree --insert VAR --inner NEXT for each declaration, each locally maximal
 variable VAR of its telescope (one that no arrow type there names as an
-endpoint) and the next declaration NEXT; each of these plain and with
---json, normalize also with --trace, all in both modes, with and without
---no-disc-insertion.  Each line is the run's key and a hash of its
-stdout, stderr and exit code (or of the exception that escaped).  Each
-file is named by a short hash of its text, so no key changes when a test
-module gains or loses a string, and a text met twice is run once.  SRC is
-the directory the cattsa package is imported from, by default the src/ of
-this checkout; the texts always come from this checkout, so two kernels
-give the same keys and `diff` of their digests lists the runs whose
-output differs.  pytest does not collect this file.
+endpoint) and the next declaration NEXT; then tree --context LITERAL for
+each distinct telescope of a declaration that elaborates, printed by
+item_str; each of these plain and with --json, normalize also with
+--trace, all in both modes, with and without --no-disc-insertion.  Each
+line is the run's key and a hash of its stdout, stderr and exit code (or
+of the exception that escaped).  Each file is named by a short hash of
+its text, so no key changes when a test module gains or loses a string,
+and a text met twice is run once.  SRC is the directory the cattsa
+package is imported from, by default the src/ of this checkout; the
+texts always come from this checkout, so two kernels give the same keys
+(but for a --context literal, which SRC's kernel elaborates and prints)
+and `diff` of their digests lists the runs whose output differs.  pytest
+does not collect this file.
 """
 
 from __future__ import annotations
@@ -81,6 +84,29 @@ def _runs(decls):
             yield ["tree", decl.name, "--insert", var, "--inner", inner, "--json"]
 
 
+def _telescopes(cli, decls) -> list[str]:
+    """The telescope of each declaration that elaborates, printed by
+    item_str, the others skipped."""
+    from cattsa.errors import CattError
+    from cattsa.syntax import item_str
+
+    env, out = {}, []
+    for d in decls:
+        try:
+            env[d.name] = cli.elaborate_decl(d, env)
+            out.append(item_str(env[d.name].ctx))
+        except (CattError, RecursionError):
+            pass
+    return out
+
+
+def _print_runs(main, runs) -> None:
+    for run in runs:
+        for setting in SETTINGS:
+            argv = [*run, *setting]
+            print(" ".join(argv), _digest(main, argv), flush=True)
+
+
 def main(src: str) -> None:
     sys.path[:0] = [src, str(TESTS)]
     from cattsa import cli
@@ -89,16 +115,18 @@ def main(src: str) -> None:
 
     texts = dict.fromkeys([("test", t) for t in catt_texts()]
                           + [("bench", t) for t in bench_catt_texts()])
+    telescopes: dict[str, None] = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)  # relative file names, so no output names the directory
         for where, text in texts:
             path = f"{where}-{_short_hash(text)}.catt"
             Path(path).write_text(text, encoding="utf-8")
-            for run in _runs(parse(text).decls):
-                for setting in SETTINGS:
-                    argv = [run[0], path, *run[1:], *setting]
-                    print(" ".join(argv), _digest(cli.main, argv), flush=True)
+            decls = parse(text).decls
+            _print_runs(cli.main, ([run[0], path, *run[1:]] for run in _runs(decls)))
+            telescopes.update(dict.fromkeys(_telescopes(cli, decls)))
+        _print_runs(cli.main, (["tree", "--context", t, *json]
+                               for t in telescopes for json in ([], ["--json"])))
         os.chdir(home)
 
 

@@ -17,8 +17,10 @@ from itertools import product
 from pathlib import Path
 
 from cattsa import reduction
+from cattsa.cli import elaborate_telescope
 from cattsa.errors import DimensionError, SurfaceSyntaxError
 from cattsa.parser import (
+    DUMMY_SPAN,
     KEYWORDS,
     SourceFile,
     Span,
@@ -31,6 +33,7 @@ from cattsa.parser import (
     SrcVar,
     Token,
     parse,
+    parse_telescope,
 )
 from cattsa.insertion import insert_ctx
 from cattsa.pasting import _unbiased_term, maximal_vars, unbiased_type
@@ -57,7 +60,6 @@ from cattsa.syntax import (
 )
 from cattsa.trees import (
     BataninTree,
-    bracket_to_tree,
     ctx_to_tree,
     tree_boundary,
     tree_depth,
@@ -93,9 +95,15 @@ def chain(n: int, pref: str = "x", cell: str = "a") -> Context:
     return Context(tuple(entries))
 
 
-def ctx_of_bracket(text: str) -> Context:
-    return tree_to_ctx(bracket_to_tree(text))
+def ctx_of_telescope(text: str) -> Context:
+    """The context of a telescope literal, read as `cattsa tree --context`
+    reads it."""
+    return elaborate_telescope(parse_telescope(text), {}, DUMMY_SPAN)
 
+
+def tree(labels, branches=()) -> BataninTree:
+    """The tree with these labels and branches, by default a leaf."""
+    return BataninTree(labels, branches)
 
 
 # ---------------------------------------------------------------------------
@@ -152,13 +160,30 @@ def print_file(f: SourceFile) -> str:
 
 # The worked example contexts: Delta has three parallel arrows with two
 # 2-cells between them followed by a whisker, Theta is its unwhiskered part.
-DELTA = ctx_of_bracket("[x [f [alpha] g [beta] h] y [k] z]")
-THETA = ctx_of_bracket("[x [f [alpha] g [beta] h] y]")
-THETA_PRIMED = ctx_of_bracket("[x' [f' [alpha'] g' [beta'] h'] y']")
-VERT2 = ctx_of_bracket("[x [f [alpha] g [beta] h] y]")  # alias used by reduction tests
-WHISKER_R = ctx_of_bracket("[x [f [alpha] g] y [k] z]")
-WHISKER_L = ctx_of_bracket("[x [k] y [f [alpha] g] z]")
-HCOMP2 = ctx_of_bracket("[x [f [alpha] g] y [h [beta] i] z]")
+DELTA = ctx_of_telescope(  # [x [f [alpha] g [beta] h] y [k] z]
+    "(x : *) (y : *) (f : x -> y) (g : x -> y) (alpha : f -> g) (h : x -> y) (beta : g -> h)"
+    " (z : *) (k : y -> z)"
+)
+THETA = ctx_of_telescope(  # [x [f [alpha] g [beta] h] y]
+    "(x : *) (y : *) (f : x -> y) (g : x -> y) (alpha : f -> g) (h : x -> y) (beta : g -> h)"
+)
+THETA_PRIMED = ctx_of_telescope(  # [x' [f' [alpha'] g' [beta'] h'] y']
+    "(x' : *) (y' : *) (f' : x' -> y') (g' : x' -> y') (alpha' : f' -> g') (h' : x' -> y')"
+    " (beta' : g' -> h')"
+)
+VERT2 = ctx_of_telescope(  # [x [f [alpha] g [beta] h] y], alias used by reduction tests
+    "(x : *) (y : *) (f : x -> y) (g : x -> y) (alpha : f -> g) (h : x -> y) (beta : g -> h)"
+)
+WHISKER_R = ctx_of_telescope(  # [x [f [alpha] g] y [k] z]
+    "(x : *) (y : *) (f : x -> y) (g : x -> y) (alpha : f -> g) (z : *) (k : y -> z)"
+)
+WHISKER_L = ctx_of_telescope(  # [x [k] y [f [alpha] g] z]
+    "(x : *) (y : *) (k : x -> y) (z : *) (f : y -> z) (g : y -> z) (alpha : f -> g)"
+)
+HCOMP2 = ctx_of_telescope(  # [x [f [alpha] g] y [h [beta] i] z]
+    "(x : *) (y : *) (f : x -> y) (g : x -> y) (alpha : f -> g) (z : *) (h : y -> z)"
+    " (i : y -> z) (beta : h -> i)"
+)
 
 CHAIN2 = chain(2)
 CHAIN3 = chain(3)
@@ -649,7 +674,10 @@ def generate_terms(
 AMBIENTS = [
     chain(4, "u", "m"),
     DELTA,
-    ctx_of_bracket("[p [q [r] s [t] u [v] w] e [o] n]"),  # three stacked 2-cells + whisker
+    ctx_of_telescope(  # [p [q [r] s [t] u [v] w] e [o] n], three stacked 2-cells + whisker
+        "(p : *) (e : *) (q : p -> e) (s : p -> e) (r : q -> s) (u : p -> e) (t : s -> u)"
+        " (w : p -> e) (v : u -> w) (n : *) (o : e -> n)"
+    ),
 ]
 
 
@@ -678,7 +706,10 @@ def curated_corpus() -> list[tuple[Context, Term]]:
     out.append((amb1, unbiased_apply(chain(4), amb1, m)))
 
     # vertical composite whose arguments are themselves vertical composites
-    amb2 = ctx_of_bracket("[a [p [m1] q [m2] r [m3] s [m4] t] b]")
+    amb2 = ctx_of_telescope(  # [a [p [m1] q [m2] r [m3] s [m4] t] b]
+        "(a : *) (b : *) (p : a -> b) (q : a -> b) (m1 : p -> q) (r : a -> b) (m2 : q -> r)"
+        " (s : a -> b) (m3 : r -> s) (t : a -> b) (m4 : s -> t)"
+    )
     vert = lambda u, v: unbiased_apply(VERT2, amb2, [u, v])
     m1, m2, m3, m4 = (Var(f"m{i}") for i in range(1, 5))
     out.append((amb2, vert(vert(m1, m2), vert(m3, m4))))

@@ -58,7 +58,6 @@ from cattsa.insertion import (
 from cattsa.pasting import _unbiased_type
 from cattsa.reduction import (
     Position,
-    Redex,
     _children,
     _eligible_heads,
     _insert_at,
@@ -96,7 +95,6 @@ from cattsa.syntax import (
 from cattsa.trees import (
     BataninTree,
     TreePath,
-    branching_height,
     ctx_to_tree,
     is_linear,
     linear_height,
@@ -177,6 +175,11 @@ def _leaf_search(t: BataninTree, x: VarName) -> Optional[tuple[TreePath, bool]]:
     return None
 
 
+def branching_height(t: BataninTree, x: VarName) -> int:
+    """The branching height of the leaf x of t, by _leaf_search."""
+    return len(_leaf_search(t, x)[0]) - 1
+
+
 # ---------------------------------------------------------------------------
 # Redex enumeration
 # ---------------------------------------------------------------------------
@@ -190,7 +193,10 @@ class Step(NamedTuple):
     position: Position
     detail: Optional[tuple[VarName, Context, Substitution]] = None
 
-    position_str = Redex.position_str
+    def position_str(self) -> str:
+        """The position as the trace prints it, rendered here on its own."""
+        parts = (f"{k}[{i}]" if k in ("arg", "entry") else k for k, i in self.position)
+        return ".".join(parts) or "head"
 
 
 def step_candidates(
@@ -205,8 +211,7 @@ def step_candidates(
     kind = _kind_of(item)
     out = []
     for pos, detail, result in _steps(item, allow_disc_insertion):
-        redex = _with_rule(kind, pos)
-        out.append((Step(redex.rule, redex.position, detail), result))
+        out.append((Step(_with_rule(kind, pos), pos, detail), result))
     return out
 
 

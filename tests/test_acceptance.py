@@ -24,7 +24,7 @@ from cattsa.syntax import (
     dim_type,
     var_sub,
 )
-from cattsa.trees import ctx_to_tree, tree, tree_to_ctx
+from cattsa.trees import ctx_to_tree, tree_to_ctx
 from cattsa.typecheck import Mode, Session
 from cattsa import cli
 from helpers import (
@@ -35,12 +35,13 @@ from helpers import (
     canonical_term,
     chain,
     comp2,
-    ctx_of_bracket,
+    ctx_of_telescope,
     curated_corpus,
     enumerate_globular_contexts,
     enumerate_trees,
     random_corpus,
     reduction_graph,
+    tree,
     unbiased_apply,
 )
 from oracles import check_pushout, ord_lt, step_candidates, syntactic_depth
@@ -285,7 +286,10 @@ def _whisker_instance():
     a = unbiased_type(THETA)
 
     # a genuinely composite cone: three stacked two-cells with a whisker
-    gamma3 = ctx_of_bracket("[a [p [w1] q [w2] r [w3] s] b [o] c]")
+    gamma3 = ctx_of_telescope(  # [a [p [w1] q [w2] r [w3] s] b [o] c]
+        "(a : *) (b : *) (p : a -> b) (q : a -> b) (w1 : p -> q) (r : a -> b) (w2 : q -> r)"
+        " (s : a -> b) (w3 : r -> s) (c : *) (o : b -> c)"
+    )
     tau = Substitution(
         (
             ("x", Var("a")),

@@ -7,7 +7,10 @@ standard library's ast: an import that nothing in its module reads is a
 stale one, left behind when the code that used it moved or was deleted,
 and a public function or class that nothing in src/ reads serves only
 the tests, which keep such code in tests/helpers.py and tests/oracles.py.
-The checks go by name, so a name read anywhere counts as read.
+The import check goes by name, so a name read anywhere in the module
+counts as read.  A public def counts as read only where another module
+imports it by name or its own module reads it under a name that no
+enclosing function binds.
 """
 
 from __future__ import annotations
@@ -93,36 +96,77 @@ def test_the_guard_sees_a_stale_import():
     assert _unused_imports(tree) == ["Var"]
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+           ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _bound_in(scope: ast.AST) -> set[str]:
+    """The names a function, lambda or comprehension binds for its own
+    body: its parameters or targets and every name stored in it, nested
+    scopes aside."""
+    if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        a = scope.args
+        names = {p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p}
+        todo = list(scope.body) if isinstance(scope.body, list) else [scope.body]
+    else:
+        names, todo = set(), [g.target for g in scope.generators]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.alias):
+            names.add((node.asname or node.name).split(".")[0])
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            names.add(node.name)
+        if not isinstance(node, (*_SCOPES, ast.ClassDef)):
+            todo += ast.iter_child_nodes(node)
+    return names
+
+
+def _free_reads(node: ast.AST, bound: frozenset = frozenset()) -> set[str]:
+    """Each name node reads where no enclosing function, lambda or
+    comprehension binds it: the module-level names it reads."""
+    if isinstance(node, _SCOPES):
+        bound = bound | _bound_in(node)
+    out = set()
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id not in bound:
+        out.add(node.id)
+    for child in ast.iter_child_nodes(node):
+        out |= _free_reads(child, bound)
+    return out
+
+
 def _unread_definitions(modules: dict[str, ast.Module]) -> list[str]:
-    """module.name of each public top-level def or class that no top-level
-    statement of any module reads, its own definition aside."""
-    defined: list[tuple[str, str, ast.stmt]] = []
-    reads: list[tuple[ast.stmt, set[str]]] = []
+    """module.name of each public top-level def or class that no other
+    module imports by name and no other top-level statement of its own
+    module reads as a module-level name: an attribute of the same name,
+    or a local that shadows it, reads something else."""
+    imported = {
+        (node.module, a.name) for tree in modules.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names
+    }
+    out = []
     for module, tree in modules.items():
-        for node in tree.body:
-            names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-            names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-            reads.append((node, names))
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined.append((module, node.name, node))
-    return [
-        f"{module}.{name}" for module, name, node in defined
-        if not any(name in names for other, names in reads if other is not node)
-    ]
+        reads = [(node, _free_reads(node)) for node in tree.body]
+        out += [
+            f"{module}.{node.name}" for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+            and (module, node.name) not in imported
+            and not any(node.name in names for other, names in reads if other is not node)
+        ]
+    return out
 
 
 def test_every_public_kernel_name_is_read_or_exported():
     unread = _unread_definitions(_kernel_modules())
     exported = _package_exports()
     assert [n for n in unread if n.split(".")[1] not in exported] == []
-    # exported but read nowhere in the package: the documented entry points
+    # exported but read nowhere in the package: the documented entry point
     # (insert_ctx splices without insert_tree's check that the labels are
-    # disjoint, since it renames them apart itself, and the kernel reads a
-    # cell's branching height off its context's cell table; branching_height,
-    # which the benchmark's tracer names, reads the table's walk for a tree)
-    assert [n for n in unread if n.split(".")[1] in exported] == [
-        "insertion.insert_tree", "trees.branching_height", "trees.bracket_to_tree",
-    ]
+    # disjoint, since it renames them apart itself)
+    assert [n for n in unread if n.split(".")[1] in exported] == ["insertion.insert_tree"]
 
 
 def test_the_guard_sees_an_unread_definition():
@@ -137,9 +181,20 @@ def test_the_guard_sees_an_unread_definition():
         "    pass\n"
         "def _private():\n"
         "    pass\n"
+        "def shadowed():\n"
+        "    pass\n"
+        "def imported():\n"
+        "    pass\n"
+        "def reads(shadowed, inner):\n"  # a parameter, an attribute, a local,
+        "    return shadowed, inner.shadowed, [shadowed for shadowed in inner]\n"
+        "def assigns():\n"
+        "    shadowed = 1\n"  # and an assignment shadow or miss the def
+        "    return lambda: shadowed\n"
     )
-    other = ast.parse("import kernel\nkernel.used(2)\n")
-    assert _unread_definitions({"kernel": kernel, "other": other}) == ["kernel.dead", "kernel.Dead"]
+    other = ast.parse("from .kernel import imported\nimport kernel\nkernel.used(2)\n")
+    assert _unread_definitions({"kernel": kernel, "other": other}) == [
+        "kernel.dead", "kernel.Dead", "kernel.shadowed", "kernel.reads", "kernel.assigns",
+    ]
 
 
 _MUTABLE_VALUES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)

@@ -32,15 +32,20 @@ from cattsa.syntax import (
 )
 from cattsa.trees import (
     all_labels,
-    branching_height,
     ctx_to_tree,
     linear_height,
     relabel_tree,
     tree_depth,
     tree_to_ctx,
 )
-from helpers import CHAIN2, chain, enumerate_trees
-from oracles import leaf_labels, reference_insert_ctx, reference_insert_sub, relabel_whole
+from helpers import CHAIN2, chain, ctx_of_telescope, enumerate_trees
+from oracles import (
+    branching_height,
+    leaf_labels,
+    reference_insert_ctx,
+    reference_insert_sub,
+    relabel_whole,
+)
 
 TREES = enumerate_trees(9)
 
@@ -367,9 +372,11 @@ def test_an_inner_tree_too_shallow_for_the_path_raises():
     # inner tree, which branches at once, is too shallow for gamma's path
     from cattsa.errors import LinearHeightTooSmall
     from cattsa.syntax import STAR, Arr
-    from cattsa.trees import bracket_to_tree
 
-    outer = tree_to_ctx(bracket_to_tree("[x [f [m [gamma] n [delta] o] g] y]"))
+    outer = ctx_of_telescope(  # [x [f [m [gamma] n [delta] o] g] y]
+        "(x : *) (y : *) (f : x -> y) (g : x -> y) (m : f -> g) (n : f -> g) (gamma : m -> n)"
+        " (o : f -> g) (delta : n -> o)"
+    )
     inner = chain(2, "u", "b")
     deep = Arr(Var("p"), Arr(Var("q"), Arr(Var("u0"), STAR, Var("u2")), Var("r")), Var("s"))
     problem = InsertionProblem(outer, "gamma", inner, deep)

@@ -19,8 +19,8 @@ from cattsa.errors import (
 )
 from cattsa.insertion import InsertionProblem, insert_ctx
 from cattsa.syntax import STAR, Coh, Context, Substitution, Var, identity_sub
-from cattsa.trees import cell_table, ctx_to_tree, tree, tree_to_ctx
-from helpers import arr, enumerate_trees
+from cattsa.trees import cell_table, ctx_to_tree, tree_to_ctx
+from helpers import arr, enumerate_trees, tree
 from oracles import reference_insert_ctx
 
 MEMO_KEYS = ("_tree", "_pasting_shape")

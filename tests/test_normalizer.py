@@ -22,7 +22,7 @@ from helpers import (
     all_bracketings,
     chain,
     comp2,
-    ctx_of_bracket,
+    ctx_of_telescope,
     curated_corpus,
     random_corpus,
     reference_normalize,
@@ -40,8 +40,14 @@ def _bracketings():
 def _whiskered():
     """Terms over the Delta and whisker trees with composites at the
     two-cell and at the whisker positions."""
-    right = ctx_of_bracket("[x [f [alpha] g [beta] h] y [c] w [d] z]")
-    left = ctx_of_bracket("[x [c] w [d] y [f [alpha] g [beta] h] z]")
+    right = ctx_of_telescope(  # [x [f [alpha] g [beta] h] y [c] w [d] z]
+        "(x : *) (y : *) (f : x -> y) (g : x -> y) (alpha : f -> g) (h : x -> y)"
+        " (beta : g -> h) (w : *) (c : y -> w) (z : *) (d : w -> z)"
+    )
+    left = ctx_of_telescope(  # [x [c] w [d] y [f [alpha] g [beta] h] z]
+        "(x : *) (w : *) (c : x -> w) (y : *) (d : w -> y) (z : *) (f : y -> z) (g : y -> z)"
+        " (alpha : f -> g) (h : y -> z) (beta : g -> h)"
+    )
     vert_r = unbiased_apply(VERT2, right, [Var("alpha"), Var("beta")])
     vert_l = unbiased_apply(VERT2, left, [Var("alpha"), Var("beta")])
     whisker_r = comp2(right, Var("c"), Var("d"))

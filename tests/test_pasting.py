@@ -18,7 +18,7 @@ from cattsa.syntax import (
     identity_sub,
     support,
 )
-from cattsa.trees import cell_table, ctx_to_tree, is_linear, tree, tree_to_ctx
+from cattsa.trees import cell_table, ctx_to_tree, is_linear, tree_to_ctx
 from cattsa.typecheck import Mode, Session
 from helpers import (
     CHAIN2,
@@ -34,6 +34,7 @@ from helpers import (
     pd_derivable,
     star,
     sub,
+    tree,
     unbiased_term,
 )
 from oracles import disc_context, leaf_labels, to_disc_sub

@@ -31,7 +31,6 @@ from cattsa.parser import (
     Token,
 )
 from cattsa.pasting import shape
-from cattsa.reduction import Redex
 from cattsa.syntax import (
     STAR,
     Arr,
@@ -76,10 +75,9 @@ FIELDS = {
     SrcArrow: ("src", "tgt", "span"),
     SrcDecl: ("kind", "name", "telescope", "ty", "body", "span"),
     SourceFile: ("decls",),
-    Redex: ("rule", "position"),
 }
 SPANLESS = (SrcVar, SrcApp, SrcStar, SrcArrow, SrcDecl)
-TUPLE_RECORDS = (Span, Token, SourceFile, Redex)
+TUPLE_RECORDS = (Span, Token, SourceFile)
 
 # one value of each class, an equal one built apart, a different one,
 # and its exact repr
@@ -119,8 +117,6 @@ CASES = [
      ", ty=SrcStar(span=Span(line=0, col=0)), body=None, span=Span(line=2, col=5))"),
     (SourceFile(()), SourceFile(()), SourceFile((SrcDecl("coh", "c", (), SrcStar(), None),)),
      "SourceFile(decls=())"),
-    (Redex("insertion", (("arg", 0),)), Redex("insertion", (("arg", 0),)), Redex("insertion", ()),
-     "Redex(rule='insertion', position=(('arg', 0),))"),
 ]
 
 

@@ -28,7 +28,6 @@ from cattsa.syntax import (
     support,
 )
 from cattsa.trees import (
-    branching_height,
     is_linear,
     linear_height,
     tree_depth,
@@ -44,7 +43,7 @@ from helpers import (
     chain,
     count_insertions,
     comp2,
-    ctx_of_bracket,
+    ctx_of_telescope,
     curated_corpus,
     enumerate_trees,
     random_corpus,
@@ -54,6 +53,7 @@ from helpers import (
 )
 from oracles import (
     Ordinal,
+    branching_height,
     disc_context,
     eq_at_level,
     is_regular,
@@ -138,7 +138,9 @@ def test_def_eq_reflexive_and_bracketing():
 
 
 def test_def_eq_distinguishes_distinct_composites():
-    amb = ctx_of_bracket("[p [a] q [b] r [c] s]")  # three composable arrows
+    amb = ctx_of_telescope(  # [p [a] q [b] r [c] s], three composable arrows
+        "(p : *) (q : *) (a : p -> q) (r : *) (b : q -> r) (s : *) (c : r -> s)"
+    )
     ab = comp2(amb, Var("a"), Var("b"))
     bc = comp2(amb, Var("b"), Var("c"))
     assert not def_eq(amb, ab, bc)
@@ -250,7 +252,10 @@ def test_whisker_argument_flattens_into_the_diagram():
     # inserting at a whisker position splits the whisker cell in two: the
     # composite argument is absorbed and the result is the unbiased
     # composite over the enlarged diagram
-    amb = ctx_of_bracket("[x [f [alpha] g [beta] h] y [c] w [d] z]")
+    amb = ctx_of_telescope(  # [x [f [alpha] g [beta] h] y [c] w [d] z]
+        "(x : *) (y : *) (f : x -> y) (g : x -> y) (alpha : f -> g) (h : x -> y)"
+        " (beta : g -> h) (w : *) (c : y -> w) (z : *) (d : w -> z)"
+    )
     sigma = Substitution(
         tuple(
             (v, comp2(amb, Var("c"), Var("d")) if v == "k" else Var(v))
@@ -272,7 +277,10 @@ def test_depth_can_increase_for_whisker_insertions():
     #   before: head omega^3, argument comp [c, d] omega^2, two composites
     #           in the head type omega each;
     #   after:  head omega^3, four composites in the head type omega each
-    amb = ctx_of_bracket("[x [f [alpha] g [beta] h] y [c] w [d] z]")
+    amb = ctx_of_telescope(  # [x [f [alpha] g [beta] h] y [c] w [d] z]
+        "(x : *) (y : *) (f : x -> y) (g : x -> y) (alpha : f -> g) (h : x -> y)"
+        " (beta : g -> h) (w : *) (c : y -> w) (z : *) (d : w -> z)"
+    )
     sigma = Substitution(
         tuple(
             (v, comp2(amb, Var("c"), Var("d")) if v == "k" else Var(v))
@@ -346,7 +354,10 @@ def test_eq_level_double_insertion_results():
 
 
 def test_eq_level_double_insertion_two_dimensional():
-    amb = ctx_of_bracket("[a [p [m1] q [m2] r [m3] s [m4] t] b]")
+    amb = ctx_of_telescope(  # [a [p [m1] q [m2] r [m3] s [m4] t] b]
+        "(a : *) (b : *) (p : a -> b) (q : a -> b) (m1 : p -> q) (r : a -> b) (m2 : q -> r)"
+        " (s : a -> b) (m3 : r -> s) (t : a -> b) (m4 : s -> t)"
+    )
     vert = lambda u, v: unbiased_apply(VERT2, amb, [u, v])
     m1, m2, m3, m4 = (Var(f"m{i}") for i in range(1, 5))
     t = vert(vert(m1, m2), vert(m3, m4))

@@ -3,37 +3,41 @@ tables, brackets."""
 
 from __future__ import annotations
 
+import pickle
 from itertools import chain, repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cattsa.errors import (
-    DuplicateVariable,
-    MalformedSyntax,
-    NotLocallyMaximal,
-    NotPasting,
-    SurfaceSyntaxError,
-)
+from cattsa.errors import DuplicateVariable, MalformedSyntax, NotLocallyMaximal, NotPasting
 from cattsa.insertion import InsertionProblem, insert_ctx
 from cattsa.pasting import unbiased_type
 from cattsa.syntax import NEG, POS, STAR, Context, alpha_eq
 from cattsa.trees import (
     BataninTree,
     all_labels,
-    bracket_to_tree,
-    branching_height,
-    branching_path,
     cell_table,
     ctx_to_tree,
     is_linear,
     linear_height,
-    tree,
     tree_depth,
     tree_to_bracket,
     tree_to_ctx,
 )
-from helpers import DELTA, THETA, ctx, dim_ctx, enumerate_trees, star
+from helpers import (
+    DELTA,
+    HCOMP2,
+    THETA,
+    THETA_PRIMED,
+    VERT2,
+    WHISKER_L,
+    WHISKER_R,
+    ctx,
+    dim_ctx,
+    enumerate_trees,
+    star,
+    tree,
+)
 from oracles import _leaf_search, leaf_labels
 
 LEAF = tree(["x"])
@@ -53,8 +57,27 @@ THETA_TREE = tree(
 def test_tree_invariants_enforced():
     with pytest.raises(MalformedSyntax):
         BataninTree(("x", "y"), ())
-    with pytest.raises(DuplicateVariable):
-        tree(["x", "x"], [tree(["f"])])
+    with pytest.raises(MalformedSyntax):
+        BataninTree((v for v in "xy"), (br for br in ()))
+
+
+def test_a_tree_built_from_any_iterables_is_the_same_value():
+    # the constructor stores tuples, whatever iterables it is given
+    leaf = BataninTree(("f",), ())
+    built = [
+        BataninTree(("x", "y"), (leaf,)),
+        BataninTree(["x", "y"], [BataninTree(["f"], [])]),
+        BataninTree(iter(["x", "y"]), iter([BataninTree(iter(["f"]), iter([]))])),
+        BataninTree((v for v in ["x", "y"]), (br for br in [leaf])),
+    ]
+    for t in built:
+        assert type(t.labels) is tuple and type(t.branches) is tuple
+        assert t == built[0] and hash(t) == hash(built[0])
+        assert pickle.dumps(t) == pickle.dumps(built[0])
+        emitted = tree_to_ctx(t)
+        assert emitted == tree_to_ctx(built[0])
+        assert ctx_to_tree(emitted) == built[0]
+        assert ctx_to_tree(Context(emitted.entries)) == t
 
 
 def test_tree_to_ctx_rejects_a_raw_tree_that_repeats_a_label():
@@ -112,17 +135,17 @@ def test_is_linear():
 
 
 def test_branching_path_examples():
-    assert branching_path(DELTA_TREE, "alpha") == (0, 0)
-    assert branching_height(DELTA_TREE, "alpha") == 1
-    assert branching_path(LEAF, "x") == (0,)
-    assert branching_path(DELTA_TREE, "k") == (1,)
+    table = cell_table(tree_to_ctx(DELTA_TREE))
+    assert table["alpha"][0] == _leaf_search(DELTA_TREE, "alpha")[0] == (0, 0)
+    assert table["k"][0] == _leaf_search(DELTA_TREE, "k")[0] == (1,)
+    assert cell_table(tree_to_ctx(LEAF))["x"][0] == _leaf_search(LEAF, "x")[0] == (0,)
 
 
 def test_branching_path_rejects_non_maximal():
-    with pytest.raises(NotLocallyMaximal):
-        branching_path(DELTA_TREE, "f")
-    with pytest.raises(NotLocallyMaximal):
-        branching_path(DELTA_TREE, "missing")
+    table = cell_table(tree_to_ctx(DELTA_TREE))
+    for x in ("f", "missing"):  # a 1-cell and no cell
+        assert x not in table
+        assert _leaf_search(DELTA_TREE, x) is None
 
 
 def _boundary_by_steps(t: BataninTree, path: tuple[int, ...]) -> dict:
@@ -139,7 +162,7 @@ def _boundary_by_steps(t: BataninTree, path: tuple[int, ...]) -> dict:
 
 
 def test_the_cell_table_agrees_with_the_tree_walks():
-    # the oracles walk the tree on their own; branching_path reads the table's walk
+    # the oracles walk the tree on their own
     trees = enumerate_trees(11)
     assert len(trees) == 65
     for t in trees:
@@ -147,34 +170,13 @@ def test_the_cell_table_agrees_with_the_tree_walks():
         table = cell_table(emitted)
         assert tuple(table) == leaf_labels(t)
         for x, (path, boundary) in table.items():
-            assert path == _leaf_search(t, x)[0] == branching_path(t, x)
-            assert branching_height(t, x) == len(path) - 1
+            assert path == _leaf_search(t, x)[0]
             assert list(boundary.items()) == list(_boundary_by_steps(t, path).items())
         for x in set(all_labels(t)) - set(table):
             assert _leaf_search(t, x) is None
-            for walk in (branching_path, branching_height):
-                with pytest.raises(NotLocallyMaximal) as exc:
-                    walk(t, x)
-                assert str(exc.value) == f"variable '{x}' is not locally maximal"
         assert cell_table(emitted) is table
         # a context with the same entries and no memo parses to the same table
         assert cell_table(Context(emitted.entries)) == table
-
-
-def test_a_repeated_leaf_label_has_the_path_of_its_first_leaf():
-    # a raw tree, built without the builders, which reject a repeated label
-    a = BataninTree(("a",), ())
-    raw = BataninTree(("x", "y", "z"), (a, BataninTree(("b", "c"), (a,))))
-    assert str(raw) == "[x [a] y [b [a] c] z]"
-    assert _leaf_search(raw, "a") == ((0,), False)  # the second a's path is (1,)
-    assert branching_path(raw, "a") == (0,)
-    assert branching_height(raw, "a") == 0
-    for x in ("b", "missing"):  # a 1-cell and no cell
-        assert _leaf_search(raw, x) is None
-        for walk in (branching_path, branching_height):
-            with pytest.raises(NotLocallyMaximal) as exc:
-                walk(raw, x)
-            assert str(exc.value) == f"variable '{x}' is not locally maximal"
 
 
 def test_a_cell_not_in_the_table_is_not_locally_maximal():
@@ -183,9 +185,7 @@ def test_a_cell_not_in_the_table_is_not_locally_maximal():
         with pytest.raises(NotLocallyMaximal) as exc:
             insert_ctx(InsertionProblem(DELTA, x, inner, unbiased_type(inner)))
         assert str(exc.value) == f"variable '{x}' is not locally maximal"
-        with pytest.raises(NotLocallyMaximal) as walked:
-            branching_path(ctx_to_tree(DELTA), x)
-        assert str(walked.value) == str(exc.value)
+        assert x not in cell_table(DELTA)
     with pytest.raises(NotPasting):
         cell_table(Context((("x", STAR), ("y", STAR))))
 
@@ -197,8 +197,7 @@ def test_tree_depth_matches_context_dimension():
 
 def test_branching_path_region_contains_label():
     for t in enumerate_trees(7):
-        for x in leaf_labels(t):
-            path = branching_path(t, x)
+        for x, (path, _) in cell_table(tree_to_ctx(t)).items():
             node = t
             for i, n in enumerate(path):
                 if not node.branches:
@@ -211,50 +210,26 @@ def test_branching_path_region_contains_label():
                 assert x in all_labels(node)
 
 
-def test_bracket_round_trip():
-    for t in enumerate_trees(7) + [DELTA_TREE, THETA_TREE]:
-        assert bracket_to_tree(tree_to_bracket(t)) == t
-
-
 def test_bracket_rendering():
     assert tree_to_bracket(DELTA_TREE) == "[x [f [alpha] g [beta] h] y [k] z]"
+
+
+def test_the_telescope_contexts_have_the_trees_their_comments_name():
+    for context, bracket in [
+        (DELTA, "[x [f [alpha] g [beta] h] y [k] z]"),
+        (THETA, "[x [f [alpha] g [beta] h] y]"),
+        (THETA_PRIMED, "[x' [f' [alpha'] g' [beta'] h'] y']"),
+        (VERT2, "[x [f [alpha] g [beta] h] y]"),
+        (WHISKER_R, "[x [f [alpha] g] y [k] z]"),
+        (WHISKER_L, "[x [k] y [f [alpha] g] z]"),
+        (HCOMP2, "[x [f [alpha] g] y [h [beta] i] z]"),
+    ]:
+        assert tree_to_bracket(ctx_to_tree(context)) == bracket
 
 
 # ---------------------------------------------------------------------------
 # Round trips on random trees, far beyond the enumerated sizes
 # ---------------------------------------------------------------------------
-
-def _bracket_error(text: str) -> tuple[str, int, int]:
-    with pytest.raises(SurfaceSyntaxError) as exc:
-        bracket_to_tree(text)
-    return str(exc.value).split(": ", 1)[1], exc.value.line, exc.value.col
-
-
-def test_bracket_errors_point_at_the_character():
-    # trailing input: the column of the first token after the tree
-    assert _bracket_error("[x [f] y] z") == ("trailing input after tree", 1, 11)
-    assert _bracket_error("[x]  [y]") == ("trailing input after tree", 1, 6)
-    # expected '[': the offending token, or the end of the input
-    assert _bracket_error("  x") == ("expected '['", 1, 3)
-    assert _bracket_error("   ") == ("expected '['", 1, 4)
-    # a branch before the first label of a node
-    assert _bracket_error("[x [  [f] g] y]") == ("expected a label before a branch", 1, 7)
-    # an unclosed node: the column of its own '['
-    assert _bracket_error("[x    [f] y") == ("unclosed '['", 1, 1)
-    assert _bracket_error("[x [f] y") == ("unclosed '['", 1, 1)
-    assert _bracket_error("[x [f  [a] g] y [k") == ("unclosed '['", 1, 17)
-    # a character no token starts with
-    assert _bracket_error("[x ² y]") == ("unexpected character '²' in tree literal", 1, 4)
-
-
-def test_bracket_errors_on_later_lines_count_from_the_line_start():
-    assert _bracket_error("[x [f] y]\n z") == ("trailing input after tree", 2, 2)
-    assert _bracket_error("\n\n  x") == ("expected '['", 3, 3)
-    assert _bracket_error("\n  \n  ") == ("expected '['", 3, 3)
-    assert _bracket_error("[x\n  [ [f] g] y]") == ("expected a label before a branch", 2, 5)
-    assert _bracket_error("[x [f] y\n[k") == ("unclosed '['", 2, 1)
-    assert _bracket_error("[x\n\ty ²]") == ("unexpected character '²' in tree literal", 2, 4)
-
 
 MAX_NODES = 20  # a tree of n nodes has 2n - 1 labels, so up to 39 here
 
@@ -285,4 +260,3 @@ def test_round_trips_on_random_trees(t):
     assert ctx_to_tree(emitted) == t
     # a context built from the same entries has no memo: this parses it
     assert ctx_to_tree(Context(emitted.entries)) == t
-    assert bracket_to_tree(tree_to_bracket(t)) == t
