@@ -8,7 +8,6 @@ from .insertion import (
     InsertionResult,
     insert_ctx,
     insert_sub,
-    insert_tree,
     type_linear_height,
 )
 from .pasting import unbiased_type

@@ -386,16 +386,16 @@ def cmd_infer(args: argparse.Namespace) -> int:
 
 def cmd_tree(args: argparse.Namespace) -> int:
     env: Env = _load(args.file)[1] if args.file else {}
-    if not args.context and not (args.file and args.name):
+    if args.context is None and not (args.file and args.name):
         print("tree: need FILE NAME or --context LITERAL", file=sys.stderr)
         return 2
-    if args.context:
+    if args.context is not None:
         ctx = elaborate_telescope(parse_telescope(args.context), {}, DUMMY_SPAN)
     else:
         ctx = _resolve(env, args.name).ctx
     t = ctx_to_tree(ctx)
-    if args.insert:
-        if not args.file or not args.inner:
+    if args.insert is not None or args.inner is not None:  # an option given is never ignored
+        if not args.file or not args.insert or not args.inner:
             print("tree --insert needs FILE, NAME and --inner", file=sys.stderr)
             return 2
         inner_ctx = _resolve(env, args.inner).ctx

@@ -50,10 +50,6 @@ class NotLocallyMaximal(CattError):
         super().__init__(f"variable '{name}' is not locally maximal")
 
 
-class PathInvalid(CattError):
-    pass
-
-
 class LinearHeightTooSmall(CattError):
     pass
 

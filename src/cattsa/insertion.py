@@ -10,11 +10,9 @@ from typing import NamedTuple
 
 from .errors import (
     DimensionError,
-    DuplicateVariable,
     HeadMismatch,
     LinearHeightTooSmall,
     NotLocallyMaximal,
-    PathInvalid,
     SubstitutionUndefined,
 )
 from .syntax import (
@@ -33,7 +31,6 @@ from .syntax import (
 from .trees import (
     BataninTree,
     TreePath,
-    all_labels,
     cell_table,
     ctx_to_tree,
     emission,
@@ -61,30 +58,12 @@ class InsertionResult(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def insert_tree(s: BataninTree, path: TreePath, t: BataninTree) -> BataninTree:
-    """Splice t into s along path.
-
-    A singleton path [n] replaces labels n and n+1 and branch n of s by the
-    labels and branches of t; a longer path recurses into the sole branch
-    of t, which exists by the linear-height condition.
-    """
-    if not path:
-        raise PathInvalid("empty path")
-    if (height := linear_height(t)) < len(path) - 1:  # t's sole branch at each step of path
-        raise LinearHeightTooSmall(f"linear height {height} < path length {len(path)} - 1")
-    if overlap := set(all_labels(s)) & set(all_labels(t)):
-        raise DuplicateVariable(sorted(overlap)[0], "tree insertion")
-    return _splice(s, path, t)
-
-
 def _splice(s: BataninTree, path: TreePath, t: BataninTree) -> BataninTree:
+    """Splice t into s along path, the branching path of a cell of s that
+    insert_ctx reads off the cell table, with t's linear height checked."""
     n = path[0]
     if len(path) == 1 and len(s.labels) == 1:
-        if n != 0:
-            raise PathInvalid(f"path head {n} in a branchless tree")
         return t
-    if n >= len(s.branches):
-        raise PathInvalid(f"path head {n} out of range")
     # the last step puts t's branches in place of branch n, an earlier one its splice
     branches = t.branches if len(path) == 1 else (_splice(s.branches[n], path[1:], t.branches[0]),)
     return BataninTree(s.labels[:n] + t.labels + s.labels[n + 2 :],

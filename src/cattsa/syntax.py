@@ -14,8 +14,10 @@ The variables a coherence binds are positions in a pasting diagram, so
 without labels and the head type by positions), and alpha equality is
 plain ==.  Names are still stored and printed.
 
-Every value prints in the surface syntax through item_str (also named
-term_str and type_str), which str calls and which alone guards the depth.
+Every value prints through item_str (also named term_str and type_str),
+which str calls and which alone guards the depth, in the surface syntax
+but for a coherence: Catt's term former coh { Γ : A } [σ], which the
+parser does not yet read.
 
 Values are plain classes derived from Frozen.  Contexts and coherences
 carry a write-once memo of data derived from them (a context's Batanin

@@ -11,10 +11,8 @@ supports) per (context, head type), and the inferred type per (context,
 term).  Both are keyed by object identity and hold their keys alive, so
 a subterm that elaboration shares is judged once however often it
 occurs; only successes are stored.  The session's methods are the only
-typing entry points, and the CLI builds one session per command.  Each
-call keeps its own rule trace, to which a memo hit adds no line for the
-judgement it recalls, so a shared session changes no verdict or message,
-only the trace of what was not recomputed.
+typing entry points, and the CLI builds one session per command; a
+shared session changes no verdict or message.
 
 The checkers call definitional equality on already-constructed syntax and
 definitional equality never calls back into typing, which keeps the
@@ -73,7 +71,6 @@ class TypingReport(NamedTuple):
     judged: Item | Context  # the context, type, substitution or term judged
     mode: Mode
     inferred: Optional[Type] = None
-    rule_trace: tuple[str, ...] = ()
     error: Optional[CattError] = None
 
     @property
@@ -98,8 +95,8 @@ class Session:
     def __init__(self, mode: Mode, *, allow_disc_insertion: bool = True) -> None:
         self.mode = mode
         self.allow_disc_insertion = allow_disc_insertion
-        # (id(gamma), id(head type)) -> (gamma, head type, rule)
-        self._heads: dict[tuple[int, int], tuple[Context, Type, str]] = {}
+        # (id(gamma), id(head type)) -> (gamma, head type)
+        self._heads: dict[tuple[int, int], tuple[Context, Type]] = {}
         # (id(delta), id(term)) -> (delta, term, inferred type)
         self._inferred: dict[tuple[int, int], tuple[Context, Term, Type]] = {}
 
@@ -137,20 +134,18 @@ class Session:
 
 
 # ---------------------------------------------------------------------------
-# Internal checkers (raise on failure, append to the rule trace)
+# Internal checkers (raise on failure)
 # ---------------------------------------------------------------------------
 
 
 class _Judge:
-    """The checkers of one call: they read and fill the memo of its
-    session and append to the call's own rule trace."""
+    """The checkers of one call, which read and fill its session's memo."""
 
-    def __init__(self, session: Session, trace: Optional[list[str]] = None) -> None:
+    def __init__(self, session: Session) -> None:
         self.mode = session.mode
         self.allow_disc_insertion = session.allow_disc_insertion
         self.heads = session._heads
         self.inferred = session._inferred
-        self.trace: list[str] = [] if trace is None else trace
 
     def equal(self, ctx: Context, a: Item, b: Item) -> bool:
         # the checkers call this unguarded form, so that a RecursionError
@@ -166,11 +161,9 @@ class _Judge:
         for v, ty in ctx.entries:
             self.check_type(prefix, ty)
             prefix = prefix.extend(v, ty)  # raises DuplicateVariable
-            self.trace.append(f"ctx-extend {v}")
 
     def check_type(self, ctx: Context, ty: Type) -> None:
         if isinstance(ty, Star):
-            self.trace.append("type-star")
             return
         assert isinstance(ty, Arr)
         self.check_type(ctx, ty.base)
@@ -179,7 +172,6 @@ class _Judge:
                 self.check_term(ctx, endpoint, ty.base)
             except TypeMismatch as exc:
                 raise EndpointTypeMismatch(f"{label} of {type_str(ty)}: {exc}") from exc
-        self.trace.append("type-arrow")
 
     def check_sub(self, delta: Context, sigma: Substitution, gamma: Context) -> None:
         _check_domain(sigma, gamma)
@@ -188,15 +180,12 @@ class _Judge:
             expected = apply_sub_type(ty, Substitution(tuple(done)))
             self.check_term(delta, t, expected)
             done.append((v, t))
-            self.trace.append(f"sub-extend {v}")
 
     def infer(self, delta: Context, t: Term) -> Type:
         # the memo lookups are inline: a helper would add a frame per level
         # of nesting, and the nesting bound is set by the frames per level
         if isinstance(t, Var):
-            ty = delta.lookup(t.name)  # raises UnknownVariable
-            self.trace.append(f"var' {t.name}")
-            return ty
+            return delta.lookup(t.name)  # raises UnknownVariable
         assert isinstance(t, Coh)
         key = (id(delta), id(t))
         hit = self.inferred.get(key)
@@ -204,31 +193,28 @@ class _Judge:
             return hit[2]
         gamma, head_ty, sigma = t.ctx, t.ty, t.sub
         head_key = (id(gamma), id(head_ty))
-        head = self.heads.get(head_key)
-        if head is not None:
-            rule: str | SupportViolation = head[2]
-        else:
+        violation = None
+        if head_key not in self.heads:
             tree = ctx_to_tree(gamma)  # raises NotPasting
             self.check_type(gamma, head_ty)
             # stored before the arguments are checked, so that nested
             # coherences with this head find it
-            rule = self.head_rule(gamma, head_ty, tree)
-            if isinstance(rule, str):
-                self.heads[head_key] = (gamma, head_ty, rule)
+            violation = self.head_violation(gamma, head_ty, tree)
+            if violation is None:
+                self.heads[head_key] = (gamma, head_ty)
         self.check_sub(delta, sigma, gamma)
-        if not isinstance(rule, str):
-            raise rule
-        self.trace.append(rule)
+        if violation is not None:
+            raise violation
         ty = apply_sub_type(head_ty, sigma)
         self.inferred[key] = (delta, t, ty)
         return ty
 
-    def head_rule(
+    def head_violation(
         self, gamma: Context, head_ty: Type, tree: BataninTree
-    ) -> str | SupportViolation:
-        """The rule, coh' or comp', whose support condition the head type
-        meets, or the violation when it meets neither: it is raised once
-        the substitution checks, whose errors come first."""
+    ) -> Optional[SupportViolation]:
+        """None when the head type meets the support condition of coh' or
+        comp', else the violation: it is raised once the substitution
+        checks, whose errors come first."""
         # sa mode reads every support off one normal form: no redex sits at
         # an arrow, so the endpoints of nf are the normal forms of head_ty's
         nf = head_ty
@@ -237,7 +223,7 @@ class _Judge:
         full = frozenset(gamma.vars)
         supp_ty = support(gamma, nf)
         if supp_ty == full:
-            return "coh'"
+            return None  # coh'
         coh_failure = (
             f"(coh') support {sorted(supp_ty)} is not the whole context "
             f"{sorted(full)}"
@@ -260,7 +246,7 @@ class _Judge:
                     f"{sorted(tgt_vars)}"
                 )
             if not problems:
-                return "comp'"
+                return None  # comp'
             return SupportViolation(f"(comp') {'; '.join(problems)}; {coh_failure}")
         return SupportViolation(coh_failure)
 
@@ -286,13 +272,12 @@ def _check_domain(sigma: Substitution, gamma: Context) -> None:
 def _report(session: Session, kind: str, judged, check, *args) -> TypingReport:
     """Run check(judge, *args) with a judge on session; its result is the
     report's inferred type."""
-    trace: list[str] = []
     mode = session.mode
     try:
-        inferred = check(_Judge(session, trace), *args)
+        inferred = check(_Judge(session), *args)
     except TooDeep:
         raise  # from a guarded reduction call: not a typing failure
     except CattError as exc:
-        return TypingReport(False, kind, judged, mode, error=exc, rule_trace=tuple(trace))
-    return TypingReport(True, kind, judged, mode, inferred=inferred, rule_trace=tuple(trace))
+        return TypingReport(False, kind, judged, mode, error=exc)
+    return TypingReport(True, kind, judged, mode, inferred=inferred)
 

