@@ -78,11 +78,11 @@ def _splice(s: BataninTree, path: TreePath, t: BataninTree) -> BataninTree:
 def type_linear_height(ty: Type) -> int:
     """Largest n such that every boundary endpoint of dimension below n is
     a variable; a type with only variable endpoints has its own dimension."""
-    ends = []  # whether both endpoints are variables, from the top dimension down
+    height = 0  # the run of dimensions with variable endpoints, from the top down
     while isinstance(ty, Arr):
-        ends.append(isinstance(ty.src, Var) and isinstance(ty.tgt, Var))
+        height = height + 1 if isinstance(ty.src, Var) and isinstance(ty.tgt, Var) else 0
         ty = ty.base
-    return (ends[::-1] + [False]).index(False)
+    return height
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def insert_sub(
     problem = result.problem
     if x != problem.var:
         raise HeadMismatch(f"insertion was performed at '{problem.var}', not '{x}'")
-    actual = sigma.lookup(x) if sigma.has(x) else None
+    actual = sigma._table.get(x)
     if not (isinstance(actual, Coh) and actual.ctx is problem.inner
             and actual.ty is problem.inner_type and actual.sub is tau):
         expected = Coh(problem.inner, problem.inner_type, tau)
@@ -167,10 +167,14 @@ def insert_sub(
         if actual != expected:
             raise HeadMismatch(f"argument at '{x}' is not the inner coherence applied to tau")
     # tau's domain is the inner context's variables, in the order internal maps them
-    ren = result.internal.derived("_ren", lambda i: {v: w.name for v, w in i if v != w.name})
+    ren = result.internal.derived("_ren", _renaming)
     table = dict(chain(sigma._table.items(), zip(map(ren.get, tau.domain, tau.domain), tau.values)))
     names = result.inserted.vars
     try:
-        return Substitution.deferred(names, _table=dict(zip(names, map(table.__getitem__, names))))
+        return Substitution.deferred(names, values=tuple(map(table.__getitem__, names)))
     except KeyError as exc:
         raise SubstitutionUndefined(exc.args[0]) from None
+
+
+def _renaming(internal: Substitution) -> dict[VarName, VarName]:  # the inner names it changes
+    return {v: w.name for v, w in internal if v != w.name}

@@ -86,7 +86,7 @@ def _children(item: Item) -> list[tuple[str, int, Item]]:
 def _rebuilt(item: Item, kids: list[Item]) -> Item:
     """item with its children, in _children order, replaced by kids."""
     if isinstance(item, Coh):
-        return Coh(item.ctx, kids[-1], _rebuilt(item.sub, kids))  # the type comes last
+        return Coh.trusted(item.ctx, kids[-1], _rebuilt(item.sub, kids))  # the type comes last
     if isinstance(item, Arr):
         return Arr(*kids)
     return Substitution.deferred(item.domain, _table=dict(zip(item.domain, kids)))
@@ -152,11 +152,8 @@ def _insert_at(t: Coh, x: VarName) -> Term:
     arg = t.sub.lookup(x)
     assert isinstance(arg, Coh)
     result = insert_ctx(InsertionProblem(t.ctx, x, arg.ctx, arg.ty))
-    return Coh(
-        result.inserted,
-        apply_sub_type(t.ty, result.external),
-        insert_sub(t.sub, x, arg.sub, result),
-    )
+    ty = apply_sub_type(t.ty, result.external)
+    return Coh.trusted(result.inserted, ty, insert_sub(t.sub, x, arg.sub, result))  # over inserted.vars
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +192,7 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
             steps.append(((), nf))
             steps += [((("type", 0),) + pos, new) for pos, new in inner]
         if ty is not nf.ty:
-            nf = Coh(nf.ctx, ty, nf.sub)
+            nf = Coh.trusted(nf.ctx, ty, nf.sub)
     if nf is item:
         memo[id(item)] = item
     return nf, steps

@@ -4,9 +4,9 @@ A term is a variable or a coherence ``Coh(ctx, ty, sub)``; a type is the
 base type ``*`` or an arrow between two terms over a lower-dimensional
 type.  Contexts and substitutions are ordered association sequences with
 pairwise-distinct names, indexed by name when built; a deferred one (such
-as a context emitted from a tree) builds on first read its entries, and its
-index unless given it (as insertion's argument substitutions are), and
-may be given its lookup, which its entries tabulate (as insertion's external map is).
+as a context emitted from a tree) builds its entries and index on first read,
+unless given its index or its values in order (as insertion's arguments are),
+and may be given its lookup, which its entries tabulate (as insertion's external map is).
 Every value is immutable, so each operation here is a pure function, safe in any thread.
 
 The variables a coherence binds are positions in a pasting diagram, so
@@ -19,9 +19,9 @@ which str calls and which alone guards the depth, in the surface syntax
 but for a coherence: Catt's term former coh { Γ : A } [σ], which the
 parser does not yet read.
 
-Values are plain classes derived from Frozen.  Contexts and coherences
-carry a write-once memo of data derived from them (a context's Batanin
-tree, pasting shape and cell table, a coherence's key for ==), kept in the
+Values are plain classes derived from Frozen.  Tables and coherences
+carry a write-once memo of derived data (a context's Batanin tree, pasting
+shape and cell table, a substitution's values, a coherence's == key), kept in the
 instance __dict__ beside the fields: ==, hash, repr and pickling read
 only the fields.  An entry is a function of the fields alone, so two threads that race to fill it compute equal values and
 either result is correct; no lock is needed.
@@ -175,13 +175,14 @@ class _Table(_Memo):
     @classmethod
     def deferred(cls, names: tuple[VarName, ...], **memo) -> "_Table":
         """A table over distinct names with the memo given: its entries are made on
-        first read by memo's _build(table), or else from its index _table.  A
-        lookup in memo shadows the method, and _build must tabulate it."""
+        first read by memo's _build(table), or else from its values or its index
+        _table.  A lookup in memo shadows the method, and _build must tabulate it."""
         table, memo["_names"] = object.__new__(cls), names
         _set(table, "__dict__", memo)  # the memo, a fresh dict, is the instance's
         return table
 
-    _build = staticmethod(lambda t: tuple(t._table.items()))  # unless it has its own
+    _build = staticmethod(lambda t: tuple(  # unless it has its own: the values given, else the index
+        zip(t._names, t.values) if "values" in t.__dict__ else t._table.items()))
     entries = _OnFirstRead("entries", lambda t: t._build(t))
     _table = _OnFirstRead("_table", lambda t: dict(t.entries))  # the index by name
 
@@ -232,9 +233,7 @@ class Substitution(_Table):
     def domain(self) -> tuple[VarName, ...]:
         return self._names
 
-    @property
-    def values(self) -> tuple[Term, ...]:
-        return tuple(self._table.values())
+    values = _OnFirstRead("values", lambda s: tuple(s._table.values()))  # the terms in order
 
     def lookup(self, name: VarName) -> Term:
         try:
@@ -252,11 +251,17 @@ class Coh(Term, _Memo):
     _fields = ("ctx", "ty", "sub")
 
     def __init__(self, ctx: Context, ty: Type, sub: Substitution) -> None:
-        if sub.domain != ctx.vars:
+        if sub._names != ctx._names:
             raise MalformedSyntax(
                 "coherence argument domain must match its context variables in order"
             )
         self.__dict__.update(ctx=ctx, ty=ty, sub=sub)
+
+    @classmethod
+    def trusted(cls, ctx: Context, ty: Type, sub: Substitution) -> "Coh":
+        """Coh(ctx, ty, sub) unchecked, for a sub.domain that is ctx.vars by construction."""
+        _set(coh := object.__new__(cls), "__dict__", {"ctx": ctx, "ty": ty, "sub": sub})
+        return coh
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -392,7 +397,7 @@ def compose_sub(tau: Substitution, sigma: Substitution) -> Substitution:
     substitution as assigning terms of the second context to variables
     of the first), the composite assigns Theta-terms to Gamma-variables.
     """
-    return Substitution(tuple((v, apply_sub_term(t, sigma)) for v, t in tau.entries))
+    return Substitution.deferred(tau.domain, values=tuple(apply_sub_term(t, sigma) for t in tau.values))
 
 
 def var_sub(mapping: dict[VarName, VarName], *items: Item) -> Substitution:

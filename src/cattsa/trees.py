@@ -173,7 +173,11 @@ def cell_table(ctx: Context) -> dict[VarName, tuple[TreePath, dict[VarName, tupl
     """Each locally maximal cell of the pasting context ctx, in context order,
     with its branching path and its boundary cells (the labels beside the way
     down to it, with dimension and sign): one walk of the tree, memoised on ctx."""
-    return ctx.derived("_cells", lambda c: _cells(ctx_to_tree(c), (), {}, 1, {}))
+    return ctx.derived("_cells", _new_cell_table)
+
+
+def _new_cell_table(ctx: Context) -> dict:
+    return _cells(ctx_to_tree(ctx), (), {}, 1, {})
 
 
 def _cells(t: BataninTree, path: TreePath, boundary: dict, cut: int, out: dict) -> dict:
@@ -194,9 +198,9 @@ def relabel_tree(t: BataninTree, mapping: dict[VarName, VarName]) -> BataninTree
     if not mapping:
         return t
     labels = tuple(map(mapping.get, t.labels, t.labels))
-    branches = tuple(relabel_tree(br, mapping) if br.branches
-                     else BataninTree((mapping[br.labels[0]],), ()) if br.labels[0] in mapping
-                     else br for br in t.branches)
+    branches = [relabel_tree(br, mapping) if br.branches
+                else BataninTree((mapping[br.labels[0]],), ()) if br.labels[0] in mapping
+                else br for br in t.branches]
     if labels == t.labels and all(map(is_, branches, t.branches)):
         return t
     return BataninTree(labels, branches)

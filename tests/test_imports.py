@@ -1,6 +1,7 @@
 """Every kernel module uses each name it imports, every public name it
 defines is read in the package, every error it defines is raised, and no
-module binds a list, dict or set at module level.
+module binds a list, dict or set at module level; only the normaliser
+builds a coherence without its domain check.
 
 No lint tool is a dependency, so this reads the modules with the
 standard library's ast: an import that nothing in its module reads is a
@@ -237,6 +238,41 @@ def test_the_guard_sees_an_error_nothing_raises():
         "        raise Leaf('x')\n"
     )
     assert _unraised_errors(errors, [errors, other]) == ["Caught", "Dead"]
+
+
+def _trusted_builders(modules: dict[str, ast.Module]) -> list[str]:
+    """module:line of each read of an attribute named trusted, such as a
+    call of Coh.trusted, outside reduction: the constructor that skips the
+    domain check serves only the normaliser, whose nodes keep their domain
+    by construction, so no other entry point builds an unchecked coherence."""
+    return [
+        f"{module}:{node.lineno}" for module, tree in modules.items() if module != "reduction"
+        for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "trusted"
+    ]
+
+
+def test_only_the_normaliser_builds_unchecked_coherences():
+    home = os.path.dirname(os.path.abspath(cattsa.__file__))
+    with open(os.path.join(home, "__init__.py"), encoding="utf-8") as fh:
+        package = {**_kernel_modules(), "__init__": ast.parse(fh.read())}
+    assert _trusted_builders(package) == []
+    assert _trusted_builders({"moved": package["reduction"]}) != []  # reduction's own calls
+
+
+def test_the_guard_sees_an_unchecked_coherence_outside_the_normaliser():
+    reduction = ast.parse("def step(c):\n    return Coh.trusted(c.ctx, c.ty, c.sub)\n")
+    cli = ast.parse(
+        "from .syntax import Coh\n"
+        "def apply(decl, sigma):\n"
+        "    return Coh.trusted(decl.ctx, decl.ty, sigma)\n"
+    )
+    parser = ast.parse(
+        "make = syntax.Coh.trusted\n"  # an alias is a way round the guard too
+        "def f(trusted):\n"  # a parameter or a function of that name is no attribute
+        "    return trusted(Coh(a, b, c))\n"
+    )
+    found = _trusted_builders({"reduction": reduction, "cli": cli, "parser": parser})
+    assert found == ["cli:3", "parser:1"]
 
 
 _MUTABLE_VALUES = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)

@@ -120,9 +120,16 @@ def _arguments(t) -> tuple:
 
 
 def _indexed(entries: tuple) -> Substitution:
-    """The substitution of entries, given as its index, as insertion builds one."""
+    """The substitution of entries, given as its index, as the normaliser
+    rebuilds one."""
     index = dict(entries)
     return Substitution.deferred(tuple(index), _table=index)
+
+
+def _valued(entries: tuple) -> Substitution:
+    """The substitution of entries, given its names and its values in order,
+    as insertion and composition build one."""
+    return Substitution.deferred(tuple(v for v, _ in entries), values=tuple(t for _, t in entries))
 
 
 # each read of a substitution s, given an equal one built from entries
@@ -139,29 +146,56 @@ SUB_READS = {
 }
 
 
-@pytest.mark.parametrize("read", SUB_READS)
-def test_a_substitution_built_from_its_index_reads_as_one_built_from_entries(read):
+def _reads_as_built(read: str, deferred) -> None:
+    """Over enumerate_trees(11), the read of a substitution that deferred
+    builds from entries gives what it gives on one built from entries, at
+    the first read and a later one."""
     for t in enumerate_trees(11):
         entries = _arguments(t)
-        built, indexed = Substitution(entries), _indexed(entries)
+        built, indexed = Substitution(entries), deferred(entries)
         assert "entries" not in indexed.__dict__ and indexed.domain == built.domain
         want = SUB_READS[read](built, Substitution(entries))
         assert SUB_READS[read](indexed, built) == want  # the first read
         assert SUB_READS[read](indexed, built) == want  # and a later one
 
 
-def test_threads_reading_a_fresh_indexed_substitution_share_one_entries():
+@pytest.mark.parametrize("read", SUB_READS)
+def test_a_substitution_built_from_its_index_reads_as_one_built_from_entries(read):
+    _reads_as_built(read, _indexed)
+
+
+@pytest.mark.parametrize("read", SUB_READS)
+def test_a_substitution_given_its_values_reads_as_one_built_from_entries(read):
+    _reads_as_built(read, _valued)
+
+
+def test_values_are_read_once_and_then_shared():
+    for t in enumerate_trees(11):
+        entries = _arguments(t)
+        for s in (Substitution(entries), _indexed(entries), _valued(entries)):
+            first = s.values
+            assert s.values is first and first == tuple(term for _, term in entries)
+        given = _valued(entries)
+        assert "_table" not in given.__dict__  # built on the first lookup, not before
+        assert given.lookup(given.domain[-1]) is entries[-1][1] and given.has(given.domain[0])
+
+
+def _threads_share_one_entries(deferred) -> None:
+    """Four threads behind a barrier, switching often, read a fresh
+    substitution that deferred builds: all get the entries and the values
+    the first writer stored."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for t in enumerate_trees(11):
             entries = _arguments(t)
-            indexed, seen = _indexed(entries), []
+            indexed, seen = deferred(entries), []
             gate = threading.Barrier(4, timeout=10)
 
             def read() -> None:
                 gate.wait()
-                seen.append((indexed.entries, [indexed.lookup(v) for v in indexed.domain]))
+                seen.append((indexed.entries, [indexed.lookup(v) for v in indexed.domain],
+                             indexed.values))
 
             threads = [threading.Thread(target=read) for _ in range(4)]
             for th in threads:
@@ -169,11 +203,20 @@ def test_threads_reading_a_fresh_indexed_substitution_share_one_entries():
             for th in threads:
                 th.join(timeout=10)
             assert not any(th.is_alive() for th in threads) and len(seen) == 4
-            assert all(got is indexed.entries for got, _ in seen)
-            assert all(values == [term for _, term in entries] for _, values in seen)
+            assert all(got is indexed.entries for got, _, _ in seen)
+            assert all(values == [term for _, term in entries] for _, values, _ in seen)
+            assert all(values is indexed.values for _, _, values in seen)
             assert indexed.entries == entries
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_threads_reading_a_fresh_indexed_substitution_share_one_entries():
+    _threads_share_one_entries(_indexed)
+
+
+def test_threads_reading_a_fresh_valued_substitution_share_one_entries():
+    _threads_share_one_entries(_valued)
 
 
 def test_threads_reading_insertion_maps_and_fresh_contexts_take_no_lock():

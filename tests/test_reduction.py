@@ -8,7 +8,7 @@ import math
 import pytest
 
 from cattsa import pasting, reduction
-from cattsa.errors import TooDeep
+from cattsa.errors import MalformedSyntax, TooDeep
 from cattsa.insertion import InsertionProblem, insert_ctx
 from cattsa.pasting import unbiased_type
 from cattsa.reduction import def_eq, normalize
@@ -566,6 +566,64 @@ def test_each_step_of_the_curated_corpus_inserts_once(monkeypatch):
             assert len(calls) == len(trace)
             steps += len(trace)
     assert steps > 0
+
+
+def test_the_public_coherence_constructor_checks_its_domain():
+    pair = ctx_of_telescope("(x : *) (y : *) (f : x -> y)")
+    ty = Arr(Var("x"), STAR, Var("y"))
+    terms = (Var("a"), Var("b"), Var("p"))
+    for names in (("x", "y"), ("y", "x", "f"), ("x", "y", "g"), ("x", "y", "f", "z")):
+        for sub in (Substitution(tuple(zip(names, terms + (Var("c"),)))),
+                    Substitution.deferred(names, values=(terms + (Var("c"),))[:len(names)])):
+            with pytest.raises(MalformedSyntax) as exc:
+                Coh(pair, ty, sub)
+            assert str(exc.value) == (
+                "coherence argument domain must match its context variables in order")
+    assert Coh(pair, ty, Substitution.deferred(pair.vars, values=terms)).sub.values == terms
+
+
+def _coherences(item) -> list[Coh]:
+    """Every coherence in item: in arguments, types and context entries."""
+    todo, out = [item], []
+    while todo:
+        x = todo.pop()
+        if isinstance(x, Coh):
+            out.append(x)
+            todo += (*x.sub.values, x.ty, *(ty for _, ty in x.ctx.entries))
+        elif isinstance(x, Arr):
+            todo += (x.src, x.base, x.tgt)
+    return out
+
+
+def _composites_over_small_trees() -> list[tuple[Context, Coh]]:
+    """The unbiased composite over each tree of enumerate_trees(9) with, at
+    one locally maximal cell, an unbiased composite over each tree of that
+    cell's dimension and variables everywhere else."""
+    trees, out = enumerate_trees(9), []
+    for s in trees:
+        outer = tree_to_ctx(s)
+        for x in leaf_labels(s):
+            for t in (t for t in trees if tree_depth(t) == dim_type(outer.lookup(x))):
+                inner = tree_to_ctx(t)
+                tau = Substitution(tuple((v, Var(v + "_i")) for v in inner.vars))
+                arg = Coh(inner, unbiased_type(inner), tau)
+                sigma = Substitution(tuple((v, arg if v == x else Var(v + "_o")) for v in outer.vars))
+                out.append((Context(), Coh(outer, unbiased_type(outer), sigma)))
+    return out
+
+
+def test_every_coherence_of_a_normal_form_has_its_contexts_domain():
+    # the normaliser builds its rebuilt nodes and its reducts without the
+    # public constructor's domain check, which each must pass all the same
+    composites = _composites_over_small_trees()
+    assert len(composites) == 341
+    checked = 0
+    for allow in (True, False):
+        for context, t in curated_corpus() + composites:
+            for coh in _coherences(normalize(context, t, allow_disc_insertion=allow)):
+                assert coh.sub.domain == coh.ctx.vars
+                checked += 1
+    assert checked == 2630
 
 
 # ---------------------------------------------------------------------------
