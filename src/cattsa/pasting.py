@@ -69,7 +69,7 @@ def maximal_vars(ctx: Context) -> tuple[VarName, ...]:
     telescope); on a pasting context it lists the leaves of its tree.
     """
     used: set[VarName] = set()
-    for _, ty in ctx.entries:
+    for ty in ctx.values:
         used |= free_vars(ty)
     return tuple(v for v in ctx.vars if v not in used)
 

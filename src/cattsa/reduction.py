@@ -85,11 +85,11 @@ def _children(item: Item) -> list[tuple[str, int, Item]]:
 
 def _rebuilt(item: Item, kids: list[Item]) -> Item:
     """item with its children, in _children order, replaced by kids."""
-    if isinstance(item, Coh):
-        return Coh.trusted(item.ctx, kids[-1], _rebuilt(item.sub, kids))  # the type comes last
+    if isinstance(item, Coh):  # the type comes last
+        return Coh(item.ctx, kids[-1], Substitution.deferred(item.ctx.vars, tuple(kids[:-1])))
     if isinstance(item, Arr):
         return Arr(*kids)
-    return Substitution.deferred(item.domain, _table=dict(zip(item.domain, kids)))
+    return Substitution.deferred(item.domain, tuple(kids))
 
 
 def _with_child(item: Item, kind: str, index: int, new: Item) -> Item:
@@ -116,9 +116,9 @@ def _position_str(pos: Position) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
+def _eligible_heads(t: Coh, allow: bool) -> Iterator[tuple[VarName, Coh]]:
     """Locally maximal cells of t's context that carry an insertion redex,
-    in context order.
+    in context order, each with its argument, read by position.
 
     The argument at the cell must be an unbiased composite (its type is the
     unbiased type of its pasting context, up to alpha) whose tree is at
@@ -131,9 +131,9 @@ def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
     """
     if shape(t.ctx) is None:
         return
-    for x, (path, _) in cell_table(t.ctx).items():
-        arg = t.sub.lookup(x)
-        if not isinstance(arg, Coh):
+    cells = cell_table(t.ctx)
+    for x, arg in zip(t.ctx.vars, t.sub.values):
+        if x not in cells or not isinstance(arg, Coh):
             continue
         inner = shape(arg.ctx)
         if inner is None:
@@ -142,18 +142,16 @@ def _eligible_heads(t: Coh, allow: bool) -> Iterator[VarName]:
             continue
         if not allow and is_linear(inner.tree):
             continue
-        if len(path) - 1 > linear_height(inner.tree):
+        if len(cells[x][0]) - 1 > linear_height(inner.tree):
             continue
-        yield x
+        yield x, arg
 
 
-def _insert_at(t: Coh, x: VarName) -> Term:
-    """Fire the insertion redex of t at the locally maximal cell x."""
-    arg = t.sub.lookup(x)
-    assert isinstance(arg, Coh)
+def _insert_at(t: Coh, x: VarName, arg: Coh) -> Term:
+    """Fire the insertion redex of t at the locally maximal cell x, whose argument is arg."""
     result = insert_ctx(InsertionProblem(t.ctx, x, arg.ctx, arg.ty))
     ty = apply_sub_type(t.ty, result.external)
-    return Coh.trusted(result.inserted, ty, insert_sub(t.sub, x, arg.sub, result))  # over inserted.vars
+    return Coh(result.inserted, ty, insert_sub(t.sub, x, arg.sub, result))
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +179,9 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
     nfs = [nf for nf, _ in done]
     nf = item if all(map(is_, nfs, kids)) else _rebuilt(item, nfs)
     steps = _merged([(c[:2], s) for c, (_, s) in zip(_children(item), done) if s]) if traced else None
-    for x in _eligible_heads(nf, allow) if isinstance(nf, Coh) else ():  # the head's, in turn
+    for x, arg in _eligible_heads(nf, allow) if isinstance(nf, Coh) else ():  # the head's, in turn
         unbiased = nf.ty == shape(nf.ctx).unbiased
-        nf = _insert_at(nf, x)
+        nf = _insert_at(nf, x, arg)
         # the reduct's arguments are normal arguments: only its type may reduce
         ty, inner = _nf(nf.ty, memo, allow, traced)
         if unbiased:  # then so is the reduct: ty is its context's unbiased type
@@ -192,7 +190,7 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
             steps.append(((), nf))
             steps += [((("type", 0),) + pos, new) for pos, new in inner]
         if ty is not nf.ty:
-            nf = Coh.trusted(nf.ctx, ty, nf.sub)
+            nf = Coh(nf.ctx, ty, nf.sub)
     if nf is item:
         memo[id(item)] = item
     return nf, steps

@@ -3,16 +3,18 @@
 A term is a variable or a coherence ``Coh(ctx, ty, sub)``; a type is the
 base type ``*`` or an arrow between two terms over a lower-dimensional
 type.  Contexts and substitutions are ordered association sequences with
-pairwise-distinct names, indexed by name when built; a deferred one (such
-as a context emitted from a tree) builds its entries and index on first read,
-unless given its index or its values in order (as insertion's arguments are),
-and may be given its lookup, which its entries tabulate (as insertion's external map is).
+pairwise-distinct names, held as their names and their values in order;
+the entries and the index by name are made from those on first read.  A
+deferred one is given its values, or a function that makes them on first
+read (as a context emitted from a tree is), and may be given its lookup
+(as insertion's external map is).
 Every value is immutable, so each operation here is a pure function, safe in any thread.
 
 The variables a coherence binds are positions in a pasting diagram, so
 == and hash on Coh ignore their names (they read the context's tree
 without labels and the head type by positions), and alpha equality is
-plain ==.  Names are still stored and printed.
+plain ==.  Names are still stored and printed, and Coh's one constructor
+checks that the arguments are named by the context's variables in order.
 
 Every value prints through item_str (also named term_str and type_str),
 which str calls and which alone guards the depth, in the surface syntax
@@ -20,8 +22,8 @@ but for a coherence: Catt's term former coh { Γ : A } [σ], which the
 parser does not yet read.
 
 Values are plain classes derived from Frozen.  Tables and coherences
-carry a write-once memo of derived data (a context's Batanin tree, pasting
-shape and cell table, a substitution's values, a coherence's == key), kept in the
+carry a write-once memo of derived data (what a table makes on first read,
+a context's Batanin tree, pasting shape and cell table, a coherence's == key), kept in the
 instance __dict__ beside the fields: ==, hash, repr and pickling read
 only the fields.  An entry is a function of the fields alone, so two threads that race to fill it compute equal values and
 either result is correct; no lock is needed.
@@ -157,8 +159,9 @@ class _OnFirstRead:
 
 
 class _Table(_Memo):
-    """Ordered (name, value) pairs with pairwise-distinct names, indexed by
-    name in __dict__ when built."""
+    """Ordered (name, value) pairs with pairwise-distinct names, held as the
+    names and the values in order; the entries and the index by name are
+    made from those on first read."""
 
     _fields = ("entries",)
     _where = ""
@@ -170,21 +173,22 @@ class _Table(_Memo):
             names = [name for name, _ in entries]
             dup = next(v for i, v in enumerate(names) if v in names[:i])
             raise DuplicateVariable(dup, self._where)
-        self.__dict__.update(entries=entries, _table=table, _names=tuple(table))
+        self.__dict__.update({"_names": tuple(table), "values": tuple(table.values()),
+                              "entries": entries, "_table": table})
 
     @classmethod
-    def deferred(cls, names: tuple[VarName, ...], **memo) -> "_Table":
-        """A table over distinct names with the memo given: its entries are made on
-        first read by memo's _build(table), or else from its values or its index
-        _table.  A lookup in memo shadows the method, and _build must tabulate it."""
+    def deferred(cls, names: tuple[VarName, ...], values: tuple | Callable[[], tuple],
+                 **memo) -> "_Table":
+        """A table over distinct names with the memo given, and with its values
+        in order, or a function of no arguments that makes them on first read."""
         table, memo["_names"] = object.__new__(cls), names
+        memo["_values" if callable(values) else "values"] = values
         _set(table, "__dict__", memo)  # the memo, a fresh dict, is the instance's
         return table
 
-    _build = staticmethod(lambda t: tuple(  # unless it has its own: the values given, else the index
-        zip(t._names, t.values) if "values" in t.__dict__ else t._table.items()))
-    entries = _OnFirstRead("entries", lambda t: t._build(t))
-    _table = _OnFirstRead("_table", lambda t: dict(t.entries))  # the index by name
+    values = _OnFirstRead("values", lambda t: t._values())  # by the function given to deferred
+    entries = _OnFirstRead("entries", lambda t: tuple(zip(t._names, t.values)))
+    _table = _OnFirstRead("_table", lambda t: dict(zip(t._names, t.values)))  # the index by name
 
     def __eq__(self, other: object) -> bool:
         return self.entries == other.entries if other.__class__ is self.__class__ else NotImplemented
@@ -196,7 +200,7 @@ class _Table(_Memo):
         return name in self._table
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self._names)
 
     def __iter__(self) -> Iterator[tuple]:
         return iter(self.entries)
@@ -233,8 +237,6 @@ class Substitution(_Table):
     def domain(self) -> tuple[VarName, ...]:
         return self._names
 
-    values = _OnFirstRead("values", lambda s: tuple(s._table.values()))  # the terms in order
-
     def lookup(self, name: VarName) -> Term:
         try:
             return self._table[name]
@@ -251,17 +253,11 @@ class Coh(Term, _Memo):
     _fields = ("ctx", "ty", "sub")
 
     def __init__(self, ctx: Context, ty: Type, sub: Substitution) -> None:
-        if sub._names != ctx._names:
+        if sub._names is not ctx._names and sub._names != ctx._names:
             raise MalformedSyntax(
                 "coherence argument domain must match its context variables in order"
             )
         self.__dict__.update(ctx=ctx, ty=ty, sub=sub)
-
-    @classmethod
-    def trusted(cls, ctx: Context, ty: Type, sub: Substitution) -> "Coh":
-        """Coh(ctx, ty, sub) unchecked, for a sub.domain that is ctx.vars by construction."""
-        _set(coh := object.__new__(cls), "__dict__", {"ctx": ctx, "ty": ty, "sub": sub})
-        return coh
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -286,7 +282,11 @@ STAR = Star()
 
 def identity_sub(ctx: Context) -> Substitution:
     """Each variable of ctx sent to itself; memoised on ctx."""
-    return ctx.derived("_identity", lambda c: Substitution(tuple(zip(c.vars, map(Var, c.vars)))))
+    return ctx.derived("_identity", _new_identity_sub)
+
+
+def _new_identity_sub(ctx: Context) -> Substitution:
+    return Substitution.deferred(ctx.vars, tuple(map(Var, ctx.vars)))
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ def compose_sub(tau: Substitution, sigma: Substitution) -> Substitution:
     substitution as assigning terms of the second context to variables
     of the first), the composite assigns Theta-terms to Gamma-variables.
     """
-    return Substitution.deferred(tau.domain, values=tuple(apply_sub_term(t, sigma) for t in tau.values))
+    return Substitution.deferred(tau.domain, tuple(apply_sub_term(t, sigma) for t in tau.values))
 
 
 def var_sub(mapping: dict[VarName, VarName], *items: Item) -> Substitution:
@@ -465,7 +465,7 @@ def _new_alpha_key(t: Coh) -> tuple:
     try:
         tree = ctx_to_tree(t.ctx)
     except NotPasting:
-        return _positional(t.ctx, *t.ctx._table.values(), t.ty)
+        return _positional(t.ctx, *t.ctx.values, t.ty)
     return label_free(tree), *_positional(t.ctx, t.ty)
 
 
@@ -476,7 +476,7 @@ def alpha_eq(a: Item | Context, b: Item | Context) -> bool:
     alpha equal when their entry types agree with variables read as
     positions."""
     if isinstance(a, Context) and isinstance(b, Context):
-        return a == b or _positional(a, *a._table.values()) == _positional(b, *b._table.values())
+        return a == b or _positional(a, *a.values) == _positional(b, *b.values)
     return a == b
 
 

@@ -99,18 +99,17 @@ def tree_to_ctx(t: BataninTree) -> Context:
 
 
 def emission(t: BataninTree) -> Context:
-    """The emission of t, its entries emitted when first read; for a tree
+    """The emission of t, its types emitted when first read; for a tree
     known to repeat no label, as it checks for none."""
-    build = lambda _: tuple(_emit(t, STAR, [(t.labels[0], STAR)]))  # noqa: E731
-    return Context.deferred(all_labels(t), _build=build, **{_TREE: t})
+    return Context.deferred(all_labels(t), lambda: tuple(_emit(t, STAR, [STAR])), **{_TREE: t})
 
 
-def _emit(t: BataninTree, base: Type, out: list[tuple[VarName, Type]]) -> list:
-    """out, with the entries of t over base after its first label appended:
-    each later label, then the branch before it."""
+def _emit(t: BataninTree, base: Type, out: list[Type]) -> list:
+    """out, with the types of t over base after its first label appended:
+    each later label's, then the branch's before it."""
     for lo, hi, br in zip(t.labels, t.labels[1:], t.branches):
         sub_base = Arr(Var(lo), base, Var(hi))
-        out += ((hi, base), (br.labels[0], sub_base))
+        out += (base, sub_base)
         if br.branches:
             _emit(br, sub_base, out)
     return out

@@ -10,13 +10,13 @@ verdict on a head (its pasting tree, head type, sa normal form and
 supports) per (context, head type), and the inferred type per (context,
 term).  Both are keyed by object identity and hold their keys alive, so
 a subterm that elaboration shares is judged once however often it
-occurs; only successes are stored.  The session's methods are the only
-typing entry points, and the CLI builds one session per command; a
+occurs; only successes are stored.  The session's public methods are the
+only typing entry points, and the CLI builds one session per command; a
 shared session changes no verdict or message.
 
 The checkers call definitional equality on already-constructed syntax and
 definitional equality never calls back into typing, which keeps the
-mutual definition well founded.  Every Session method raises
+mutual definition well founded.  Every public Session method raises
 errors.TooDeep, not RecursionError, on a term too deep for the kernel.
 A report renders its subject when it is read, with the printers, which
 raise TooDeep too.
@@ -102,52 +102,50 @@ class Session:
 
     @bounded
     def equal(self, ctx: Context, a: Item, b: Item) -> bool:
-        return _Judge(self).equal(ctx, a, b)
+        return self._equal(ctx, a, b)
 
     @bounded
     def check_ctx(self, ctx: Context) -> TypingReport:
-        return _report(self, "context", ctx, _Judge.check_ctx, ctx)
+        return self._report("context", ctx, self._check_ctx, ctx)
 
     @bounded
     def check_type(self, ctx: Context, ty: Type) -> TypingReport:
-        return _report(self, "type", ty, _Judge.check_type, ctx, ty)
+        return self._report("type", ty, self._check_type, ctx, ty)
 
     @bounded
     def check_sub(
         self, delta: Context, sigma: Substitution, gamma: Context
     ) -> TypingReport:
-        return _report(self, "substitution", sigma, _Judge.check_sub, delta, sigma, gamma)
+        return self._report("substitution", sigma, self._check_sub, delta, sigma, gamma)
 
     @bounded
     def check_term(self, ctx: Context, t: Term, ty: Type) -> TypingReport:
-        return _report(self, "term", t, _Judge.check_term, ctx, t, ty)
+        return self._report("term", t, self._check_term, ctx, t, ty)
 
     @bounded
     def infer_term(self, ctx: Context, t: Term) -> Type:
         """Inferred type of a term; the substituted head type is returned
         as constructed, not normalised."""
-        return _Judge(self).infer(ctx, t)
+        return self._infer(ctx, t)
 
     @bounded
     def infer_report(self, ctx: Context, t: Term) -> TypingReport:
-        return _report(self, "term", t, _Judge.infer, ctx, t)
+        return self._report("term", t, self._infer, ctx, t)
 
+    def _report(self, kind: str, judged, check, *args) -> TypingReport:
+        """Run check(*args), one of the checkers below; its result is the
+        report's inferred type."""
+        try:
+            inferred = check(*args)
+        except TooDeep:
+            raise  # from a guarded reduction call: not a typing failure
+        except CattError as exc:
+            return TypingReport(False, kind, judged, self.mode, error=exc)
+        return TypingReport(True, kind, judged, self.mode, inferred=inferred)
 
-# ---------------------------------------------------------------------------
-# Internal checkers (raise on failure)
-# ---------------------------------------------------------------------------
+    # the checkers, which raise on failure and read and fill the memo
 
-
-class _Judge:
-    """The checkers of one call, which read and fill its session's memo."""
-
-    def __init__(self, session: Session) -> None:
-        self.mode = session.mode
-        self.allow_disc_insertion = session.allow_disc_insertion
-        self.heads = session._heads
-        self.inferred = session._inferred
-
-    def equal(self, ctx: Context, a: Item, b: Item) -> bool:
+    def _equal(self, ctx: Context, a: Item, b: Item) -> bool:
         # the checkers call this unguarded form, so that a RecursionError
         # reaches their entry point's guard and is not reported as a failure
         if a == b:
@@ -156,60 +154,60 @@ class _Judge:
             return False
         return def_eq(ctx, a, b, allow_disc_insertion=self.allow_disc_insertion)
 
-    def check_ctx(self, ctx: Context) -> None:
+    def _check_ctx(self, ctx: Context) -> None:
         prefix = Context()
         for v, ty in ctx.entries:
-            self.check_type(prefix, ty)
+            self._check_type(prefix, ty)
             prefix = prefix.extend(v, ty)  # raises DuplicateVariable
 
-    def check_type(self, ctx: Context, ty: Type) -> None:
+    def _check_type(self, ctx: Context, ty: Type) -> None:
         if isinstance(ty, Star):
             return
         assert isinstance(ty, Arr)
-        self.check_type(ctx, ty.base)
+        self._check_type(ctx, ty.base)
         for label, endpoint in (("source", ty.src), ("target", ty.tgt)):
             try:
-                self.check_term(ctx, endpoint, ty.base)
+                self._check_term(ctx, endpoint, ty.base)
             except TypeMismatch as exc:
                 raise EndpointTypeMismatch(f"{label} of {type_str(ty)}: {exc}") from exc
 
-    def check_sub(self, delta: Context, sigma: Substitution, gamma: Context) -> None:
+    def _check_sub(self, delta: Context, sigma: Substitution, gamma: Context) -> None:
         _check_domain(sigma, gamma)
         done: list[tuple[VarName, Term]] = []
         for (v, t), (_, ty) in zip(sigma.entries, gamma.entries):
             expected = apply_sub_type(ty, Substitution(tuple(done)))
-            self.check_term(delta, t, expected)
+            self._check_term(delta, t, expected)
             done.append((v, t))
 
-    def infer(self, delta: Context, t: Term) -> Type:
+    def _infer(self, delta: Context, t: Term) -> Type:
         # the memo lookups are inline: a helper would add a frame per level
         # of nesting, and the nesting bound is set by the frames per level
         if isinstance(t, Var):
             return delta.lookup(t.name)  # raises UnknownVariable
         assert isinstance(t, Coh)
         key = (id(delta), id(t))
-        hit = self.inferred.get(key)
+        hit = self._inferred.get(key)
         if hit is not None:
             return hit[2]
         gamma, head_ty, sigma = t.ctx, t.ty, t.sub
         head_key = (id(gamma), id(head_ty))
         violation = None
-        if head_key not in self.heads:
+        if head_key not in self._heads:
             tree = ctx_to_tree(gamma)  # raises NotPasting
-            self.check_type(gamma, head_ty)
+            self._check_type(gamma, head_ty)
             # stored before the arguments are checked, so that nested
             # coherences with this head find it
-            violation = self.head_violation(gamma, head_ty, tree)
+            violation = self._head_violation(gamma, head_ty, tree)
             if violation is None:
-                self.heads[head_key] = (gamma, head_ty)
-        self.check_sub(delta, sigma, gamma)
+                self._heads[head_key] = (gamma, head_ty)
+        self._check_sub(delta, sigma, gamma)
         if violation is not None:
             raise violation
         ty = apply_sub_type(head_ty, sigma)
-        self.inferred[key] = (delta, t, ty)
+        self._inferred[key] = (delta, t, ty)
         return ty
 
-    def head_violation(
+    def _head_violation(
         self, gamma: Context, head_ty: Type, tree: BataninTree
     ) -> Optional[SupportViolation]:
         """None when the head type meets the support condition of coh' or
@@ -250,10 +248,10 @@ class _Judge:
             return SupportViolation(f"(comp') {'; '.join(problems)}; {coh_failure}")
         return SupportViolation(coh_failure)
 
-    def check_term(self, delta: Context, t: Term, expected: Type) -> Type:
+    def _check_term(self, delta: Context, t: Term, expected: Type) -> Type:
         """Check t against expected; returns expected."""
-        inferred = self.infer(delta, t)
-        if not self.equal(delta, inferred, expected):
+        inferred = self._infer(delta, t)
+        if not self._equal(delta, inferred, expected):
             raise TypeMismatch(
                 f"term {term_str(t)} has type {type_str(inferred)}, "
                 f"expected {type_str(expected)}"
@@ -267,17 +265,3 @@ def _check_domain(sigma: Substitution, gamma: Context) -> None:
             f"substitution domain {sigma.domain} does not match "
             f"context variables {gamma.vars}"
         )
-
-
-def _report(session: Session, kind: str, judged, check, *args) -> TypingReport:
-    """Run check(judge, *args) with a judge on session; its result is the
-    report's inferred type."""
-    mode = session.mode
-    try:
-        inferred = check(_Judge(session), *args)
-    except TooDeep:
-        raise  # from a guarded reduction call: not a typing failure
-    except CattError as exc:
-        return TypingReport(False, kind, judged, mode, error=exc)
-    return TypingReport(True, kind, judged, mode, inferred=inferred)
-

@@ -106,7 +106,7 @@ from cattsa.trees import (
     linear_height,
     tree_to_ctx,
 )
-from cattsa.typecheck import Mode, Session, TypingReport, _check_domain, _Judge, _report
+from cattsa.typecheck import Mode, Session, TypingReport, _check_domain
 
 
 class GlobularityViolation(IllTyped):
@@ -234,9 +234,8 @@ def _steps(item: Item, allow: bool) -> list[tuple[Position, tuple, Item]]:
 def _head_insertions(t: Coh, allow: bool) -> list[tuple[Position, tuple, Term]]:
     """Insertion redexes at the head of a coherence, in context order."""
     out = []
-    for x in _eligible_heads(t, allow):
-        arg = t.sub.lookup(x)
-        out.append(((), (x, arg.ctx, arg.sub), _insert_at(t, x)))
+    for x, arg in _eligible_heads(t, allow):
+        out.append(((), (x, arg.ctx, arg.sub), _insert_at(t, x, arg)))
     return out
 
 
@@ -365,14 +364,14 @@ def is_globular_ctx(ctx: Context) -> bool:
 
 
 def _well_formed_sub(
-    judge: _Judge, gamma: Context, sigma: Substitution, delta: Context
+    session: Session, gamma: Context, sigma: Substitution, delta: Context
 ) -> None:
     if not is_globular_ctx(gamma):
         raise GlobularityViolation("source context contains a coherence")
     _check_domain(sigma, gamma)
     for v, ty in gamma.entries:
         img = sigma.lookup(v)
-        judge.infer(delta, img)
+        session._infer(delta, img)
         d = dim_type(ty)
         if dim_term(delta, img) != d:
             raise GlobularityViolation(
@@ -383,7 +382,7 @@ def _well_formed_sub(
             for sign, endpoint in ((NEG, ty.src), (POS, ty.tgt)):
                 got = term_boundary(delta, img, d - 1, sign)
                 want = apply_sub_term(endpoint, sigma)
-                if not judge.equal(delta, got, want):
+                if not session._equal(delta, got, want):
                     raise GlobularityViolation(
                         f"boundary {sign} of image of '{v}' is "
                         f"{term_str(got)}, expected {term_str(want)}"
@@ -401,9 +400,9 @@ def check_well_formed_sub(
     image must be definitionally equal to the images of the declared
     endpoints.
     """
-    return _report(
-        Session(Mode.CATT_SA, allow_disc_insertion=allow_disc_insertion),
-        "well-formed-substitution", sigma, _well_formed_sub, gamma, sigma, delta,
+    session = Session(Mode.CATT_SA, allow_disc_insertion=allow_disc_insertion)
+    return session._report(
+        "well-formed-substitution", sigma, _well_formed_sub, session, gamma, sigma, delta
     )
 
 

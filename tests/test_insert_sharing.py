@@ -169,7 +169,7 @@ def _redexes():
                 ))
                 head = Coh(outer, unbiased_type(outer), sigma)
                 for allow in (True, False):
-                    if x in _eligible_heads(head, allow):
+                    if (x, arg) in _eligible_heads(head, allow):
                         yield head, x, allow
 
 
@@ -184,7 +184,7 @@ def test_the_lazily_built_reduct_is_the_eager_one():
             apply_sub_type(head.ty, want.external),
             reference_insert_sub(head.sub, x, arg.sub, want),
         )
-        got = _insert_at(head, x)
+        got = _insert_at(head, x, arg)
         assert got == eager and term_str(got) == term_str(eager)
         lazy = insert_ctx(problem)
         assert all("entries" not in c.__dict__ for c in lazy[1:])  # built on first read
@@ -243,7 +243,7 @@ def test_a_reducts_names_need_no_check():
     for head, x, _ in _redexes():
         arg = head.sub.lookup(x)
         want = reference_insert_ctx(InsertionProblem(head.ctx, x, arg.ctx, arg.ty))
-        got = _insert_at(head, x).ctx
+        got = _insert_at(head, x, arg).ctx
         names = got.vars
         assert len(set(names)) == len(names)
         assert names == all_labels(ctx_to_tree(got))
@@ -279,8 +279,8 @@ def test_a_reducts_redexes_are_its_heads_later_ones():
         for allow in (True, False):
             t, cells = head, list(_eligible_heads(head, allow))
             while cells:
-                x, *cells = cells
-                t = _insert_at(t, x)
+                (x, arg), *cells = cells
+                t = _insert_at(t, x, arg)
                 assert list(_eligible_heads(t, allow)) == cells
                 steps, later = steps + 1, later + bool(cells)
     assert steps == 116 and later == 61

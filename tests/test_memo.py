@@ -65,6 +65,7 @@ READS = {
     "pickle": lambda c, built: (pickle.loads(pickle.dumps(c)) == built, pickle.dumps(c)),
     "ctx_to_tree": lambda c, built: ctx_to_tree(c),
     "lookup": lambda c, built: ([c.lookup(v) for v in c.vars], [c.has(v) for v in c.vars], len(c)),
+    "values": lambda c, built: c.values,
 }
 
 
@@ -76,14 +77,15 @@ def test_an_emitted_context_reads_as_one_built_from_entries(read):
         assert "entries" not in emitted.__dict__ and emitted.vars == built.vars
         want = READS[read](built, Context(built.entries))
         assert READS[read](emitted, built) == want  # the first read
-        assert ("entries" in emitted.__dict__) == (read != "ctx_to_tree")  # the tree is kept
+        # the tree is kept, and the values and the index are made without the entries
+        assert ("entries" in emitted.__dict__) == (read not in ("ctx_to_tree", "values", "lookup"))
         assert READS[read](emitted, built) == want  # and a later one
 
 
 def test_threads_reading_a_fresh_context_share_one_emission():
     # more threads than cores, switching often: every reader gets the
-    # entries the first writer stored, an index built from them, and the
-    # cell table the first writer stored
+    # values and the entries the first writer stored, an index built from
+    # them, and the cell table the first writer stored
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -94,7 +96,7 @@ def test_threads_reading_a_fresh_context_share_one_emission():
             def read() -> None:
                 gate.wait()
                 seen.append((emitted.entries, [emitted.lookup(v) for v in emitted.vars],
-                             cell_table(emitted)))
+                             cell_table(emitted), emitted.values))
 
             threads = [threading.Thread(target=read) for _ in range(4)]
             for th in threads:
@@ -102,10 +104,12 @@ def test_threads_reading_a_fresh_context_share_one_emission():
             for th in threads:
                 th.join(timeout=10)
             assert not any(th.is_alive() for th in threads) and len(seen) == 4
-            assert all(entries is emitted.entries for entries, _, _ in seen)
-            assert all(types == [ty for _, ty in emitted.entries] for _, types, _ in seen)
+            assert all(entries is emitted.entries for entries, _, _, _ in seen)
+            assert all(types == [ty for _, ty in emitted.entries] for _, types, _, _ in seen)
+            assert all(values is emitted.values for _, _, _, values in seen)
             assert emitted.entries == Context(emitted.entries).entries
-            assert all(cells is cell_table(emitted) for _, _, cells in seen)
+            assert emitted.values == Context(emitted.entries).values
+            assert all(cells is cell_table(emitted) for _, _, cells, _ in seen)
             assert cell_table(emitted) == cell_table(Context(emitted.entries))
     finally:
         sys.setswitchinterval(interval)
@@ -119,16 +123,9 @@ def _arguments(t) -> tuple:
     return tuple((v, Var(v + "'")) for v in c.vars[:-1]) + ((c.vars[-1], composite),)
 
 
-def _indexed(entries: tuple) -> Substitution:
-    """The substitution of entries, given as its index, as the normaliser
-    rebuilds one."""
-    index = dict(entries)
-    return Substitution.deferred(tuple(index), _table=index)
-
-
 def _valued(entries: tuple) -> Substitution:
     """The substitution of entries, given its names and its values in order,
-    as insertion and composition build one."""
+    as insertion, composition and the normaliser build one."""
     return Substitution.deferred(tuple(v for v, _ in entries), values=tuple(t for _, t in entries))
 
 
@@ -146,33 +143,22 @@ SUB_READS = {
 }
 
 
-def _reads_as_built(read: str, deferred) -> None:
-    """Over enumerate_trees(11), the read of a substitution that deferred
-    builds from entries gives what it gives on one built from entries, at
-    the first read and a later one."""
-    for t in enumerate_trees(11):
-        entries = _arguments(t)
-        built, indexed = Substitution(entries), deferred(entries)
-        assert "entries" not in indexed.__dict__ and indexed.domain == built.domain
-        want = SUB_READS[read](built, Substitution(entries))
-        assert SUB_READS[read](indexed, built) == want  # the first read
-        assert SUB_READS[read](indexed, built) == want  # and a later one
-
-
-@pytest.mark.parametrize("read", SUB_READS)
-def test_a_substitution_built_from_its_index_reads_as_one_built_from_entries(read):
-    _reads_as_built(read, _indexed)
-
-
 @pytest.mark.parametrize("read", SUB_READS)
 def test_a_substitution_given_its_values_reads_as_one_built_from_entries(read):
-    _reads_as_built(read, _valued)
+    # at the first read and at a later one
+    for t in enumerate_trees(11):
+        entries = _arguments(t)
+        built, valued = Substitution(entries), _valued(entries)
+        assert "entries" not in valued.__dict__ and valued.domain == built.domain
+        want = SUB_READS[read](built, Substitution(entries))
+        assert SUB_READS[read](valued, built) == want
+        assert SUB_READS[read](valued, built) == want
 
 
 def test_values_are_read_once_and_then_shared():
     for t in enumerate_trees(11):
         entries = _arguments(t)
-        for s in (Substitution(entries), _indexed(entries), _valued(entries)):
+        for s in (Substitution(entries), _valued(entries)):
             first = s.values
             assert s.values is first and first == tuple(term for _, term in entries)
         given = _valued(entries)
@@ -180,22 +166,21 @@ def test_values_are_read_once_and_then_shared():
         assert given.lookup(given.domain[-1]) is entries[-1][1] and given.has(given.domain[0])
 
 
-def _threads_share_one_entries(deferred) -> None:
-    """Four threads behind a barrier, switching often, read a fresh
-    substitution that deferred builds: all get the entries and the values
-    the first writer stored."""
+def test_threads_reading_a_fresh_valued_substitution_share_one_entries():
+    # four threads behind a barrier, switching often: all get the entries
+    # and the values the first writer stored
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for t in enumerate_trees(11):
             entries = _arguments(t)
-            indexed, seen = deferred(entries), []
+            valued, seen = _valued(entries), []
             gate = threading.Barrier(4, timeout=10)
 
             def read() -> None:
                 gate.wait()
-                seen.append((indexed.entries, [indexed.lookup(v) for v in indexed.domain],
-                             indexed.values))
+                seen.append((valued.entries, [valued.lookup(v) for v in valued.domain],
+                             valued.values))
 
             threads = [threading.Thread(target=read) for _ in range(4)]
             for th in threads:
@@ -203,20 +188,12 @@ def _threads_share_one_entries(deferred) -> None:
             for th in threads:
                 th.join(timeout=10)
             assert not any(th.is_alive() for th in threads) and len(seen) == 4
-            assert all(got is indexed.entries for got, _, _ in seen)
+            assert all(got is valued.entries for got, _, _ in seen)
             assert all(values == [term for _, term in entries] for _, values, _ in seen)
-            assert all(values is indexed.values for _, _, values in seen)
-            assert indexed.entries == entries
+            assert all(values is valued.values for _, _, values in seen)
+            assert valued.entries == entries
     finally:
         sys.setswitchinterval(interval)
-
-
-def test_threads_reading_a_fresh_indexed_substitution_share_one_entries():
-    _threads_share_one_entries(_indexed)
-
-
-def test_threads_reading_a_fresh_valued_substitution_share_one_entries():
-    _threads_share_one_entries(_valued)
 
 
 def test_threads_reading_insertion_maps_and_fresh_contexts_take_no_lock():

@@ -175,7 +175,7 @@ def test_pickle_and_copy_round_trip_with_a_cold_memo(a, same, other, text):
         assert type(loaded) is type(a) and loaded == a and repr(loaded) == text
         if isinstance(a, (Context, Substitution, Coh)):
             memo = set(vars(loaded)) - set(FIELDS[type(a)])
-            assert memo <= {"_table", "_names"}  # the name index, built on load
+            assert memo <= {"_names", "values", "_table"}  # names, values and index, built on load
     for copied in (copy.copy(a), copy.deepcopy(a)):
         assert type(copied) is type(a) and copied == a and repr(copied) == text
 

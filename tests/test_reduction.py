@@ -26,6 +26,7 @@ from cattsa.syntax import (
     free_vars,
     identity_sub,
     support,
+    term_str,
 )
 from cattsa.trees import (
     is_linear,
@@ -624,6 +625,30 @@ def test_every_coherence_of_a_normal_form_has_its_contexts_domain():
                 assert coh.sub.domain == coh.ctx.vars
                 checked += 1
     assert checked == 2630
+
+
+def _left_nested(n: int) -> tuple[Context, Coh]:
+    """The left-nested composite of the n arrows of chain(n)."""
+    ambient = chain(n)
+    t = Var("a1")
+    for i in range(2, n + 1):
+        t = comp2(ambient, t, Var(f"a{i}"))
+    return ambient, t
+
+
+def test_the_normaliser_reads_the_arguments_it_builds_by_position():
+    # no argument substitution that normalising builds gets an index by
+    # name: the normaliser reads arguments by position, so a lookup by name
+    # on one of them is a cost that nothing needed
+    cases = curated_corpus() + random_corpus(200, seed=5) + [_left_nested(n) for n in (3, 8, 16)]
+    built = 0
+    for context, t in cases:
+        given = {id(coh.sub) for coh in _coherences(t)}
+        for coh in _coherences(normalize(context, t)):
+            if id(coh.sub) not in given:
+                assert "_table" not in coh.sub.__dict__, term_str(coh)
+                built += 1
+    assert built == 95
 
 
 # ---------------------------------------------------------------------------
