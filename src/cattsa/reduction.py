@@ -5,14 +5,14 @@ argument at some locally maximal cell is an unbiased composite of
 sufficient linear height; everything else is congruence closure.
 Reduction is confluent and terminating, so normalize computes the normal
 form bottom-up in one pass, each normal subterm object once; the
-innermost-leftmost steps are recorded as events by the same pass and
-rendered, by replaying them, only when a trace is asked for.  Whether a
-disc-shaped argument may be inserted is the allow_disc_insertion keyword
-of normalize and def_eq (default True); the module keeps no setting of
-its own.  These functions assume well-typed input (they never call the
-typechecker, which keeps the equality/typing stratification well
-founded) and surface scope-level defects as IllTyped where they are
-detected incidentally.
+innermost-leftmost steps are recorded by the same pass, each at a path
+of child indices, and rendered, by replaying them, only when a trace is
+asked for.  Whether a disc-shaped argument may be inserted is the
+allow_disc_insertion keyword of normalize and def_eq (default True); the
+module keeps no setting of its own.  These functions assume well-typed
+input (they never call the typechecker, which keeps the equality/typing
+stratification well founded) and surface scope-level defects as
+IllTyped where they are detected incidentally.
 """
 
 from __future__ import annotations
@@ -45,8 +45,6 @@ RULE_ARG = "argument-reduction"
 RULE_TYPE = "type-component"
 RULE_SUB = "sub-component"
 
-Position = tuple[tuple[str, int], ...]
-
 
 # ---------------------------------------------------------------------------
 # Positions
@@ -74,17 +72,8 @@ def _kids(item: Item) -> tuple[Item, ...]:
     return item.values if isinstance(item, Substitution) else ()
 
 
-def _children(item: Item) -> list[tuple[str, int, Item]]:
-    """The immediate subitems as (kind, index, child), in _kids order."""
-    kids = _kids(item)
-    if isinstance(item, Arr):
-        return list(zip(("src", "base", "tgt"), (0, 0, 0), kids))
-    out = [("arg" if isinstance(item, Coh) else "entry", i, kid) for i, kid in enumerate(kids)]
-    return out[:-1] + [("type", 0, item.ty)] if isinstance(item, Coh) else out
-
-
 def _rebuilt(item: Item, kids: list[Item]) -> Item:
-    """item with its children, in _children order, replaced by kids."""
+    """item with its children, in _kids order, replaced by kids."""
     if isinstance(item, Coh):  # the type comes last
         return Coh(item.ctx, kids[-1], Substitution.deferred(item.ctx.vars, tuple(kids[:-1])))
     if isinstance(item, Arr):
@@ -92,22 +81,13 @@ def _rebuilt(item: Item, kids: list[Item]) -> Item:
     return Substitution.deferred(item.domain, tuple(kids))
 
 
-def _with_child(item: Item, kind: str, index: int, new: Item) -> Item:
-    """item with the child at (kind, index) replaced by new."""
-    return _rebuilt(item, [new if (k, i) == (kind, index) else c for k, i, c in _children(item)])
-
-
-def _with_rule(kind: str, pos: Position) -> str:
-    """The rule of the step at pos in an item of the given kind."""
-    if not pos:
-        return RULE_INSERTION
-    if kind == "term":
-        return RULE_ARG if pos[0][0] == "arg" else RULE_CELL
-    return RULE_TYPE if kind == "type" else RULE_SUB
-
-
-def _position_str(pos: Position) -> str:
-    return ".".join(f"{k}[{i}]" if k in ("arg", "entry") else k for k, i in pos) or "head"
+def _label(item: Item, index: int) -> str:
+    """The name a trace line gives to child index of item."""
+    if isinstance(item, Arr):
+        return ("src", "base", "tgt")[index]
+    if isinstance(item, Coh):
+        return "type" if index == len(item.sub) else f"arg[{index}]"
+    return f"entry[{index}]"
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +141,11 @@ def _insert_at(t: Coh, x: VarName, arg: Coh) -> Term:
 
 def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
     """The normal form of item and its steps, a list only when traced, which
-    pair a position relative to item with the subitem that replaces the
-    redex there.  Only a normal item is stored in the memo, under id(item):
-    a subitem that reduces is normalised again at each position it
-    occupies, so every step fires its own insertion.
+    pair a position relative to item, a path of child indices in _kids
+    order, with the subitem that replaces the redex there.  Only a normal
+    item is stored in the memo, under id(item): a subitem that reduces is
+    normalised again at each position it occupies, so every step fires its
+    own insertion.
 
     The children are normalised first (arguments, then the type), the node
     is rebuilt only if one changed, then its head insertions fire.  A
@@ -178,7 +159,7 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
             else _nf(kid, memo, allow, traced) for kid in kids]
     nfs = [nf for nf, _ in done]
     nf = item if all(map(is_, nfs, kids)) else _rebuilt(item, nfs)
-    steps = _merged([(c[:2], s) for c, (_, s) in zip(_children(item), done) if s]) if traced else None
+    steps = _merged([(i, s) for i, (_, s) in enumerate(done) if s]) if traced else None
     for x, arg in _eligible_heads(nf, allow) if isinstance(nf, Coh) else ():  # the head's, in turn
         unbiased = nf.ty == shape(nf.ctx).unbiased
         nf = _insert_at(nf, x, arg)
@@ -188,7 +169,7 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
             shape(nf.ctx, ty)
         if traced:
             steps.append(((), nf))
-            steps += [((("type", 0),) + pos, new) for pos, new in inner]
+            steps += [((len(nf.sub),) + pos, new) for pos, new in inner]  # the type's index
         if ty is not nf.ty:
             nf = Coh(nf.ctx, ty, nf.sub)
     if nf is item:
@@ -196,16 +177,16 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
     return nf, steps
 
 
-def _merged(lists: list[tuple[tuple[str, int], list]]) -> list:
-    """The steps of a node's children, each list under its (kind, index),
-    in the order innermost-leftmost reduction takes them: at every turn the
-    next step at the greatest depth, ties to the earlier child.  A turn
-    looks at every child, which costs less than rendering the step."""
+def _merged(lists: list[tuple[int, list]]) -> list:
+    """The steps of a node's children, each list under its index, in the
+    order innermost-leftmost reduction takes them: at every turn the next
+    step at the greatest depth, ties to the earlier child.  A turn looks at
+    every child, which costs less than rendering the step."""
     out, heads = [], [0] * len(lists)
     while live := [j for j, (_, steps) in enumerate(lists) if heads[j] < len(steps)]:
         j = max(live, key=lambda j: len(lists[j][1][heads[j]][0]))  # the first deepest
-        step, steps = lists[j]
-        out.append(((step,) + steps[heads[j]][0], steps[heads[j]][1]))
+        index, steps = lists[j]
+        out.append(((index,) + steps[heads[j]][0], steps[heads[j]][1]))
         heads[j] += 1
     return out
 
@@ -220,21 +201,30 @@ def normalize(
 ) -> Item:
     """Innermost-leftmost normal form of a well-typed term, type or
     substitution.  Appends one line per step to trace when given, rendered
-    by replaying the steps the normalising pass recorded."""
+    by replaying the steps the normalising pass recorded: a line names each
+    index of its position and the rule only when it is printed."""
     kind = _kind_of(item)
     nf, steps = _nf(item, {}, allow_disc_insertion, trace is not None)
     cur, shown = item, ""
     for position, new in steps or ():
         spine, node = [], cur  # replace the subitem at position, without recursion
-        for step in position:
-            spine.append((node, step))
-            node = next(c for k, i, c in _children(node) if (k, i) == step)
-        for parent, step in reversed(spine):
-            new = _with_child(parent, *step, new)
-        rule = _with_rule(kind, position)
+        for index in position:
+            spine.append((node, index))
+            node = _kids(node)[index]
+        labels = [_label(parent, index) for parent, index in spine]
+        for parent, index in reversed(spine):
+            kids = list(_kids(parent))
+            kids[index] = new
+            new = _rebuilt(parent, kids)
+        if not labels:
+            rule = RULE_INSERTION
+        elif kind == "term":
+            rule = RULE_CELL if labels[0] == "type" else RULE_ARG
+        else:
+            rule = RULE_TYPE if kind == "type" else RULE_SUB
         # a step's left side is the last one's right side: render each once
         before, shown, cur = shown or item_str(item), item_str(new), new
-        trace.append(f"{rule} at {_position_str(position)}: {before} ⇝ {shown}")
+        trace.append(f"{rule} at {'.'.join(labels) or 'head'}: {before} ⇝ {shown}")
     return nf
 
 

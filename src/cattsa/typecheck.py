@@ -36,10 +36,9 @@ from .errors import (
     TypeMismatch,
     bounded,
 )
+from .pasting import unbiased_type
 from .reduction import def_eq, normalize
 from .syntax import (
-    NEG,
-    POS,
     Arr,
     Coh,
     Context,
@@ -49,7 +48,6 @@ from .syntax import (
     Term,
     Type,
     Var,
-    VarName,
     alpha_eq,  # noqa: F401  (bench/test_bench.py traces it as typecheck.alpha_eq)
     apply_sub_type,
     item_str,
@@ -57,7 +55,7 @@ from .syntax import (
     term_str,
     type_str,
 )
-from .trees import BataninTree, all_labels, ctx_to_tree, tree_boundary, tree_depth
+from .trees import ctx_to_tree
 
 
 class Mode(enum.Enum):
@@ -172,12 +170,10 @@ class Session:
                 raise EndpointTypeMismatch(f"{label} of {type_str(ty)}: {exc}") from exc
 
     def _check_sub(self, delta: Context, sigma: Substitution, gamma: Context) -> None:
-        _check_domain(sigma, gamma)
-        done: list[tuple[VarName, Term]] = []
-        for (v, t), (_, ty) in zip(sigma.entries, gamma.entries):
-            expected = apply_sub_type(ty, Substitution(tuple(done)))
-            self._check_term(delta, t, expected)
-            done.append((v, t))
+        _check_domain(sigma, gamma)  # so the names of each prefix are distinct
+        for i, (t, ty) in enumerate(zip(sigma.values, gamma.values)):
+            done = Substitution.deferred(sigma.domain[:i], sigma.values[:i])
+            self._check_term(delta, t, apply_sub_type(ty, done))
 
     def _infer(self, delta: Context, t: Term) -> Type:
         # the memo lookups are inline: a helper would add a frame per level
@@ -193,11 +189,11 @@ class Session:
         head_key = (id(gamma), id(head_ty))
         violation = None
         if head_key not in self._heads:
-            tree = ctx_to_tree(gamma)  # raises NotPasting
+            ctx_to_tree(gamma)  # raises NotPasting
             self._check_type(gamma, head_ty)
             # stored before the arguments are checked, so that nested
             # coherences with this head find it
-            violation = self._head_violation(gamma, head_ty, tree)
+            violation = self._head_violation(gamma, head_ty)
             if violation is None:
                 self._heads[head_key] = (gamma, head_ty)
         self._check_sub(delta, sigma, gamma)
@@ -207,9 +203,7 @@ class Session:
         self._inferred[key] = (delta, t, ty)
         return ty
 
-    def _head_violation(
-        self, gamma: Context, head_ty: Type, tree: BataninTree
-    ) -> Optional[SupportViolation]:
+    def _head_violation(self, gamma: Context, head_ty: Type) -> Optional[SupportViolation]:
         """None when the head type meets the support condition of coh' or
         comp', else the violation: it is raised once the substitution
         checks, whose errors come first."""
@@ -226,10 +220,11 @@ class Session:
             f"(coh') support {sorted(supp_ty)} is not the whole context "
             f"{sorted(full)}"
         )
-        k = tree_depth(tree) - 1
-        if isinstance(nf, Arr) and k >= 0:
-            src_vars = frozenset(all_labels(tree_boundary(tree, k, NEG)))
-            tgt_vars = frozenset(all_labels(tree_boundary(tree, k, POS)))
+        # gamma's boundaries: the supports of its unbiased type's endpoints
+        u = unbiased_type(gamma)
+        if isinstance(nf, Arr) and isinstance(u, Arr):
+            src_vars = support(gamma, u.src)
+            tgt_vars = support(gamma, u.tgt)
             supp_src = support(gamma, nf.src)
             supp_tgt = support(gamma, nf.tgt)
             problems = []

@@ -11,7 +11,9 @@ outside it:
 - step_candidates, every one-step reduct of an item, for the
   reduction-graph tests (it decides redexes with the normaliser's own
   eligibility predicate, so the enumerator and the locator agree on what
-  a redex is);
+  a redex is, but walks and rebuilds children, and names positions and
+  rules, by code of its own: the trace's labels are checked against code
+  the kernel does not run);
 - eq_at_level, equality that is definitional below a dimension and
   structural from it on, and the regularity diagnostics;
 - check_well_formed_sub, the globularity-based judgement of a
@@ -61,16 +63,7 @@ from cattsa.insertion import (
     type_linear_height,
 )
 from cattsa.pasting import _unbiased_type
-from cattsa.reduction import (
-    Position,
-    _children,
-    _eligible_heads,
-    _insert_at,
-    _kind_of,
-    _with_child,
-    _with_rule,
-    def_eq,
-)
+from cattsa.reduction import _eligible_heads, _insert_at, _kind_of, def_eq
 from cattsa.syntax import (
     NEG,
     POS,
@@ -187,8 +180,46 @@ def branching_height(t: BataninTree, x: VarName) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Redex enumeration
+# Redex enumeration, over a labelled walk of its own
 # ---------------------------------------------------------------------------
+
+Position = tuple[tuple[str, int], ...]  # (label, index) from the root down
+
+
+def _children(item: Item) -> list[tuple[str, int, Item]]:
+    """The immediate subitems as (label, index, child), read off the fields
+    in traversal order: substitution entries left to right, then the type
+    of a coherence, then the source, base and target of an arrow."""
+    if isinstance(item, Coh):
+        return [("arg", i, t) for i, t in enumerate(item.sub.values)] + [("type", 0, item.ty)]
+    if isinstance(item, Arr):
+        return [("src", 0, item.src), ("base", 0, item.base), ("tgt", 0, item.tgt)]
+    if isinstance(item, Substitution):
+        return [("entry", i, t) for i, t in enumerate(item.values)]
+    return []
+
+
+def _with_child(item: Item, label: str, index: int, new: Item) -> Item:
+    """item with its child at (label, index) replaced by new, built by the
+    public constructors."""
+    if isinstance(item, Arr):
+        src, base, tgt = (new if k == label else c for k, _, c in _children(item))
+        return Arr(src, base, tgt)
+    if isinstance(item, Coh):
+        if label == "type":
+            return Coh(item.ctx, new, item.sub)
+        return Coh(item.ctx, item.ty, _with_child(item.sub, "entry", index, new))
+    entries = item.entries
+    return Substitution(entries[:index] + ((entries[index][0], new),) + entries[index + 1:])
+
+
+def _with_rule(kind: str, pos: Position) -> str:
+    """The rule of the step at pos in an item of the given kind."""
+    if not pos:
+        return "insertion"
+    if kind == "term":
+        return "argument-reduction" if pos[0][0] == "arg" else "cell-reduction"
+    return "type-component" if kind == "type" else "sub-component"
 
 
 class Step(NamedTuple):

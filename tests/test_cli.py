@@ -610,7 +610,7 @@ ORACLE_NAMES = (
     "Ordinal", "syntactic_depth", "nat_sum", "omega_pow", "ord_lt",
     "eq_at_level", "_eq_terms", "_eq_types", "_eq_subs",
     "is_regular", "regular_height", "_regular",
-    "step_candidates", "_steps", "_head_insertions",
+    "step_candidates", "_steps", "_head_insertions", "_children", "_with_child", "_with_rule",
     "DiscContext", "disc_var", "disc_context", "to_disc_sub",
     "check_well_formed_sub", "is_globular_ctx",
 )

@@ -9,6 +9,7 @@ from cattsa.errors import (
     ArityMismatch,
     EndpointTypeMismatch,
     NotPasting,
+    SubstitutionUndefined,
     SupportViolation,
     TooDeep,
     TypeMismatch,
@@ -87,6 +88,16 @@ def test_arity_mismatch_detected():
     report = Session(Mode.CATT_SA).check_sub(ARROW, Substitution(), ARROW)
     assert not report.ok
     assert isinstance(report.error, ArityMismatch)
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("name", ["y", "z"])  # a later variable, an unknown one
+def test_a_type_naming_a_variable_outside_its_prefix_is_undefined(mode, name):
+    gamma = ctx(("x", star), ("f", arr("x", star, name)), ("y", star))
+    sigma = sub(("x", Var("x")), ("f", Var("f")), ("y", Var("y")))
+    report = Session(mode).check_sub(ARROW, sigma, gamma)
+    assert isinstance(report.error, SubstitutionUndefined)
+    assert str(report.error) == f"substitution has no entry for '{name}'"
 
 
 def test_composite_argument_substitution_checks():
