@@ -1,17 +1,16 @@
 """Pasting contexts: locally maximal cells and unbiased composites.
 
 The pasting judgement is the tree parse trees.ctx_to_tree: a context is
-pasting exactly when it is the emission of a Batanin tree.  The shape of
-a context (its tree and unbiased type, or None when it is not pasting) is
-memoised on the context; the unbiased type and the normaliser's redex
-test read it, and the redex test reads a head's cells off trees.cell_table.
+pasting exactly when it is the emission of a Batanin tree.  The unbiased
+type of a pasting context is memoised on it by unbiased_type, which the
+normaliser's redex test reads beside the tree and trees.cell_table; on
+any other context each of the three raises NotPasting and memoises nothing.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .errors import NotPasting
 from .syntax import (
     NEG,
     POS,
@@ -36,27 +35,6 @@ from .trees import (
 )
 
 
-class Shape(NamedTuple):
-    """What the kernel reads off a pasting context."""
-
-    tree: BataninTree
-    unbiased: Type
-
-
-def shape(ctx: Context, unbiased: Optional[Type] = None) -> Optional[Shape]:
-    """The shape of ctx, or None if it is not pasting; memoised on ctx.  A
-    caller that knows the unbiased type of ctx passes it, to memoise it."""
-    return ctx.derived("_pasting_shape", _new_shape, unbiased)
-
-
-def _new_shape(ctx: Context, unbiased: Optional[Type] = None) -> Optional[Shape]:
-    try:
-        tree = ctx_to_tree(ctx)
-    except NotPasting:
-        return None
-    return Shape(tree, unbiased or _unbiased_type(tree))
-
-
 # ---------------------------------------------------------------------------
 # Locally maximal variables
 # ---------------------------------------------------------------------------
@@ -79,13 +57,16 @@ def maximal_vars(ctx: Context) -> tuple[VarName, ...]:
 # ---------------------------------------------------------------------------
 
 
-def unbiased_type(ctx: Context) -> Type:
-    """The canonical composite type over a pasting context; raises
-    NotPasting on any other context."""
-    s = shape(ctx)
-    if s is None:
-        ctx_to_tree(ctx)  # raises NotPasting with the reason
-    return s.unbiased
+def unbiased_type(ctx: Context, known: Optional[Type] = None) -> Type:
+    """The canonical composite type over a pasting context, memoised on ctx;
+    raises NotPasting on any other context.  A caller that knows it passes
+    it as known, to memoise it."""
+    return ctx.derived("_unbiased", _new_unbiased_type, known)
+
+
+def _new_unbiased_type(ctx: Context, known: Optional[Type]) -> Type:
+    tree = ctx_to_tree(ctx)  # raises NotPasting
+    return known or _unbiased_type(tree)
 
 
 def _unbiased_type(t: BataninTree) -> Type:

@@ -20,9 +20,9 @@ from __future__ import annotations
 from operator import is_
 from typing import Iterator, Optional
 
-from .errors import IllTyped, bounded
+from .errors import IllTyped, NotPasting, bounded
 from .insertion import InsertionProblem, insert_ctx, insert_sub
-from .pasting import shape
+from .pasting import unbiased_type
 from .syntax import (
     Arr,
     Coh,
@@ -37,7 +37,7 @@ from .syntax import (
     apply_sub_type,
     item_str,
 )
-from .trees import cell_table, is_linear, linear_height
+from .trees import cell_table, ctx_to_tree, is_linear, linear_height
 
 RULE_INSERTION = "insertion"
 RULE_CELL = "cell-reduction"
@@ -92,7 +92,7 @@ def _label(item: Item, index: int) -> str:
 
 # ---------------------------------------------------------------------------
 # Head eligibility, shared by normalisation and the tests' redex enumerator;
-# the shapes and cell tables it reads are memoised on their contexts
+# the trees, cell tables and unbiased types it reads are memoised on contexts
 # ---------------------------------------------------------------------------
 
 
@@ -109,20 +109,23 @@ def _eligible_heads(t: Coh, allow: bool) -> Iterator[tuple[VarName, Coh]]:
     arguments and their cells' branching heights, and raises none of the
     inner cells'.
     """
-    if shape(t.ctx) is None:
+    try:
+        cells = cell_table(t.ctx)
+    except NotPasting:
         return
-    cells = cell_table(t.ctx)
     for x, arg in zip(t.ctx.vars, t.sub.values):
         if x not in cells or not isinstance(arg, Coh):
             continue
-        inner = shape(arg.ctx)
-        if inner is None:
+        try:
+            unbiased = unbiased_type(arg.ctx)
+        except NotPasting:
             continue
-        if arg.ty != inner.unbiased:
+        if arg.ty != unbiased:
             continue
-        if not allow and is_linear(inner.tree):
+        tree = ctx_to_tree(arg.ctx)
+        if not allow and is_linear(tree):
             continue
-        if len(cells[x][0]) - 1 > linear_height(inner.tree):
+        if len(cells[x][0]) - 1 > linear_height(tree):
             continue
         yield x, arg
 
@@ -161,12 +164,12 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
     nf = item if all(map(is_, nfs, kids)) else _rebuilt(item, nfs)
     steps = _merged([(i, s) for i, (_, s) in enumerate(done) if s]) if traced else None
     for x, arg in _eligible_heads(nf, allow) if isinstance(nf, Coh) else ():  # the head's, in turn
-        unbiased = nf.ty == shape(nf.ctx).unbiased
+        unbiased = nf.ty == unbiased_type(nf.ctx)
         nf = _insert_at(nf, x, arg)
         # the reduct's arguments are normal arguments: only its type may reduce
         ty, inner = _nf(nf.ty, memo, allow, traced)
         if unbiased:  # then so is the reduct: ty is its context's unbiased type
-            shape(nf.ctx, ty)
+            unbiased_type(nf.ctx, ty)
         if traced:
             steps.append(((), nf))
             steps += [((len(nf.sub),) + pos, new) for pos, new in inner]  # the type's index

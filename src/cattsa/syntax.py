@@ -23,7 +23,7 @@ parser does not yet read.
 
 Values are plain classes derived from Frozen.  Tables and coherences
 carry a write-once memo of derived data (what a table makes on first read,
-a context's Batanin tree, pasting shape and cell table, a coherence's == key), kept in the
+a context's Batanin tree, cell table and unbiased type, a coherence's == key), kept in the
 instance __dict__ beside the fields: ==, hash, repr and pickling read
 only the fields.  An entry is a function of the fields alone, so two threads that race to fill it compute equal values and
 either result is correct; no lock is needed.
@@ -281,11 +281,7 @@ STAR = Star()
 
 
 def identity_sub(ctx: Context) -> Substitution:
-    """Each variable of ctx sent to itself; memoised on ctx."""
-    return ctx.derived("_identity", _new_identity_sub)
-
-
-def _new_identity_sub(ctx: Context) -> Substitution:
+    """Each variable of ctx sent to itself."""
     return Substitution.deferred(ctx.vars, tuple(map(Var, ctx.vars)))
 
 

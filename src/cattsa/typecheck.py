@@ -153,10 +153,9 @@ class Session:
         return def_eq(ctx, a, b, allow_disc_insertion=self.allow_disc_insertion)
 
     def _check_ctx(self, ctx: Context) -> None:
-        prefix = Context()
-        for v, ty in ctx.entries:
-            self._check_type(prefix, ty)
-            prefix = prefix.extend(v, ty)  # raises DuplicateVariable
+        # ctx's names were checked distinct when it was built, so each prefix's are
+        for i, ty in enumerate(ctx.values):
+            self._check_type(Context.deferred(ctx.vars[:i], ctx.values[:i]), ty)
 
     def _check_type(self, ctx: Context, ty: Type) -> None:
         if isinstance(ty, Star):

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from cattsa import reduction
 from cattsa.cli import elaborate_telescope
-from cattsa.errors import DimensionError, SurfaceSyntaxError
+from cattsa.errors import DimensionError, NotPasting, SurfaceSyntaxError
 from cattsa.parser import (
     DUMMY_SPAN,
     KEYWORDS,
@@ -128,6 +128,15 @@ def boundary_ctx(context: Context, sign: Sign) -> Context:
 def unbiased_term(context: Context) -> Term:
     """The canonical composite term over a pasting context."""
     return _unbiased_term(ctx_to_tree(context))
+
+
+def is_pasting(context: Context) -> bool:
+    """The kernel's pasting judgement, the tree parse, as a verdict."""
+    try:
+        ctx_to_tree(context)
+    except NotPasting:
+        return False
+    return True
 
 
 def print_term(t: SrcTerm) -> str:

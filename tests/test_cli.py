@@ -257,6 +257,16 @@ def test_type_error_exit_code_and_span(tmp_path, capsys):
     assert "2:1:" in out  # failing declaration reported with its span
 
 
+@pytest.mark.parametrize("mode", ["sa", "catt"])
+def test_a_head_type_that_is_no_arrow_fails_the_coh_support_condition(tmp_path, capsys, mode):
+    p = tmp_path / "point.catt"
+    p.write_text("coh c (x : *) : *")
+    assert cli.main(["check", str(p), "--mode", mode]) == 1
+    assert capsys.readouterr().out == (
+        "1:1: term coh { (x : *) : * } [x]: (coh') support [] is not the whole context ['x']\n"
+    )
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     assert cli.main(["check", str(tmp_path / "absent.catt")]) == 2
 

@@ -3,7 +3,7 @@
 The oracle is helpers.canonical_term, a positional key that builds no
 kernel objects.  Each hypothesis example renames every bound context of
 the corpus apart with its own seeded injective renaming.  Normal forms
-from normalize, whose trees and shapes the normaliser records, are
+from normalize, whose trees and unbiased types the normaliser records, are
 compared with cold copies, whose contexts are parsed again.
 """
 
@@ -127,8 +127,8 @@ def test_pickled_coherence_round_trips_equal_with_a_cold_memo(seed):
 
 
 def test_concurrent_equality_on_cold_memos():
-    # eight threads fill the same cold shape memos at once; every racing
-    # thread computes an equal shape, so every comparison must still hold
+    # eight threads fill the same cold tree memos at once; every racing
+    # thread computes an equal tree, so every comparison must still hold
     terms = pickle.loads(pickle.dumps(corpus()))
     rng = random.Random(7)
     copies = [rename_apart(t, rng) for t in terms]
@@ -157,7 +157,7 @@ def test_concurrent_equality_on_cold_memos():
 def normal_forms() -> tuple[Coh, ...]:
     """The normal forms of the curated and random corpora, as normalize
     builds them: each reduct's tree is recorded when it is emitted, and the
-    shape of an unbiased one by the normaliser."""
+    unbiased type of an unbiased one by the normaliser."""
     base = curated_corpus() + random_corpus(200, seed=41)
     return tuple(normalize(context, t) for context, t in base)
 

@@ -17,7 +17,7 @@ from cattsa.insertion import (
     insert_sub,
     type_linear_height,
 )
-from cattsa.pasting import shape, unbiased_type
+from cattsa.pasting import unbiased_type
 from cattsa.reduction import def_eq
 from cattsa.syntax import (
     STAR,
@@ -44,6 +44,7 @@ from helpers import (
     comp2,
     dim_ctx,
     enumerate_trees,
+    is_pasting,
     star,
     sub,
     tree,
@@ -283,7 +284,7 @@ def test_insert_ctx_variable_bookkeeping():
     survivors = set(DELTA.vars) - erased
     renamed = {t.name for t in res.internal.values}
     assert set(res.inserted.vars) == survivors | renamed
-    assert shape(res.inserted) is not None
+    assert is_pasting(res.inserted)
 
 
 def test_insert_ctx_output_is_pasting_for_enumerated_problems():
@@ -304,7 +305,7 @@ def test_insert_ctx_output_is_pasting_for_enumerated_problems():
                 if type_linear_height(a) < bh:
                     continue
                 res = insert_ctx(InsertionProblem(outer, x, inner, a))
-                assert shape(res.inserted) is not None
+                assert is_pasting(res.inserted)
                 checked += 1
     assert checked >= 40
 

@@ -23,7 +23,7 @@ from cattsa.trees import cell_table, ctx_to_tree, tree_to_ctx
 from helpers import arr, enumerate_trees, tree
 from oracles import reference_insert_ctx
 
-MEMO_KEYS = ("_tree", "_pasting_shape")
+MEMO_KEYS = ("_tree", "_cells", "_unbiased")
 
 
 def _cold(c: Context) -> bool:
@@ -41,12 +41,12 @@ def test_memo_agrees_with_a_fresh_parse_and_is_invisible():
         before = (repr(fresh), hash(fresh))
         assert fresh == emitted and hash(fresh) == hash(emitted)
         assert ctx_to_tree(fresh) == t
-        shape = pasting.shape(fresh)
-        assert not _cold(fresh)
-        assert shape is not None and shape.tree == t
+        unbiased = pasting.unbiased_type(fresh)
+        assert not _cold(fresh) and "_unbiased" in fresh.__dict__
+        assert unbiased == pasting._unbiased_type(t)
         # a second call returns the recorded values themselves
         assert ctx_to_tree(fresh) is ctx_to_tree(fresh)
-        assert pasting.shape(fresh) is shape
+        assert pasting.unbiased_type(fresh) is unbiased
         assert (repr(fresh), hash(fresh)) == before
         assert fresh == emitted and repr(fresh) == repr(emitted)
         loaded = pickle.loads(pickle.dumps(fresh))
@@ -248,11 +248,10 @@ def test_non_pasting_context_raises_on_every_call():
     bad = Context((("x", STAR), ("y", STAR), ("f", arr("y", STAR, "x"))))
     for c in (points, bad, Context()):
         for _ in range(2):
-            with pytest.raises(NotPasting):
-                ctx_to_tree(c)
-        assert pasting.shape(c) is None
-        assert pasting.shape(c) is None
-        assert "_tree" not in c.__dict__
+            for judge in (ctx_to_tree, cell_table, pasting.unbiased_type):
+                with pytest.raises(NotPasting):
+                    judge(c)
+        assert _cold(c)
 
 
 def test_index_lookup_and_membership():

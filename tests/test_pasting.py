@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from cattsa.errors import DimensionError, NotPasting
-from cattsa.pasting import _unbiased_type, maximal_vars, shape, unbiased_type
+from cattsa.pasting import _unbiased_type, maximal_vars, unbiased_type
 from cattsa.reduction import normalize
 from cattsa.syntax import (
     NEG,
@@ -29,8 +29,10 @@ from helpers import (
     chain,
     comp2,
     ctx,
+    ctx_of_telescope,
     dim_ctx,
     enumerate_trees,
+    is_pasting,
     pd_derivable,
     star,
     sub,
@@ -70,7 +72,7 @@ def test_check_pd_agrees_with_exhaustive_search():
     # positive cases: every context arising from a tree
     contexts = [tree_to_ctx(t) for t in enumerate_trees(7)]
     for context in contexts:
-        assert pd_derivable(context) and shape(context) is not None
+        assert pd_derivable(context) and is_pasting(context)
     # mutations: dropping an entry or permuting entries must agree too
     for context in contexts:
         entries = context.entries
@@ -80,11 +82,11 @@ def test_check_pd_agrees_with_exhaustive_search():
                 c = Context(mutated)
             except Exception:
                 continue
-            assert pd_derivable(c) == (shape(c) is not None)
+            assert pd_derivable(c) == is_pasting(c)
         if len(entries) >= 2:
             swapped = (entries[1], entries[0]) + entries[2:]
             c = Context(swapped)
-            assert pd_derivable(c) == (shape(c) is not None)
+            assert pd_derivable(c) == is_pasting(c)
 
 
 def test_boundary_of_single_arrow():
@@ -132,7 +134,7 @@ def test_boundaries_are_pasting_and_one_dimension_down():
             continue
         for sign in (NEG, POS):
             b = boundary_ctx(context, sign)
-            assert shape(b) is not None
+            assert is_pasting(b)
             assert dim_ctx(b) == dim_ctx(context) - 1
 
 
@@ -166,7 +168,7 @@ def test_is_unbiased():
     # the redex test's reading: a coherence whose type is the unbiased type
     # of its pasting context
     t = unbiased_term(CHAIN2)
-    assert isinstance(t, Coh) and t.ty == shape(t.ctx).unbiased
+    assert isinstance(t, Coh) and t.ty == unbiased_type(t.ctx)
     # t's arguments are variables, not composites, so t has no redex
     assert normalize(CHAIN2, t) == t
     biased = Coh(
@@ -174,7 +176,16 @@ def test_is_unbiased():
         Arr(Var("f"), arr("x", star, "y"), Var("h")),  # not the unbiased type
         identity_sub(DELTA),
     )
-    assert biased.ty != shape(biased.ctx).unbiased
+    assert biased.ty != unbiased_type(biased.ctx)
+
+
+def test_a_non_pasting_context_has_no_unbiased_type():
+    parallel = ctx_of_telescope("(a : *) (b : *) (p : a -> b) (q : a -> b)")
+    for _ in range(2):
+        with pytest.raises(NotPasting) as err:
+            unbiased_type(parallel)
+        assert str(err.value) == "not a pasting context (entry 4): missing an entry of type p -> q"
+    assert "_unbiased" not in parallel.__dict__ and "_tree" not in parallel.__dict__
 
 
 def test_unbiased_source_support_matches_boundary():
@@ -219,7 +230,7 @@ def test_every_disc_has_one_maximal_cell():
     for n in range(4):
         d = disc_context(n)
         assert is_linear(ctx_to_tree(d.ctx))
-        assert shape(d.ctx) is not None
+        assert is_pasting(d.ctx)
         assert len(cell_table(d.ctx)) == 1
 
 

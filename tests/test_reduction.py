@@ -29,6 +29,7 @@ from cattsa.syntax import (
     term_str,
 )
 from cattsa.trees import (
+    ctx_to_tree,
     is_linear,
     linear_height,
     tree_depth,
@@ -145,6 +146,34 @@ def test_def_eq_distinguishes_distinct_composites():
     ab = comp2(amb, Var("a"), Var("b"))
     bc = comp2(amb, Var("b"), Var("c"))
     assert not def_eq(amb, ab, bc)
+
+
+def test_def_eq_of_items_of_different_kinds_is_false():
+    assert not def_eq(Context(), Var("x"), STAR)
+    assert not def_eq(Context(), STAR, Var("x"))
+
+
+# (a : *) (b : *) (p : a -> b) (q : a -> b) is not pasting: it lacks a cell p -> q
+PARALLEL = ctx_of_telescope("(a : *) (b : *) (p : a -> b) (q : a -> b)")
+PARALLEL_COH = Coh(PARALLEL, Arr(Var("a"), STAR, Var("b")), identity_sub(PARALLEL))
+
+
+@pytest.mark.parametrize("allow", [True, False])
+def test_a_coherence_over_a_non_pasting_context_is_normal(allow):
+    trace: list[str] = []
+    assert normalize(PARALLEL, PARALLEL_COH, allow_disc_insertion=allow, trace=trace) is PARALLEL_COH
+    assert trace == []
+
+
+@pytest.mark.parametrize("allow", [True, False])
+def test_an_argument_over_a_non_pasting_context_is_not_inserted(allow):
+    amb = ctx_of_telescope("(x : *) (y : *) (u : x -> y) (v : x -> y) (z : *) (g : y -> z)")
+    arg = Coh(PARALLEL, PARALLEL_COH.ty, Substitution(tuple(zip(PARALLEL.vars, map(Var, "xyuv")))))
+    t = comp2(amb, arg, Var("g"))
+    assert t.sub.values[2] is arg  # the argument at the locally maximal cell
+    trace: list[str] = []
+    assert normalize(amb, t, allow_disc_insertion=allow, trace=trace) is t
+    assert trace == []
 
 
 def test_normalize_is_idempotent_on_corpus():
@@ -652,7 +681,7 @@ def test_the_normaliser_reads_the_arguments_it_builds_by_position():
 
 
 # ---------------------------------------------------------------------------
-# The reduct of an unbiased composite is one: its shape is recorded
+# The reduct of an unbiased composite is one: its unbiased type is recorded
 # ---------------------------------------------------------------------------
 
 
@@ -660,8 +689,8 @@ def test_an_unbiased_insertion_normalises_to_the_unbiased_type():
     """For unbiased composites over S and T, inserted at a leaf x of S that
     T fills, the normal form of S's unbiased type carried to the inserted
     context is that context's unbiased type: the property by which the
-    normaliser records a reduct's shape instead of computing it.  With
-    disc insertion off a linear T is never inserted, and there the
+    normaliser records a reduct's unbiased type instead of computing it.
+    With disc insertion off a linear T is never inserted, and there the
     property fails for some discs of dimension 1, 2 and 3."""
     trees = enumerate_trees(11)
     checked = 0
@@ -687,16 +716,18 @@ def test_an_unbiased_insertion_normalises_to_the_unbiased_type():
 def test_every_recorded_reduct_shape_is_the_computed_one(monkeypatch):
     recorded = []
 
-    def spy(ctx, unbiased=None):
-        if unbiased is not None:
+    def spy(ctx, known=None):
+        if known is not None:
             recorded.append(ctx)
-        return pasting.shape(ctx, unbiased)
+        return pasting.unbiased_type(ctx, known)
 
-    monkeypatch.setattr(reduction, "shape", spy)
+    monkeypatch.setattr(reduction, "unbiased_type", spy)
     cases = curated_corpus() + random_corpus(400, seed=77)
     for allow in (True, False):
         for context, t in cases:
             normalize(context, t, allow_disc_insertion=allow)
     assert recorded
     for ctx in recorded:
-        assert pasting.shape(ctx) == pasting._new_shape(Context(ctx.entries))
+        cold = Context(ctx.entries)
+        assert ctx_to_tree(ctx) == ctx_to_tree(cold)
+        assert pasting.unbiased_type(ctx) == pasting.unbiased_type(cold)

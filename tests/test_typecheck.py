@@ -13,6 +13,7 @@ from cattsa.errors import (
     SupportViolation,
     TooDeep,
     TypeMismatch,
+    UnknownVariable,
 )
 from cattsa.pasting import unbiased_type
 from cattsa.reduction import def_eq, normalize
@@ -98,6 +99,15 @@ def test_a_type_naming_a_variable_outside_its_prefix_is_undefined(mode, name):
     report = Session(mode).check_sub(ARROW, sigma, gamma)
     assert isinstance(report.error, SubstitutionUndefined)
     assert str(report.error) == f"substitution has no entry for '{name}'"
+
+
+@pytest.mark.parametrize("mode", list(Mode))
+@pytest.mark.parametrize("name", ["y", "z"])  # a later variable, an unknown one
+def test_a_context_entry_naming_a_variable_outside_its_prefix_is_unknown(mode, name):
+    gamma = ctx(("x", star), ("f", arr("x", star, name)), ("y", star))
+    report = Session(mode).check_ctx(gamma)
+    assert isinstance(report.error, UnknownVariable)
+    assert str(report.error) == f"unknown variable '{name}' in context"
 
 
 def test_composite_argument_substitution_checks():
