@@ -7,7 +7,6 @@ from .insertion import (
     InsertionProblem,
     InsertionResult,
     insert_ctx,
-    insert_sub,
     type_linear_height,
 )
 from .pasting import unbiased_type

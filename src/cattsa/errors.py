@@ -54,10 +54,6 @@ class LinearHeightTooSmall(CattError):
     pass
 
 
-class HeadMismatch(CattError):
-    pass
-
-
 class IllTyped(CattError):
     """Raised by typing routines when a judgement fails."""
 

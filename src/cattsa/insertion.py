@@ -1,16 +1,14 @@
 """Insertion: grafting one pasting diagram into another at a locally
 maximal cell, together with the canonical substitutions in and out of the
-result and the combined argument substitution of an insertion redex.
+result.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import NamedTuple
 
 from .errors import (
     DimensionError,
-    HeadMismatch,
     LinearHeightTooSmall,
     NotLocallyMaximal,
     SubstitutionUndefined,
@@ -100,7 +98,8 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     whose name changed are recorded, and relabel_tree rebuilds only the
     nodes that hold one.  So the splice repeats no label, and its emission
     is not checked for one.  The internal substitution maps each inner
-    variable to its image; the external one keeps the surviving outer
+    variable to its image, and its memo keeps, as _ren, the names that
+    changed; the external one keeps the surviving outer
     variables and sends x and its boundary, erased by the splice, to the
     inner coherence and its boundary.  The external map's lookup is image,
     which raises SubstitutionUndefined on a name outside the outer context,
@@ -147,39 +146,3 @@ def insert_ctx(problem: InsertionProblem) -> InsertionResult:
     external = Substitution.deferred(outer.vars, lambda: tuple(map(image, outer.vars)), lookup=image)
     return InsertionResult(problem, inserted, internal, external)
 
-
-def insert_sub(
-    sigma: Substitution, x: VarName, tau: Substitution, result: InsertionResult
-) -> Substitution:
-    """Combine argument substitutions through an insertion.
-
-    Variables surviving from the outer context map via sigma, variables
-    originating from the inner context map via tau.  The argument at x must
-    be the inner coherence applied to tau; when it is built from the very
-    inner context, type and tau, it is not built again to compare.
-    """
-    problem = result.problem
-    if x != problem.var:
-        raise HeadMismatch(f"insertion was performed at '{problem.var}', not '{x}'")
-    # tau's domain is the inner context's variables, in the order internal
-    # maps them, and none of their images is an outer name such as x
-    ren = result.internal.derived("_ren", _renaming)
-    inner = zip(map(ren.get, tau.domain, tau.domain), tau.values)
-    table = dict(chain(zip(sigma.domain, sigma.values), inner))
-    actual = table.get(x)
-    if not (isinstance(actual, Coh) and actual.ctx is problem.inner
-            and actual.ty is problem.inner_type and actual.sub is tau):
-        expected = Coh(problem.inner, problem.inner_type, tau)
-        if actual is None:
-            raise HeadMismatch(f"'{x}' missing from the outer substitution")
-        if actual != expected:
-            raise HeadMismatch(f"argument at '{x}' is not the inner coherence applied to tau")
-    names = result.inserted.vars
-    try:
-        return Substitution.deferred(names, tuple(map(table.__getitem__, names)))
-    except KeyError as exc:
-        raise SubstitutionUndefined(exc.args[0]) from None
-
-
-def _renaming(internal: Substitution) -> dict[VarName, VarName]:  # the inner names it changes
-    return {v: w.name for v, w in internal if v != w.name}

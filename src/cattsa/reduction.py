@@ -21,7 +21,7 @@ from operator import is_
 from typing import Iterator, Optional
 
 from .errors import IllTyped, NotPasting, bounded
-from .insertion import InsertionProblem, insert_ctx, insert_sub
+from .insertion import InsertionProblem, insert_ctx, type_linear_height
 from .pasting import unbiased_type
 from .syntax import (
     Arr,
@@ -35,6 +35,7 @@ from .syntax import (
     Var,
     VarName,
     apply_sub_type,
+    dim_type,
     item_str,
 )
 from .trees import cell_table, ctx_to_tree, is_linear, linear_height
@@ -130,11 +131,18 @@ def _eligible_heads(t: Coh, allow: bool) -> Iterator[tuple[VarName, Coh]]:
         yield x, arg
 
 
-def _insert_at(t: Coh, x: VarName, arg: Coh) -> Term:
-    """Fire the insertion redex of t at the locally maximal cell x, whose argument is arg."""
+def _insert_at(t: Coh, x: VarName, arg: Coh) -> Coh:
+    """Fire the insertion redex of t at the locally maximal cell x, whose
+    argument is arg.  The reduct's argument at a surviving outer name is
+    t's, and at the image of an inner name arg's at that name, through the
+    renaming insert_ctx recorded; no image of an inner name is an outer name."""
     result = insert_ctx(InsertionProblem(t.ctx, x, arg.ctx, arg.ty))
-    ty = apply_sub_type(t.ty, result.external)
-    return Coh(result.inserted, ty, insert_sub(t.sub, x, arg.sub, result))
+    ren = result.internal._ren  # the inner names it changed
+    table = dict(zip(t.ctx.vars, t.sub.values))
+    table.update(zip(map(ren.get, arg.ctx.vars, arg.ctx.vars), arg.sub.values))
+    names = result.inserted.vars
+    sub = Substitution.deferred(names, tuple(map(table.__getitem__, names)))
+    return Coh(result.inserted, apply_sub_type(t.ty, result.external), sub)
 
 
 # ---------------------------------------------------------------------------
@@ -166,8 +174,10 @@ def _nf(item: Item, memo: dict, allow: bool, traced: bool) -> tuple:
     for x, arg in _eligible_heads(nf, allow) if isinstance(nf, Coh) else ():  # the head's, in turn
         unbiased = nf.ty == unbiased_type(nf.ctx)
         nf = _insert_at(nf, x, arg)
-        # the reduct's arguments are normal arguments: only its type may reduce
-        ty, inner = _nf(nf.ty, memo, allow, traced)
+        # the reduct's arguments are normal arguments: only its type may
+        # reduce, and only if a coherence is at some endpoint of it
+        coherent = type_linear_height(nf.ty) < dim_type(nf.ty)
+        ty, inner = _nf(nf.ty, memo, allow, traced) if coherent else (nf.ty, ())
         if unbiased:  # then so is the reduct: ty is its context's unbiased type
             unbiased_type(nf.ctx, ty)
         if traced:

@@ -20,8 +20,10 @@ outside it:
   substitution out of a globular context, against which the kernel's
   check_sub and insertion's substitutions are tested, and its error
   GlobularityViolation;
-- check_pushout, the universal property of an insertion on concrete
-  cones;
+- insert_sub, the combined argument substitution of an insertion, which
+  the normaliser builds by position without its checks, and its error
+  HeadMismatch; and check_pushout, the universal property of an insertion
+  on concrete cones;
 - insert_tree, the paper's insertion of one labelled tree into another
   along a branching path, written as a wedge sum of suspensions and
   sharing no code with the kernel's splice, with the checks that the
@@ -40,14 +42,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import product
+from itertools import chain, product
 from typing import NamedTuple, Optional, Union
 
 from cattsa.errors import (
     CattError,
     DimensionError,
     DuplicateVariable,
-    HeadMismatch,
     IllTyped,
     LinearHeightTooSmall,
     MalformedSyntax,
@@ -59,7 +60,6 @@ from cattsa.errors import (
 from cattsa.insertion import (
     InsertionProblem,
     InsertionResult,
-    insert_sub,
     type_linear_height,
 )
 from cattsa.pasting import _unbiased_type
@@ -104,6 +104,11 @@ from cattsa.typecheck import Mode, Session, TypingReport, _check_domain
 
 class GlobularityViolation(IllTyped):
     """A substitution out of a globular context that is not well formed."""
+
+
+class HeadMismatch(CattError):
+    """An outer argument substitution whose argument at the cell is not the
+    inner coherence applied to the inner one."""
 
 
 # ---------------------------------------------------------------------------
@@ -597,6 +602,50 @@ def _unique_factorisation(
             if not all(def_eq(gamma, a, b) for a, b in zip(nu.values, mu.values)):
                 return False, checked, pool_size, "a distinct factorisation passed"
     return True, checked, pool_size, ""
+
+
+# ---------------------------------------------------------------------------
+# The combined argument substitution of an insertion
+# ---------------------------------------------------------------------------
+
+
+def insert_sub(
+    sigma: Substitution, x: VarName, tau: Substitution, result: InsertionResult
+) -> Substitution:
+    """Combine argument substitutions through an insertion.
+
+    Variables surviving from the outer context map via sigma, variables
+    originating from the inner context map via tau.  The argument at x must
+    be the inner coherence applied to tau; when it is built from the very
+    inner context, type and tau, it is not built again to compare.
+    """
+    problem = result.problem
+    if x != problem.var:
+        raise HeadMismatch(f"insertion was performed at '{problem.var}', not '{x}'")
+    # tau's domain is the inner context's variables, in the order internal
+    # maps them, and none of their images is an outer name such as x
+    ren = result.internal.derived("_ren", _renaming)
+    inner = zip(map(ren.get, tau.domain, tau.domain), tau.values)
+    table = dict(chain(zip(sigma.domain, sigma.values), inner))
+    actual = table.get(x)
+    if not (isinstance(actual, Coh) and actual.ctx is problem.inner
+            and actual.ty is problem.inner_type and actual.sub is tau):
+        expected = Coh(problem.inner, problem.inner_type, tau)
+        if actual is None:
+            raise HeadMismatch(f"'{x}' missing from the outer substitution")
+        if actual != expected:
+            raise HeadMismatch(f"argument at '{x}' is not the inner coherence applied to tau")
+    names = result.inserted.vars
+    try:
+        return Substitution(tuple((v, table[v]) for v in names))
+    except KeyError as exc:
+        raise SubstitutionUndefined(exc.args[0]) from None
+
+
+def _renaming(internal: Substitution) -> dict[VarName, VarName]:
+    """The inner names internal changes; insert_ctx keeps them in its memo,
+    but a pickled or copied result does not."""
+    return {v: w.name for v, w in internal if v != w.name}
 
 
 # ---------------------------------------------------------------------------

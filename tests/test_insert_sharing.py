@@ -1,6 +1,7 @@
 """Insertion that shares what it does not change, against the reference
 that builds everything afresh (oracles.reference_insert_ctx and
-reference_insert_sub), and the error contract of insert_sub."""
+reference_insert_sub), the normaliser's reducts against the oracle's
+insert_sub, and the error contract of that insert_sub."""
 
 from __future__ import annotations
 
@@ -9,11 +10,10 @@ from copy import deepcopy
 
 import pytest
 
-from cattsa.errors import HeadMismatch, MalformedSyntax, SubstitutionUndefined
+from cattsa.errors import MalformedSyntax, SubstitutionUndefined
 from cattsa.insertion import (
     InsertionProblem,
     insert_ctx,
-    insert_sub,
     type_linear_height,
 )
 from cattsa.pasting import unbiased_type
@@ -40,7 +40,9 @@ from cattsa.trees import (
 )
 from helpers import CHAIN2, chain, ctx_of_telescope, enumerate_trees
 from oracles import (
+    HeadMismatch,
     branching_height,
+    insert_sub,
     leaf_labels,
     reference_insert_ctx,
     reference_insert_sub,
@@ -313,7 +315,7 @@ def test_relabelling_shares_the_subtrees_without_a_renamed_label():
 
 
 # ---------------------------------------------------------------------------
-# The error contract of insert_sub
+# The error contract of the oracle's insert_sub
 # ---------------------------------------------------------------------------
 
 

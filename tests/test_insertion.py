@@ -7,14 +7,12 @@ import pytest
 from cattsa.errors import (
     DimensionError,
     DuplicateVariable,
-    HeadMismatch,
     LinearHeightTooSmall,
     SubstitutionUndefined,
 )
 from cattsa.insertion import (
     InsertionProblem,
     insert_ctx,
-    insert_sub,
     type_linear_height,
 )
 from cattsa.pasting import unbiased_type
@@ -51,10 +49,12 @@ from helpers import (
     unbiased_term,
 )
 from oracles import (
+    HeadMismatch,
     branching_height,
     check_pushout,
     check_well_formed_sub,
     disc_context,
+    insert_sub,
     insert_tree,
     leaf_labels,
     reference_insert_ctx,
@@ -348,6 +348,10 @@ def test_insert_ctx_rejects_non_maximal_cells():
 
     with pytest.raises(NotLocallyMaximal):
         insert_ctx(InsertionProblem(DELTA, "f", THETA, unbiased_type(THETA)))
+
+
+# The combined argument substitution: the oracle's insert_sub, which the
+# normaliser's reducts are checked against in test_insert_sharing.py
 
 
 def chain_insertion_setup():
