@@ -637,7 +637,7 @@ def insert_sub(
             raise HeadMismatch(f"argument at '{x}' is not the inner coherence applied to tau")
     names = result.inserted.vars
     try:
-        return Substitution(tuple((v, table[v]) for v in names))
+        return Substitution.deferred(names, tuple(map(table.__getitem__, names)))
     except KeyError as exc:
         raise SubstitutionUndefined(exc.args[0]) from None
 

@@ -257,6 +257,27 @@ def test_type_error_exit_code_and_span(tmp_path, capsys):
     assert "2:1:" in out  # failing declaration reported with its span
 
 
+BAD_HEAD = "def bad (x : *) (y : *) (f : x -> y) : x -> y := "
+INFER_HEAD = "(x : *) (y : *) (f : x -> y) (g : y -> x) (a : comp [f, g] -> comp [f, g])"
+
+
+@pytest.mark.parametrize("text, message", [
+    (BAD_HEAD + "comp [x, f]", "2:50: argument 'x' for 'f' of 'comp' has dimension 0, "
+                               "needs at least 1"),
+    (BAD_HEAD + "comp", "2:50: 'comp' takes 2 arguments (or all 5), got 0"),
+    # y appears in a's type only inside coherences, so no boundary of the
+    # one argument, a, recovers it
+    (f"def e {INFER_HEAD} : comp [f, g] -> comp [f, g] := a\n"
+     f"def use {INFER_HEAD} : comp [f, g] -> comp [f, g] := e [a]",
+     "3:116: cannot infer argument for 'y' of 'e'"),
+], ids=["argument-dimension", "no-arguments", "cannot-infer"])
+def test_an_application_error_is_reported_at_its_span(tmp_path, capsys, text, message):
+    p = tmp_path / "apply.catt"
+    p.write_text(HEADER.splitlines()[1] + "\n" + text + "\n")
+    assert cli.main(["check", str(p)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("mode", ["sa", "catt"])
 def test_a_head_type_that_is_no_arrow_fails_the_coh_support_condition(tmp_path, capsys, mode):
     p = tmp_path / "point.catt"

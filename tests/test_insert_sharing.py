@@ -1,7 +1,7 @@
 """Insertion that shares what it does not change, against the reference
 that builds everything afresh (oracles.reference_insert_ctx and
-reference_insert_sub), the normaliser's reducts against the oracle's
-insert_sub, and the error contract of that insert_sub."""
+reference_insert_sub), and the error contract of the oracle's insert_sub,
+which the normaliser no longer calls."""
 
 from __future__ import annotations
 

@@ -58,9 +58,12 @@ from oracles import (
     branching_height,
     disc_context,
     eq_at_level,
+    insert_sub,
     is_regular,
     leaf_labels,
     ord_lt,
+    reference_insert_ctx,
+    reference_insert_sub,
     regular_height,
     step_candidates,
     syntactic_depth,
@@ -654,6 +657,34 @@ def test_every_coherence_of_a_normal_form_has_its_contexts_domain():
                 assert coh.sub.domain == coh.ctx.vars
                 checked += 1
     assert checked == 2630
+
+
+def test_each_step_builds_the_oracles_reduct(monkeypatch):
+    # the normaliser builds a reduct's arguments by position, with neither
+    # insert_sub nor its checks: each step's reduct is the one the oracle's
+    # insert_sub gives, and its arguments the reference's, built one name
+    # at a time
+    steps, insert_at = [], reduction._insert_at
+
+    def recording(t, x, arg):
+        steps.append((t, x, arg, insert_at(t, x, arg)))
+        return steps[-1][-1]
+
+    monkeypatch.setattr(reduction, "_insert_at", recording)
+    counts = []
+    for allow in (True, False):
+        for context, t in curated_corpus() + _composites_over_small_trees():
+            normalize(context, t, allow_disc_insertion=allow)
+        counts.append(len(steps) - sum(counts))
+    for t, x, arg, reduct in steps:
+        problem = InsertionProblem(t.ctx, x, arg.ctx, arg.ty)
+        result = insert_ctx(problem)
+        sub = insert_sub(t.sub, x, arg.sub, result)
+        want = Coh(result.inserted, apply_sub_type(t.ty, result.external), sub)
+        assert reduct == want and term_str(reduct) == term_str(want)
+        reference = reference_insert_sub(t.sub, x, arg.sub, reference_insert_ctx(problem))
+        assert reduct.sub.entries == sub.entries == reference.entries
+    assert counts == [576, 486]
 
 
 def _left_nested(n: int) -> tuple[Context, Coh]:
