@@ -1,8 +1,8 @@
 """Command-line front end: definition environment, elaboration, commands.
 
 Each command makes all its typing judgements on one typecheck.Session.
-infer, normalize and eq check the telescope of each named declaration
-before its term, as check does.
+infer, normalize and eq judge each named declaration exactly as check
+does, and go on only when it passes.
 
 Exit codes: 0 success (or "equal"), 1 type error or "not equal", 2 usage
 or parse error, or a file that cannot be read as UTF-8 text.
@@ -16,7 +16,8 @@ import sys
 from typing import Iterator, NamedTuple, Optional
 
 from . import reduction
-from .errors import CattError, ElaborationError, SurfaceSyntaxError, UnreadableFile, bounded
+from .errors import (
+    CattError, DimensionError, ElaborationError, SurfaceSyntaxError, UnreadableFile, bounded)
 from .insertion import InsertionProblem, insert_ctx
 from .parser import (
     DUMMY_SPAN,
@@ -34,10 +35,12 @@ from .parser import (
 )
 from .pasting import maximal_vars, unbiased_type
 from .syntax import (
+    NEG,
     STAR,
     Arr,
     Coh,
     Context,
+    Item,
     Substitution,
     Term,
     Type,
@@ -50,7 +53,6 @@ from .syntax import (
     identity_sub,
     term_boundary,
     term_str,
-    type_boundary,
     type_str,
     var_sub,
 )
@@ -82,7 +84,7 @@ Env = dict[str, Decl]
 
 
 def _raw_type(ctx: Context, t: Term) -> Type:
-    """Type synthesis without validation, used to fill in arrow bases."""
+    """Type synthesis without validation, for arrow bases and omitted arguments."""
     if isinstance(t, Var):
         return ctx.lookup(t.name)
     assert isinstance(t, Coh)
@@ -99,9 +101,7 @@ def elaborate_term(src: SrcTerm, ctx: Context, env: Env) -> Term:
         return Var(src.name)
     assert isinstance(src, SrcApp)
     if src.name not in env:
-        raise ElaborationError(
-            f"unknown declaration '{src.name}'", src.span.line, src.span.col
-        )
+        raise ElaborationError(f"unknown declaration '{src.name}'", *src.span)
     args = tuple(elaborate_term(a, ctx, env) for a in src.args)
     return apply_decl(env[src.name], args, ctx, src.span)
 
@@ -116,10 +116,7 @@ def elaborate_type(src: SrcType, ctx: Context, env: Env) -> Type:
         base = _raw_type(ctx, s)
     except CattError as exc:
         raise ElaborationError(
-            f"cannot determine the type of '{term_str(s)}': {exc}",
-            src.span.line,
-            src.span.col,
-        ) from exc
+            f"cannot determine the type of '{term_str(s)}': {exc}", *src.span) from exc
     return Arr(s, base, t)
 
 
@@ -127,8 +124,12 @@ def apply_decl(decl: Decl, args: tuple[Term, ...], ambient: Context, span: Span)
     """Instantiate a declaration with positional arguments.
 
     Arguments bind the locally maximal telescope variables (or all of them
-    when the full count is supplied); the omitted boundary entries are
-    recomputed from the given arguments.
+    when the full count is supplied).  The others are found by matching
+    each given variable's declared type against its argument's type cut
+    down to the variable's dimension, read off the argument's boundary
+    there (see _slot and _match).  Variable endpoints bind first, in
+    ascending dimension, source before target; coherence endpoints then
+    fill only the names still unbound.
     """
     tele = decl.ctx
     maximal = tele.derived("_maximal", maximal_vars)  # computed once per telescope
@@ -136,43 +137,18 @@ def apply_decl(decl: Decl, args: tuple[Term, ...], ambient: Context, span: Span)
         assignment = dict(zip(tele.vars, args))
     elif len(args) == len(maximal):
         assignment = dict(zip(maximal, args))
-        for v, t in zip(maximal, args):
-            v_ty = tele.lookup(v)
-            dv = dim_type(v_ty)
-            try:
-                dt = dim_term(ambient, t)
-            except CattError as exc:
-                raise ElaborationError(
-                    f"argument '{term_str(t)}' for '{v}' of '{decl.name}': {exc}",
-                    span.line,
-                    span.col,
-                ) from exc
-            if dt < dv:
-                raise ElaborationError(
-                    f"argument '{term_str(t)}' for '{v}' of '{decl.name}' has "
-                    f"dimension {dt}, needs at least {dv}",
-                    span.line,
-                    span.col,
-                )
-            for m in range(dv):
-                for sign in ("-", "+"):
-                    pattern = type_boundary(v_ty, m, sign)
-                    if isinstance(pattern, Var) and pattern.name not in assignment:
-                        assignment[pattern.name] = term_boundary(ambient, t, m, sign)
+        slots = [_slot(decl, v, t, ambient, span) for v, t in zip(maximal, args)]
+        for inside in (False, True):
+            if all(v in assignment for v in tele.vars):
+                break
+            for pattern, ty in slots:
+                _match(pattern, ty, assignment, inside)
     else:
-        raise ElaborationError(
-            f"'{decl.name}' takes {len(maximal)} arguments "
-            f"(or all {len(tele.vars)}), got {len(args)}",
-            span.line,
-            span.col,
-        )
+        raise ElaborationError(f"'{decl.name}' takes {len(maximal)} arguments "
+                               f"(or all {len(tele.vars)}), got {len(args)}", *span)
     missing = [v for v in tele.vars if v not in assignment]
     if missing:
-        raise ElaborationError(
-            f"cannot infer argument for '{missing[0]}' of '{decl.name}'",
-            span.line,
-            span.col,
-        )
+        raise ElaborationError(f"cannot infer argument for '{missing[0]}' of '{decl.name}'", *span)
     sigma = Substitution(tuple((v, assignment[v]) for v in tele.vars))
     if decl.kind == "coh":
         return Coh(decl.ctx, decl.ty, sigma)
@@ -180,24 +156,51 @@ def apply_decl(decl: Decl, args: tuple[Term, ...], ambient: Context, span: Span)
     return apply_sub_term(decl.body, sigma)
 
 
+def _slot(decl: Decl, v: str, t: Term, ambient: Context, span: Span) -> tuple[Type, Type]:
+    """v's declared type, and the type of t's boundary at v's dimension: the
+    type of t itself when their dimensions agree."""
+    v_ty = decl.ctx.lookup(v)
+    try:
+        return v_ty, _raw_type(ambient, term_boundary(ambient, t, dim_type(v_ty), NEG))
+    except DimensionError:  # t's dimension is below v's
+        raise ElaborationError(
+            f"argument '{term_str(t)}' for '{v}' of '{decl.name}' has dimension "
+            f"{dim_term(ambient, t)}, needs at least {dim_type(v_ty)}", *span) from None
+    except CattError as exc:
+        raise ElaborationError(
+            f"argument '{term_str(t)}' for '{v}' of '{decl.name}': {exc}", *span) from exc
+
+
+def _match(pattern: Item, value: Item, assignment: dict[str, Term], inside: bool) -> None:
+    """Bind each unbound variable of pattern to the part of value in its
+    place.  Arrows match component-wise, base first; when inside is set, a
+    coherence matches a coherence with the same context and head type,
+    argument by argument."""
+    if isinstance(pattern, Var):
+        assignment.setdefault(pattern.name, value)
+    elif isinstance(pattern, Arr) and isinstance(value, Arr):
+        _match(pattern.base, value.base, assignment, inside)
+        _match(pattern.src, value.src, assignment, inside)
+        _match(pattern.tgt, value.tgt, assignment, inside)
+    elif (inside and isinstance(pattern, Coh) and isinstance(value, Coh)
+          and (pattern.ctx, pattern.ty) == (value.ctx, value.ty)):
+        for p, w in zip(pattern.sub.values, value.sub.values):
+            _match(p, w, assignment, inside)
+
+
 def elaborate_file(src: SourceFile) -> Env:
     """Build the environment; names are unique and expanded in order."""
     env: Env = {}
     for d in src.decls:
         if d.name in env:
-            raise ElaborationError(
-                f"duplicate declaration '{d.name}'", d.span.line, d.span.col
-            )
+            raise ElaborationError(f"duplicate declaration '{d.name}'", *d.span)
         try:
             env[d.name] = elaborate_decl(d, env)
         except RecursionError:
             # def expansion can nest a term deeper than its source, past
             # what the recursive kernel functions can traverse
             raise ElaborationError(
-                f"'{d.name}' expands to a term nested too deeply",
-                d.span.line,
-                d.span.col,
-            ) from None
+                f"'{d.name}' expands to a term nested too deeply", *d.span) from None
     return env
 
 
@@ -205,7 +208,7 @@ def elaborate_telescope(telescope: tuple[tuple[str, SrcType], ...], env: Env, sp
     ctx = Context()
     for v, src_ty in telescope:
         if ctx.has(v):
-            raise ElaborationError(f"duplicate telescope variable '{v}'", span.line, span.col)
+            raise ElaborationError(f"duplicate telescope variable '{v}'", *span)
         ctx = ctx.extend(v, elaborate_type(src_ty, ctx, env))
     return ctx
 
@@ -255,15 +258,16 @@ def _check_decl(decl: Decl, session: Session) -> tuple[bool, str]:
     return True, f"{decl.kind} {decl.name}: ok"
 
 
+def _rejected(decl: Decl, session: Session, prefix: str = "") -> bool:
+    """Whether check rejects decl; its message goes to stderr, after prefix, when it does."""
+    ok, message = _check_decl(decl, session)
+    if not ok:
+        print(prefix + message, file=sys.stderr)
+    return not ok
+
+
 def _session(args: argparse.Namespace) -> Session:
     return Session(Mode(args.mode), allow_disc_insertion=not args.no_disc_insertion)
-
-
-def _failed(report: TypingReport, prefix: str = "") -> bool:
-    """Whether report failed; its message goes to stderr when it did."""
-    if not report.ok:
-        print(prefix + report.message, file=sys.stderr)
-    return not report.ok
 
 
 def _print_result(args: argparse.Namespace, doc: dict, *lines: str) -> None:
@@ -282,7 +286,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     for d in src.decls:
         decl_ok, message = _check_decl(env[d.name], session)
         if not decl_ok:
-            message = f"{d.span.line}:{d.span.col}: {message}"
+            message = f"{d.span}: {message}"
         results.append(
             {
                 "name": d.name,
@@ -308,9 +312,9 @@ def cmd_normalize(args: argparse.Namespace) -> int:
     session = _session(args)
     _, env = _load(args.file)
     decl = _resolve(env, args.name)
-    term = decl.value()
-    if _failed(session.check_ctx(decl.ctx)) or _failed(session.infer_report(decl.ctx, term)):
+    if _rejected(decl, session):
         return 1
+    term = decl.value()
     # each step renders the whole term once: collect only a trace that is shown
     trace: Optional[list[str]] = [] if args.trace or args.json else None
     normal = reduction.normalize(
@@ -343,11 +347,9 @@ def cmd_eq(args: argparse.Namespace) -> int:
     session = _session(args)
     _, env = _load(args.file)
     decls = (_resolve(env, args.name1), _resolve(env, args.name2))
-    if any(_failed(session.check_ctx(d.ctx), f"{d.name}: ") for d in decls):
+    if any(_rejected(d, session, f"{d.name}: ") for d in decls):
         return 1
-    ctx, t1, t2 = _comparable_values(*decls)  # t2 in d1's names; typed below as written
-    if any(_failed(session.infer_report(d.ctx, d.value()), f"{d.name}: ") for d in decls):
-        return 1
+    ctx, t1, t2 = _comparable_values(*decls)  # t2 in d1's names
     same = session.equal(ctx, t1, t2)
     doc = {
         "command": "eq",
@@ -363,13 +365,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
     session = _session(args)
     _, env = _load(args.file)
     decl = _resolve(env, args.name)
-    if _failed(session.check_ctx(decl.ctx)):
+    if _rejected(decl, session):
         return 1
-    report = session.infer_report(decl.ctx, decl.value())
-    if _failed(report):
-        return 1
-    assert report.inferred is not None
-    inferred = report.inferred
+    # a coh's value is its head under the identity substitution: its type is its head type
+    inferred = decl.ty if decl.kind == "coh" else session.infer_term(decl.ctx, decl.value())
     if session.mode is Mode.CATT_SA:
         inferred = reduction.normalize(
             decl.ctx, inferred, allow_disc_insertion=session.allow_disc_insertion

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -13,10 +14,11 @@ import pytest
 
 import cattsa
 from cattsa import cli, reduction
-from cattsa.parser import MAX_NESTING, parse
-from cattsa.syntax import Var, alpha_eq
+from cattsa.parser import DUMMY_SPAN, MAX_NESTING, parse
+from cattsa.pasting import maximal_vars
+from cattsa.syntax import Coh, Var, alpha_eq, apply_sub_term, apply_sub_type, dim_type, identity_sub
 from cattsa.typecheck import Mode, Session
-from helpers import comp2
+from helpers import comp2, generate_terms, random_corpus
 
 HEADER = """
 coh comp (x : *) (y : *) (f : x -> y) (z : *) (g : y -> z) : x -> z
@@ -54,6 +56,42 @@ def test_elaboration_rejects_unknown_application_head():
 def test_elaboration_arity_errors():
     with pytest.raises(Exception):
         cli.elaborate_file(parse(HEADER + "def t (x : *) : x -> x := comp [x]"))
+
+
+def _applications(seed: int):
+    """(declaration, its arguments in telescope order, ambient, term) for
+    each term s of a random corpus that checks in catt mode: s's own
+    coherence applied to s's arguments, and a def over s's pasting context
+    extended by a cell whose type is that of a term t made over it (a 2-cell
+    type often has composites at its endpoints), applied to s's arguments
+    and to t's image.  Both applications are s."""
+    catt = Session(Mode.CATT)
+    rng = random.Random(seed)
+    for ambient, s in random_corpus(40, seed=seed):
+        if not catt.infer_report(ambient, s).ok:
+            continue  # omitted arguments are fixed up to syntax only in catt mode
+        sigma = s.sub
+        yield cli.Decl("coh", "c", s.ctx, s.ty, None), sigma.values, ambient, s
+        body = Coh(s.ctx, s.ty, identity_sub(s.ctx))
+        for t in generate_terms(s.ctx, rng, rounds=4):
+            if catt.infer_report(s.ctx, t).ok:
+                tele = s.ctx.extend("cell", apply_sub_type(t.ty, t.sub))
+                decl = cli.Decl("def", "e", tele, s.ty, body)
+                yield decl, (*sigma.values, apply_sub_term(t, sigma)), ambient, s
+
+
+def test_maximal_arguments_elaborate_as_all_arguments():
+    composite_ends = 0
+    for decl, args, ambient, expected in (a for seed in (5, 6, 7) for a in _applications(seed)):
+        given = dict(zip(decl.ctx.vars, args))
+        maximal = tuple(given[v] for v in maximal_vars(decl.ctx))
+        assert len(maximal) < len(args)
+        full = cli.apply_decl(decl, args, ambient, DUMMY_SPAN)
+        assert full == expected
+        assert cli.apply_decl(decl, maximal, ambient, DUMMY_SPAN) == full
+        cell_ty = decl.ctx.values[-1]
+        composite_ends += isinstance(cell_ty.src, Coh) and dim_type(cell_ty) == 2
+    assert composite_ends >= 10
 
 
 def test_check_command(assoc_file, capsys):
@@ -265,17 +303,40 @@ INFER_HEAD = "(x : *) (y : *) (f : x -> y) (g : y -> x) (a : comp [f, g] -> comp
     (BAD_HEAD + "comp [x, f]", "2:50: argument 'x' for 'f' of 'comp' has dimension 0, "
                                "needs at least 1"),
     (BAD_HEAD + "comp", "2:50: 'comp' takes 2 arguments (or all 5), got 0"),
-    # y appears in a's type only inside coherences, so no boundary of the
-    # one argument, a, recovers it
+    # b's type has variables where e's slot type has coherences, so nothing
+    # in it names y
     (f"def e {INFER_HEAD} : comp [f, g] -> comp [f, g] := a\n"
-     f"def use {INFER_HEAD} : comp [f, g] -> comp [f, g] := e [a]",
-     "3:116: cannot infer argument for 'y' of 'e'"),
-], ids=["argument-dimension", "no-arguments", "cannot-infer"])
+     "def use (x : *) (h : x -> x) (b : h -> h) : h -> h := e [b]",
+     "3:55: cannot infer argument for 'y' of 'e'"),
+    (HEADER.splitlines()[1], "2:1: duplicate declaration 'comp'"),
+    (BAD_HEAD + "comp [q, f]",
+     "2:50: argument 'q' for 'f' of 'comp': unknown variable 'q' in context"),
+    # c's head type names q, which c's telescope lacks
+    ("coh c (x : *) : x -> q\n"
+     "def u (x : *) (q : *) (g : q -> x) : x -> x := comp [c [x], g]",
+     "3:48: argument 'coh { (x : *) : x -> q } [x]' for 'f' of 'comp': "
+     "substitution has no entry for 'q'"),
+], ids=["argument-dimension", "no-arguments", "cannot-infer", "duplicate-declaration",
+        "unknown-argument", "uncomputable-type"])
 def test_an_application_error_is_reported_at_its_span(tmp_path, capsys, text, message):
     p = tmp_path / "apply.catt"
     p.write_text(HEADER.splitlines()[1] + "\n" + text + "\n")
     assert cli.main(["check", str(p)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# y, f and g appear in a's type only as arguments of comp
+INSIDE = (HEADER + "def e " + INFER_HEAD + " : comp [f, g] -> comp [f, g] := a\n"
+          + "def use " + INFER_HEAD + " : comp [f, g] -> comp [f, g] := e [a]\n")
+
+
+@pytest.mark.parametrize("mode", ["sa", "catt"])
+def test_an_argument_fixed_only_inside_coherences_is_recovered(tmp_path, capsys, mode):
+    p = tmp_path / "inside.catt"
+    p.write_text(INSIDE)
+    assert cli.main(["check", str(p), "--mode", mode]) == 0
+    assert capsys.readouterr().out == "coh comp: ok\ncoh comp3: ok\ndef e: ok\ndef use: ok\n"
+    assert cli.elaborate_file(parse(INSIDE))["use"].body == Var("a")
 
 
 @pytest.mark.parametrize("mode", ["sa", "catt"])
@@ -486,6 +547,24 @@ def test_commands_check_the_telescope_first(tmp_path, capsys, mode):
         (["eq", path, "bad", "bad2", "--json"], f"bad: {message}"),
         (["eq", path, "bad2", "bad"],
          "bad2: context (y : *) (g : y -> q): unknown variable 'q' in context"),
+    ):
+        assert cli.main([*argv, "--mode", mode]) == 1
+        assert capsys.readouterr() == ("", err + "\n")
+
+
+@pytest.mark.parametrize("mode", ["sa", "catt"])
+def test_commands_judge_a_declaration_as_check_does(tmp_path, capsys, mode):
+    # the telescope checks and the body infers; the body's declared type is wrong
+    p = tmp_path / "body.catt"
+    p.write_text("def bad (x : *) (y : *) (f : x -> y) : y -> x := f\n")
+    path = str(p)
+    message = "term f: term f has type x -> y, expected y -> x"
+    assert cli.main(["check", path, "--mode", mode]) == 1
+    assert capsys.readouterr().out == f"1:1: {message}\n"
+    for argv, err in (
+        (["infer", path, "bad"], message),
+        (["normalize", path, "bad"], message),
+        (["eq", path, "bad", "bad"], f"bad: {message}"),
     ):
         assert cli.main([*argv, "--mode", mode]) == 1
         assert capsys.readouterr() == ("", err + "\n")
